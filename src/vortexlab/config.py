@@ -73,6 +73,13 @@ _SCHEMA: dict[str, dict[str, tuple[str, float]]] = {
     },
 }
 
+# inclusive (low, high) bounds checked on load; the dense 1D tunneling
+# solve holds about 2 grid_points^2 doubles
+_LIMITS: dict[tuple[str, str], tuple[int, int]] = {
+    ("tunneling", "grid_points"): (64, 4096),
+    ("tunneling", "k_levels"): (1, 10),
+}
+
 _SITE_KEY = re.compile(r"^site(\d+)_(x_nm|y_nm|V_GHz|sigma_nm)$")
 _SITE_FACTORS = {"x_nm": 1e-9, "y_nm": 1e-9, "V_GHz": 1e9 * CONSTANTS.h,
                  "sigma_nm": 1e-9}
@@ -192,11 +199,15 @@ def _convert(section: str, key: str, raw: str):
                           "(dimensioned keys must carry their unit suffix)")
     kind, factor = schema[key]
     try:
-        if kind == "int":
-            return int(raw)
-        return float(raw) * factor
+        value = int(raw) if kind == "int" else float(raw) * factor
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
+    if (section, key) in _LIMITS:
+        lo, hi = _LIMITS[section, key]
+        if not lo <= value <= hi:
+            raise ConfigError(
+                f"[{section}] {key} must lie in [{lo}, {hi}], got {value}")
+    return value
 
 
 def _collect_sites(pinning: dict[str, float]) -> list[PinningSite]:

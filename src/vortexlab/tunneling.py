@@ -2,11 +2,13 @@
 
 Discretizes  H = hbar Omega [ -y_zpf^2 laplacian + V / (hbar Omega) ]  on a
 uniform grid with Dirichlet boundaries and a second-order central-difference
-Laplacian, then extracts the lowest eigenpairs with a symmetric Lanczos
-iteration using full reorthogonalization. The kinetic coefficient
-hbar Omega y_zpf^2 equals hbar^2 / 2 m for the effective mass implied by
-y_zpf = sqrt(hbar / 2 m Omega), so the mass never has to be specified
-directly.
+Laplacian, then extracts the lowest eigenpairs with library solvers: dense
+numpy eigh of the tridiagonal matrix in 1D, and shift-invert ARPACK
+(scipy.sparse.linalg.eigsh about the potential minimum) on the sparse
+Kronecker-sum operator in 2D. scipy is imported by the 2D path only. The
+kinetic coefficient hbar Omega y_zpf^2 equals hbar^2 / 2 m for the
+effective mass implied by y_zpf = sqrt(hbar / 2 m Omega), so the mass never
+has to be specified directly.
 """
 
 from __future__ import annotations
@@ -144,111 +146,54 @@ class EigenResult:
         return float(self.energies[1] - self.energies[0])
 
 
-# ---------------------------------------------------------------------------
-# Lanczos with full reorthogonalization
-# ---------------------------------------------------------------------------
+def _solve_1d(grid: Grid, V: np.ndarray, K: float, k: int):
+    """Lowest k pairs of the tridiagonal Hamiltonian by dense eigh.
 
-def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
-                   k: int, m: int, rng: np.random.Generator,
-                   start: np.ndarray | None = None):
-    """Lowest k Ritz pairs from an m-step Lanczos iteration.
-
-    Full reorthogonalization (applied twice per step) keeps the basis
-    orthonormal; on breakdown the iteration restarts with a fresh random
-    vector orthogonal to everything found so far. An optional start vector
-    (for instance eigenvectors of a nearby problem) accelerates
-    convergence.
+    Dense eigh on a few thousand points costs less than importing scipy
+    for a tridiagonal solver, and the CLI imports the 1D path.
     """
-    m = min(m, dim)
-    Q = np.zeros((dim, m))
-    alphas = np.zeros(m)
-    betas = np.zeros(max(m - 1, 0))
-
-    if start is not None and np.linalg.norm(start) > 0:
-        q = np.asarray(start, dtype=float) \
-            + 1e-6 * np.linalg.norm(start) * rng.standard_normal(dim)
-    else:
-        q = rng.standard_normal(dim)
-    q /= np.linalg.norm(q)
-    j = 0
-    op_scale = 0.0
-    while j < m:
-        Q[:, j] = q
-        u = matvec(q)
-        op_scale = max(op_scale, float(np.linalg.norm(u)))
-        alphas[j] = q @ u
-        u -= Q[:, :j + 1] @ (Q[:, :j + 1].T @ u)
-        u -= Q[:, :j + 1] @ (Q[:, :j + 1].T @ u)
-        beta = np.linalg.norm(u)
-        if j + 1 == m:
-            break
-        if beta < 1e-13 * op_scale:
-            # invariant subspace found; restart against it
-            u = rng.standard_normal(dim)
-            u -= Q[:, :j + 1] @ (Q[:, :j + 1].T @ u)
-            nrm = np.linalg.norm(u)
-            if nrm < 1e-14:
-                m = j + 1
-                break
-            q = u / nrm
-            betas[j] = 0.0
-        else:
-            q = u / beta
-            betas[j] = beta
-        j += 1
-
-    T = (np.diag(alphas[:m]) + np.diag(betas[:m - 1], 1)
-         + np.diag(betas[:m - 1], -1))
-    evals, S = np.linalg.eigh(T)
-    kk = min(k, m)
-    ritz_vals = evals[:kk]
-    ritz_vecs = Q[:, :m] @ S[:, :kk]
-    residuals = np.array([np.linalg.norm(matvec(ritz_vecs[:, i])
-                                         - ritz_vals[i] * ritz_vecs[:, i])
-                          for i in range(kk)])
-    return ritz_vals, ritz_vecs, residuals
+    n = grid.nx
+    H = np.diag(2.0 * K / grid.dx**2 + V)
+    i = np.arange(n - 1)
+    H[i, i + 1] = H[i + 1, i] = -K / grid.dx**2
+    try:
+        vals, vecs = np.linalg.eigh(H)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"dense eigh failed: {exc}",
+                               residuals=np.full(k, np.inf)) from exc
+    return vals[:k], vecs[:, :k]
 
 
-def _laplacian_matvec(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
-    if grid.dimension == 1:
-        inv_dx2 = 1.0 / grid.dx**2
+def _solve_2d(grid: Grid, V: np.ndarray, K: float, k: int, seed: int):
+    """Lowest k pairs of the five-point Hamiltonian by shift-invert ARPACK."""
+    from scipy import sparse
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-        def lap(v: np.ndarray) -> np.ndarray:
-            out = -2.0 * v * inv_dx2
-            out[:-1] += v[1:] * inv_dx2
-            out[1:] += v[:-1] * inv_dx2
-            return out
+    def lap(n: int, d: float):
+        return sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / d**2
 
-        return lap
-
-    nx, ny = grid.nx, grid.ny
-    inv_dx2, inv_dy2 = 1.0 / grid.dx**2, 1.0 / grid.dy**2
-
-    def lap2(v: np.ndarray) -> np.ndarray:
-        f = v.reshape(nx, ny)
-        out = -2.0 * (inv_dx2 + inv_dy2) * f
-        out[:-1, :] += f[1:, :] * inv_dx2
-        out[1:, :] += f[:-1, :] * inv_dx2
-        out[:, :-1] += f[:, 1:] * inv_dy2
-        out[:, 1:] += f[:, :-1] * inv_dy2
-        return out.reshape(-1)
-
-    return lap2
+    # flat index i * ny + j with x along i, as in potential.reshape(-1)
+    H = (-K * sparse.kronsum(lap(grid.ny, grid.dy), lap(grid.nx, grid.dx))
+         + sparse.diags(V)).tocsc()
+    v0 = np.random.default_rng(seed).standard_normal(grid.size)
+    try:
+        return eigsh(H, k, sigma=float(V.min()), which="LM", v0=v0)
+    except ArpackNoConvergence as exc:
+        vals, vecs = exc.eigenvalues, exc.eigenvectors
+        residuals = np.full(k, np.inf)
+        residuals[:vals.size] = np.linalg.norm(H @ vecs - vecs * vals, axis=0)
+        raise EigensolverError(f"ARPACK did not converge: {exc}",
+                               residuals=residuals) from exc
 
 
 def solve_schrodinger(grid: Grid, potential: np.ndarray, model: TunnelModel,
-                      k: int = 2, seed: int = 11,
-                      start: np.ndarray | None = None) -> EigenResult:
+                      k: int = 2, seed: int = 11) -> EigenResult:
     """Lowest k eigenpairs of the discretized pinned-vortex Hamiltonian.
 
     potential is the energy field (J) sampled on the grid, shape (nx,) or
-    (nx, ny). An optional start vector warm-starts the iteration (used by
-    field sweeps). Raises EigensolverError with the residual norms if the
-    iteration cannot converge.
-
-    Exactly degenerate multiplets (possible in symmetric 2D potentials)
-    are not resolved: a single Krylov sequence returns one combination per
-    degenerate subspace.
+    (nx, ny). seed fixes the ARPACK start vector of the 2D solve, so
+    repeated calls return identical bits. Raises EigensolverError with the
+    residual norms (inf for pairs not found) if the solver fails.
     """
     if not (1 <= k <= 10):
         raise InvalidParameterError("k must be between 1 and 10")
@@ -257,40 +202,13 @@ def solve_schrodinger(grid: Grid, potential: np.ndarray, model: TunnelModel,
         raise InvalidParameterError(
             f"potential has {V.size} samples, grid has {grid.size}")
     K = model.kinetic_coefficient
-    lap = _laplacian_matvec(grid)
+    if grid.dimension == 1:
+        vals, vecs = _solve_1d(grid, V, K, k)
+    else:
+        vals, vecs = _solve_2d(grid, V, K, k, seed)
 
-    # work in units of the spectral scale so the iteration sees O(1) numbers
-    kin_scale = 4.0 / grid.dx**2
-    if grid.dimension == 2:
-        kin_scale += 4.0 / grid.dy**2
-    scale = abs(K) * kin_scale + float(np.abs(V).max())
-    Ks = K / scale
-    Vs = V / scale
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        return -Ks * lap(v) + Vs * v
-
-    rng = np.random.default_rng(seed)
-    dim = grid.size
-    tol = 1e-10
-
-    m = max(8 * k, 96)
-    best = None
-    while True:
-        vals, vecs, residuals = lanczos_lowest(matvec, dim, k, m, rng,
-                                               start=start)
-        best = (vals, vecs, residuals)
-        if vals.size >= k and np.all(residuals <= tol):
-            break
-        if m >= min(dim, 4096):
-            raise EigensolverError(
-                f"Lanczos did not converge with {m} vectors",
-                residuals=residuals * scale)
-        m *= 2
-
-    vals, vecs, _ = best
     order = np.argsort(vals)
-    vals = vals[order] * scale
+    vals = vals[order]
     vecs = vecs[:, order]
     # continuum normalization: sum |psi|^2 * cell = 1
     psi = (vecs / math.sqrt(grid.cell)).T
@@ -341,14 +259,12 @@ def spectrum_vs_field(sites: Sequence[PinningSite], x_window: tuple[float, float
     fields = np.atleast_1d(np.asarray(B_list, dtype=float))
     results: list[EigenResult] = []
     omega = np.empty(fields.size)
-    start = None
     for i, B in enumerate(fields):
         V = total_potential(x, 0.0, float(B), n, sites, scales, device)
-        res = solve_schrodinger(grid, V, model, k=k, start=start)
+        res = solve_schrodinger(grid, V, model, k=k)
         res.B = float(B)
         results.append(res)
         omega[i] = res.splitting / CONSTANTS.hbar
-        start = res.wavefunctions.sum(axis=0)  # warm start the next field
     return FieldSweep(fields=fields, omega_q=omega, results=results,
                       sweet_spot_index=int(np.argmin(omega)))
 

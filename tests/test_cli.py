@@ -101,6 +101,23 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg.seed("not-a-number")
 
+    @pytest.mark.parametrize("key, value", [
+        ("grid_points", 63), ("grid_points", 4097),
+        ("k_levels", 0), ("k_levels", 11)])
+    def test_tunneling_bounds_rejected(self, tmp_path, key, value):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[tunneling]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            config.load_config(bad)
+
+    @pytest.mark.parametrize("key, value", [
+        ("grid_points", 64), ("grid_points", 4096),
+        ("k_levels", 1), ("k_levels", 10)])
+    def test_tunneling_bounds_accepted(self, tmp_path, key, value):
+        ok = tmp_path / "ok.ini"
+        ok.write_text(f"[tunneling]\n{key} = {value}\n")
+        assert config.load_config(ok).section("tunneling")[key] == value
+
     def test_tunnel_model_curvature(self):
         cfg = config.load_config(CONFIG)
         model = cfg.tunnel_model()

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vortexlab import energetics, tunneling
 from vortexlab.constants import CONSTANTS
-from vortexlab.errors import (InvalidParameterError, ReductionInvalidError)
+from vortexlab.errors import (EigensolverError, InvalidParameterError,
+                              ReductionInvalidError)
 
 HBAR = CONSTANTS.hbar
 H = CONSTANTS.h
@@ -166,6 +171,100 @@ class TestSolveSchrodinger:
             density = (psi**2).reshape(96, 96) * grid.cell
             band = np.abs(grid.y) < 3 * sigma
             assert density[:, band].sum() > 0.9
+
+
+def isotropic_oscillator(model):
+    grid = tunneling.Grid(-40e-9, 40e-9, 96, -40e-9, 40e-9, 96)
+    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
+    return grid, 0.5 * model.mass * OMEGA**2 * (X**2 + Y**2)
+
+
+class TestSolveSchrodinger2D:
+    def test_separable_matches_sums_of_1d_spectra(self, model):
+        # unequal axes catch a transposed Kronecker sum
+        grid = tunneling.Grid(-60e-9, 60e-9, 80, -30e-9, 50e-9, 72)
+        gx = tunneling.Grid(grid.x_min, grid.x_max, grid.nx)
+        gy = tunneling.Grid(grid.y_min, grid.y_max, grid.ny)
+        V0 = H * 30e9
+        Vx = -V0 / (1 + (gx.x - 15e-9) ** 2 / (6e-9) ** 2) \
+            - V0 / (1 + (gx.x + 15e-9) ** 2 / (6e-9) ** 2)
+        Vy = 0.5 * model.mass * OMEGA**2 * (gy.x - 10e-9) ** 2
+        ex, _ = dense_oracle(gx, Vx, model, 6)
+        ey, _ = dense_oracle(gy, Vy, model, 6)
+        expected = np.sort(np.add.outer(ex, ey).ravel())[:6]
+        res = tunneling.solve_schrodinger(grid, np.add.outer(Vx, Vy), model,
+                                          k=6)
+        assert np.allclose(res.energies, expected, rtol=1e-9, atol=0.0)
+
+    def test_isotropic_oscillator_returns_degenerate_pair(self, model):
+        grid, V = isotropic_oscillator(model)
+        res = tunneling.solve_schrodinger(grid, V, model, k=3)
+        E = res.energies / (HBAR * OMEGA)
+        assert E[1] == pytest.approx(E[2], rel=1e-9)
+        assert E[1] == pytest.approx(2.0, rel=5e-3)
+        gram = res.wavefunctions @ res.wavefunctions.T * grid.cell
+        assert np.abs(gram - np.eye(3)).max() < 1e-8
+
+    def test_repeated_calls_are_bit_identical(self, model):
+        grid, V = isotropic_oscillator(model)
+        a = tunneling.solve_schrodinger(grid, V, model, k=3)
+        b = tunneling.solve_schrodinger(grid, V, model, k=3)
+        assert np.array_equal(a.energies, b.energies)
+        assert np.array_equal(a.wavefunctions, b.wavefunctions)
+
+
+class TestSolverErrors:
+    def test_arpack_no_convergence_maps_to_eigensolver_error(
+            self, model, monkeypatch):
+        import scipy.sparse.linalg as spla
+        real_eigsh = spla.eigsh
+
+        def one_pair_then_fail(H, k, **kwargs):
+            vals, vecs = real_eigsh(H, 1, **kwargs)
+            raise spla.ArpackNoConvergence("no convergence", vals, vecs)
+
+        monkeypatch.setattr(spla, "eigsh", one_pair_then_fail)
+        grid = tunneling.Grid(-40e-9, 40e-9, 64, -40e-9, 40e-9, 64)
+        X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
+        V = 0.5 * model.mass * OMEGA**2 * (X**2 + Y**2)
+        with pytest.raises(EigensolverError) as info:
+            tunneling.solve_schrodinger(grid, V, model, k=3)
+        residuals = info.value.residuals
+        assert residuals.shape == (3,)
+        assert residuals[0] < 1e-6 * HBAR * OMEGA
+        assert np.all(np.isinf(residuals[1:]))
+
+    def test_dense_failure_maps_to_eigensolver_error(self, model,
+                                                     monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        grid = tunneling.Grid(0.0, 100e-9, 128)
+        with pytest.raises(EigensolverError) as info:
+            tunneling.solve_schrodinger(grid, np.zeros(128), model, k=2)
+        assert info.value.residuals.shape == (2,)
+        assert np.all(np.isinf(info.value.residuals))
+
+
+def test_cli_and_1d_solve_do_not_import_scipy():
+    # scipy costs a quarter second per process; only the 2D path needs it
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import vortexlab.cli\n"
+        "from vortexlab import tunneling\n"
+        "grid = tunneling.Grid(0.0, 100e-9, 128)\n"
+        "model = tunneling.TunnelModel(y_zpf=4e-9, Omega=1e11)\n"
+        "tunneling.solve_schrodinger(grid, np.zeros(128), model, k=2)\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.fixture(scope="module")
