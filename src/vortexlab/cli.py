@@ -15,7 +15,6 @@ error report is written to the output directory).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import hashlib
 import json
@@ -195,14 +194,6 @@ def _load_trace(path: Path) -> fitting.TimeTrace:
                              sigma=sigma)
 
 
-def _parallel_map(fn, items, workers: int):
-    """Order-preserving map over a bounded thread pool."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -217,28 +208,16 @@ def _cmd_scales(args, cfg: RunConfig, run: Run) -> int:
     return 0
 
 
-def _spectrum_rows(params, trunc, fields, workers):
-    def solve(B):
-        try:
-            return rabi.solve_qrm(params, float(B), trunc)
-        except VortexlabError:
-            return None
-
-    specs = _parallel_map(solve, list(fields), workers)
+def _cmd_spectrum(args, cfg: RunConfig, run: Run) -> int:
+    params, trunc = cfg.qrm()
+    fields = cfg.sweep_fields()
     rows = []
-    for B, spec in zip(fields, specs):
-        if spec is None:
+    for B, spec in zip(fields, rabi.sweep_field(params, fields, trunc)):
+        if spec is None:  # labeling failed near resonance
             rows.append([B * 1e6, None, None, None, None])
         else:
             rows.append([B * 1e6, spec.f_q_dressed / 1e9, spec.f_r_g / 1e9,
                          spec.f_r_e / 1e9, spec.chi / 1e6])
-    return rows
-
-
-def _cmd_spectrum(args, cfg: RunConfig, run: Run) -> int:
-    params, trunc = cfg.qrm()
-    fields = cfg.sweep_fields()
-    rows = _spectrum_rows(params, trunc, fields, args.workers)
     name = "chi.csv" if args.command == "chi" else "spectrum.csv"
     run.csv(name, ["B_uT", "f_q_GHz", "f_r_g_GHz", "f_r_e_GHz", "chi_MHz"], rows)
     return 0
@@ -449,7 +428,7 @@ def _cmd_batch_fit(args, cfg: RunConfig, run: Run) -> int:
                          result.params["B0"] * 1e6,
                          result.params["gamma"] / 1e12,
                          None, result.converged, ""])
-        except Exception as exc:
+        except VortexlabError as exc:
             rows.append([path.name, phi_ratio, None, None, None, None, False,
                          str(exc)])
     run.csv("batch_fit.csv",
@@ -511,8 +490,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("-c", "--config", help="config file path")
         p.add_argument("-o", "--out", default="out",
                        help="output directory (default: out)")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="worker pool size for sweeps")
         if needs_data:
             p.add_argument("--data", required=True, help="input data CSV")
         if analysis:

@@ -89,6 +89,8 @@ class SpectrumDataset:
         if total < 4:
             raise InvalidParameterError("need at least 4 points for a joint fit")
         for pts in (self.qubit_points, self.resonator_points):
+            if not np.all(np.isfinite(pts[:, :2])):
+                raise InvalidParameterError("fields and frequencies must be finite")
             if len(pts) and not np.all(pts[:, 2] > 0):
                 raise InvalidParameterError("sigma must be positive")
 
@@ -367,27 +369,24 @@ def fit_joint_aqrm(dataset: SpectrumDataset, init: dict[str, float] | None,
     init = {k: init[k] for k in ("f_r", "g", "gamma", "B0", "f_q0")}
 
     penalty = 1e6
+    # one solve per distinct field serves the qubit and resonator points
+    fields, which = np.unique(np.concatenate([qp[:, 0], rp[:, 0]]),
+                              return_inverse=True)
+    n_q = len(qp)
+    measured = np.concatenate([qp[:, 1], rp[:, 1]])
+    sigma = np.concatenate([qp[:, 2], rp[:, 2]])
 
     def resid(p):
         params = rabi.QrmParams.asymmetric(
             f_r=abs(p["f_r"]), g=abs(p["g"]), gamma=abs(p["gamma"]),
             B0=p["B0"], f_q0=abs(p["f_q0"]))
-        out = np.empty(len(qp) + len(rp))
-        i = 0
-        for B, fmeas, sig in qp:
-            try:
-                spec = rabi.solve_qrm(params, B, trunc)
-                out[i] = (spec.f_q_dressed - fmeas) / sig
-            except Exception:
-                out[i] = penalty
-            i += 1
-        for B, fmeas, sig in rp:
-            try:
-                spec = rabi.solve_qrm(params, B, trunc)
-                out[i] = (spec.f_r_g - fmeas) / sig
-            except Exception:
-                out[i] = penalty
-            i += 1
+        specs = rabi.sweep_field(params, fields, trunc)
+        out = np.full(len(which), penalty)
+        for i, k in enumerate(which):
+            spec = specs[k]
+            if spec is not None:
+                model = spec.f_q_dressed if i < n_q else spec.f_r_g
+                out[i] = (model - measured[i]) / sigma[i]
         return out
 
     result = least_squares(resid, init)

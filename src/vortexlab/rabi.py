@@ -17,6 +17,11 @@ admissible orientations are phi = 0 for any theta, or theta in {0, pi/2}
 with phi in [0, pi); any other combination breaks the symmetry of the
 spectrum under B' -> -B'.
 
+The Hamiltonian is built real symmetric: a spin rotation about x commutes
+with the sigma_x coupling, so turning the static field (vx, vy, vz) into
+(vx, 0, hypot(vy, vz)) changes neither the spectrum nor the bare-state
+overlaps used for labeling.
+
 Energies are handled in joules internally; all reported transitions are
 plain frequencies in Hz.
 """
@@ -130,12 +135,22 @@ def _field_vector_hz(params: QrmParams, B: float) -> np.ndarray:
     return pseudo + applied
 
 
+def _spin_term_hz(params: QrmParams, B: float) -> np.ndarray:
+    """Real 2x2 static spin term (Hz), the field rotated into the x-z plane."""
+    vx, vy, vz = _field_vector_hz(params, B)
+    vz = math.hypot(vy, vz)
+    return 0.5 * np.array([[vz, vx], [vx, -vz]])
+
+
 def build_hamiltonian(params: QrmParams, B: float,
                       trunc: HilbertTruncation) -> np.ndarray:
-    """Dense Hermitian Hamiltonian (J) in the Fock (x) spin product basis.
+    """Dense real symmetric Hamiltonian (J) in the Fock (x) spin product basis.
 
     Basis ordering is n * 2 + s with s = 0 the lower bare qubit state, so
     a = destroy (x) identity and the spin operators act on the fast index.
+    The static field is rotated about the coupling axis x into the x-z
+    plane, which leaves the spectrum unchanged because the rotation
+    commutes with sigma_x, and removes the imaginary sigma_y entries.
     """
     if not math.isfinite(B):
         raise InvalidParameterError(f"field must be finite, got {B}")
@@ -145,47 +160,12 @@ def build_hamiltonian(params: QrmParams, B: float,
     x_osc = a + a.T
     n_osc = np.diag(idx.astype(float))
     i_osc = np.eye(nosc)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
 
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    i2 = np.eye(2, dtype=complex)
-
-    v = _field_vector_hz(params, B)
-    h_field = 0.5 * (v[0] * sx + v[1] * sy + v[2] * sz)
-
-    H = (params.f_r * np.kron(n_osc + 0.5 * i_osc, i2)
+    H = (params.f_r * np.kron(n_osc + 0.5 * i_osc, np.eye(2))
          + params.g * np.kron(x_osc, sx)
-         + np.kron(i_osc, h_field))
+         + np.kron(i_osc, _spin_term_hz(params, B)))
     return CONSTANTS.h * H
-
-
-def _bare_basis(params: QrmParams, B: float, trunc: HilbertTruncation):
-    """Eigenbasis of the uncoupled Hamiltonian as labeled product states.
-
-    Returns (basis matrix with one column per bare state, list of labels);
-    columns are ordered by photon number then branch so that argmax ties
-    resolve toward lower photon number.
-    """
-    v = _field_vector_hz(params, B)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    m = 0.5 * (v[0] * sx + v[1] * sy + v[2] * sz)
-    evals, evecs = np.linalg.eigh(m)
-    chi_g, chi_e = evecs[:, 0], evecs[:, 1]
-
-    nosc = trunc.n_fock + 1
-    dim = 2 * nosc
-    basis = np.zeros((dim, dim), dtype=complex)
-    labels: list[tuple[str, int]] = []
-    col = 0
-    for n in range(nosc):
-        for branch, chi in (("g", chi_g), ("e", chi_e)):
-            basis[2 * n: 2 * n + 2, col] = chi
-            labels.append((branch, n))
-            col += 1
-    return basis, labels
 
 
 def solve_qrm(params: QrmParams, B: float,
@@ -199,9 +179,13 @@ def solve_qrm(params: QrmParams, B: float,
     """
     H = build_hamiltonian(params, B, trunc)
     energies, vecs = np.linalg.eigh(H)
-    basis, bare_labels = _bare_basis(params, B, trunc)
-
-    overlaps = np.abs(basis.conj().T @ vecs) ** 2  # bare x dressed
+    # bare states are (photon n) x (spin eigenvector chi_g or chi_e), ordered
+    # by photon number then branch so that argmax ties resolve toward lower
+    # photon number; project each 2-row block of vecs onto chi_g and chi_e
+    _, chi = np.linalg.eigh(_spin_term_hz(params, B))
+    nosc, dim = trunc.n_fock + 1, trunc.dim
+    overlaps = ((chi.T @ vecs.reshape(nosc, 2, dim)) ** 2).reshape(dim, dim)
+    bare_labels = [(branch, n) for n in range(nosc) for branch in "ge"]
     assigned: dict[tuple[str, int], int] = {}
     labels: list[tuple[str, int]] = []
     for j in range(vecs.shape[1]):

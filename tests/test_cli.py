@@ -159,8 +159,7 @@ class TestScales:
 class TestChiSweep:
     def test_chi_column_dips_at_sweet_spot(self, mini_config, tmp_path):
         out = tmp_path / "out"
-        assert cli.main(["chi", "-c", str(mini_config), "-o", str(out),
-                         "--workers", "2"]) == 0
+        assert cli.main(["chi", "-c", str(mini_config), "-o", str(out)]) == 0
         header, rows = read_csv(out / "chi.csv")
         chi = np.array([float(r[header.index("chi_MHz")]) for r in rows])
         assert np.all(chi < 0)
@@ -172,6 +171,25 @@ class TestChiSweep:
         conf.write_text(MINI_CONFIG.replace("n_points = 9", "n_points = 0"))
         out = tmp_path / "out"
         assert cli.main(["chi", "-c", str(conf), "-o", str(out)]) == 1
+
+    def test_gaps_where_sweep_field_fails(self, tmp_path):
+        # f_q = f_r near B = 493 uT; labeling fails on part of this window
+        from vortexlab import rabi
+        conf = tmp_path / "c.ini"
+        conf.write_text(MINI_CONFIG.replace("B_min_uT = 68.0", "B_min_uT = 480.0")
+                        .replace("B_max_uT = 188.0", "B_max_uT = 506.0")
+                        .replace("n_points = 9", "n_points = 27"))
+        out = tmp_path / "out"
+        assert cli.main(["chi", "-c", str(conf), "-o", str(out)]) == 0
+        cfg = config.load_config(conf)
+        params, trunc = cfg.qrm()
+        expected = [s is None for s in
+                    rabi.sweep_field(params, cfg.sweep_fields(), trunc)]
+        assert any(expected) and not all(expected)
+        header, rows = read_csv(out / "chi.csv")
+        assert len(rows) == 27
+        assert [row[1:] == [""] * 4 for row in rows] == expected
+        assert all(row[0] for row in rows)
 
 
 class TestDeterminism:
@@ -266,6 +284,24 @@ class TestFitCommands:
         assert result["params"]["g_MHz"] == pytest.approx(92.5, rel=1e-3)
         assert result["params"]["B0_uT"] == pytest.approx(128.0, rel=1e-3)
 
+    @pytest.mark.parametrize("blank", ["qubit", "resonator"])
+    def test_fit_spectrum_rejects_blank_field(self, tmp_path, blank):
+        # a blank B_uT cell reads as NaN and must not reach the fit
+        qubit = tmp_path / "q.csv"
+        qubit.write_text("B_uT,f_GHz,sigma_GHz\n100.0,2.1,0.001\n"
+                         "128.0,2.0,0.001\n150.0,2.1,0.001\n")
+        resonator = tmp_path / "r.csv"
+        resonator.write_text("B_uT,f_GHz,sigma_GHz\n0.0,7.57,0.0002\n"
+                             "300.0,7.57,0.0002\n")
+        bad = qubit if blank == "qubit" else resonator
+        bad.write_text(bad.read_text().replace("\n300.0,", "\n,")
+                       .replace("\n128.0,", "\n,"))
+        out = tmp_path / "out"
+        assert cli.main(["fit-spectrum", "--qubit", str(qubit),
+                         "--resonator", str(resonator), "-o", str(out)]) == 2
+        report = json.loads((out / "error.json").read_text())
+        assert report["error"] == "InvalidParameterError"
+
 
 class TestBatchFit:
     @staticmethod
@@ -312,6 +348,19 @@ class TestBatchFit:
         flags = [row[header.index("converged")] for row in rows]
         assert flags.count("True") == 4
         assert flags.count("False") == 1
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        data_dir = tmp_path / "sets"
+        data_dir.mkdir()
+        self._write_dataset(data_dir / "run0.csv", 120.0, 1.0)
+
+        def broken(points):
+            raise TypeError("bug in the fitter")
+
+        monkeypatch.setattr(cli.fitting, "fit_hyperbola", broken)
+        with pytest.raises(TypeError):
+            cli.main(["batch-fit", "--data-dir", str(data_dir),
+                      "-o", str(tmp_path / "out")])
 
     def test_empty_directory_exits_one(self, tmp_path):
         data_dir = tmp_path / "empty"
@@ -419,6 +468,10 @@ k_levels = 3
 class TestExitCodes:
     def test_usage_error_is_one(self):
         assert cli.main(["no-such-command"]) == 1
+
+    def test_removed_workers_option_is_one(self, mini_config, tmp_path):
+        assert cli.main(["chi", "-c", str(mini_config), "-o",
+                         str(tmp_path / "out"), "--workers", "2"]) == 1
 
     def test_missing_config_is_one(self, tmp_path):
         assert cli.main(["scales", "-c", str(tmp_path / "missing.ini"),

@@ -179,6 +179,48 @@ class TestJointAqrm:
         assert abs(res.params["g"] - G) / G < 0.01
 
 
+    def test_one_solve_per_distinct_field_per_residual(self, monkeypatch):
+        # the resonator list repeats seven of the qubit fields
+        ds = self._dataset()
+        shared = ds.qubit_points[::2].copy()
+        shared[:, 1] = [rabi.solve_qrm(
+            rabi.QrmParams.asymmetric(F_R, G, GAMMA, B0, F_Q0), B,
+            self.trunc).f_r_g for B in shared[:, 0]]
+        ds2 = fitting.SpectrumDataset(
+            qubit_points=ds.qubit_points,
+            resonator_points=np.vstack([ds.resonator_points, shared]))
+        n_distinct = np.unique(np.concatenate(
+            [ds2.qubit_points[:, 0], ds2.resonator_points[:, 0]])).size
+        assert n_distinct < len(ds2.qubit_points) + len(ds2.resonator_points)
+
+        solves = [0]
+        solve_qrm = rabi.solve_qrm
+
+        def counting_solve(*args):
+            solves[0] += 1
+            return solve_qrm(*args)
+
+        per_eval = []
+        least_squares = fitting.least_squares
+
+        def counting_least_squares(residual_fn, init, *args, **kwargs):
+            def counted(p):
+                before = solves[0]
+                r = residual_fn(p)
+                per_eval.append(solves[0] - before)
+                return r
+            return least_squares(counted, init, *args, **kwargs)
+
+        monkeypatch.setattr(rabi, "solve_qrm", counting_solve)
+        monkeypatch.setattr(fitting, "least_squares", counting_least_squares)
+        init = {"f_r": F_R, "g": 1.01 * G, "gamma": GAMMA, "B0": B0,
+                "f_q0": F_Q0}
+        res = fitting.fit_joint_aqrm(ds2, init, self.trunc)
+        assert res.converged
+        assert len(per_eval) > 1
+        assert set(per_eval) == {n_distinct}
+
+
 class TestTimeTrace:
     def test_requires_ascending_times(self):
         with pytest.raises(InvalidParameterError):

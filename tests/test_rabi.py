@@ -283,3 +283,100 @@ class TestSweepField:
     def test_empty_sweep_rejected(self, aqrm, trunc):
         with pytest.raises(InvalidParameterError):
             rabi.sweep_field(aqrm, [], trunc)
+
+
+def _reference_hamiltonian(params, B, trunc):
+    """Complex sigma_y form of H with the unrotated field, plus its spin term."""
+    nosc = trunc.n_fock + 1
+    idx = np.arange(nosc)
+    a = np.diag(np.sqrt(idx[1:].astype(float)), k=1)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    v = rabi._field_vector_hz(params, B)
+    h_field = 0.5 * (v[0] * sx + v[1] * sy + v[2] * sz)
+    H = (params.f_r * np.kron(np.diag(idx + 0.5), np.eye(2))
+         + params.g * np.kron(a + a.T, sx)
+         + np.kron(np.eye(nosc), h_field))
+    return CONSTANTS.h * H, h_field
+
+
+def _reference_solve(params, B, trunc):
+    """Labels and transitions from the dense complex bare basis."""
+    H, h_field = _reference_hamiltonian(params, B, trunc)
+    energies, vecs = np.linalg.eigh(H)
+    _, chi = np.linalg.eigh(h_field)
+    dim = trunc.dim
+    basis = np.zeros((dim, dim), dtype=complex)
+    bare_labels = []
+    for n in range(trunc.n_fock + 1):
+        for s, branch in enumerate("ge"):
+            basis[2 * n: 2 * n + 2, len(bare_labels)] = chi[:, s]
+            bare_labels.append((branch, n))
+    overlaps = np.abs(basis.conj().T @ vecs) ** 2
+    assigned, labels = {}, []
+    for j in range(dim):
+        label = bare_labels[int(np.argmax(overlaps[:, j]))]
+        if label in assigned:
+            raise AmbiguousLabelingError("claimed twice")
+        assigned[label] = j
+        labels.append(label)
+    for key in (("g", 0), ("e", 0), ("g", 1), ("e", 1)):
+        if overlaps[:, assigned[key]].max() < 2.0 / 3.0:
+            raise AmbiguousLabelingError("strongly mixed")
+    f = {k: energies[assigned[k]] / CONSTANTS.h for k in assigned}
+    return labels, (f[("e", 0)] - f[("g", 0)], f[("g", 1)] - f[("g", 0)],
+                    f[("e", 1)] - f[("e", 0)])
+
+
+def _admissible_orientations(n, seed):
+    rng = np.random.default_rng(seed)
+    out = [(math.pi / 2, math.pi / 2), (math.pi / 2, 0.0)]
+    while len(out) < n:
+        if rng.random() < 0.5:
+            out.append((float(rng.uniform(0, math.pi)), 0.0))
+        else:
+            out.append((float(rng.choice([0.0, math.pi / 2])),
+                        float(rng.uniform(0, math.pi))))
+    return out
+
+
+_B_CROSS = B0 + math.sqrt(F_R**2 - F_Q0**2) / GAMMA
+
+
+class TestRealSymmetricPath:
+    """The real rotated Hamiltonian against the complex unrotated one."""
+
+    FIELDS = [B0, B0 - 37e-6, B0 + 140e-6, 2 * B0 - _B_CROSS,
+              *(_B_CROSS + d for d in (-20e-6, -4e-6, -1e-6, 0.0, 1e-6, 4e-6,
+                                       20e-6))]
+
+    @pytest.mark.parametrize("theta,phi", _admissible_orientations(8, 11))
+    def test_matches_complex_reference(self, theta, phi):
+        p = rabi.QrmParams(F_R, G, GAMMA, B0, F_Q0, theta=theta, phi=phi)
+        tr = rabi.HilbertTruncation(30)
+        outcomes = set()
+        for B in self.FIELDS:
+            H = rabi.build_hamiltonian(p, B, tr)
+            assert H.dtype == np.float64
+            ev = np.linalg.eigvalsh(H)
+            ev_ref = np.linalg.eigvalsh(_reference_hamiltonian(p, B, tr)[0])
+            # eigenvalue errors are bounded by the spectral scale, not by
+            # each level, since a level near zero has no relative accuracy
+            tol = 1e-12 * np.abs(ev_ref).max()
+            assert np.abs(ev - ev_ref).max() <= tol
+            try:
+                ref = _reference_solve(p, B, tr)
+            except AmbiguousLabelingError:
+                ref = None
+            if ref is None:
+                with pytest.raises(AmbiguousLabelingError):
+                    rabi.solve_qrm(p, B, tr)
+                outcomes.add("ambiguous")
+                continue
+            spec = rabi.solve_qrm(p, B, tr)
+            assert spec.labels == ref[0]
+            got = (spec.f_q_dressed, spec.f_r_g, spec.f_r_e)
+            assert np.abs(np.subtract(got, ref[1])).max() <= tol / CONSTANTS.h
+            outcomes.add("labeled")
+        assert "labeled" in outcomes
