@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -41,26 +42,23 @@ _H = CONSTANTS.h
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
+    """One CSV cell: None and NaN empty, floats as repr (so inf, -inf)."""
     if value is None:
         return ""
     if isinstance(value, (float, np.floating)):
         value = float(value)
-        if math.isnan(value):
-            return ""
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return repr(value)
-    if isinstance(value, np.integer):
-        return str(int(value))
+        return "" if math.isnan(value) else repr(value)
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write equal-length columns (numpy arrays or lists) under a header."""
+    cells = [map(_fmt, col.tolist() if isinstance(col, np.ndarray) else col)
+             for col in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=",", lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(zip(*cells, strict=True))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -84,9 +82,9 @@ class Run:
         self.outputs: list[Path] = []
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    def csv(self, name: str, header: list[str], rows) -> Path:
+    def csv(self, name: str, header: list[str], columns) -> Path:
         path = self.out_dir / name
-        _write_csv(path, header, rows)
+        _write_csv(path, header, columns)
         self.outputs.append(path)
         return path
 
@@ -110,7 +108,7 @@ class Run:
             else:
                 flat[key] = value
         keys = sorted(flat)
-        return self.csv(f"{stem}.csv", keys, [[flat[k] for k in keys]])
+        return self.csv(f"{stem}.csv", keys, [[flat[k]] for k in keys])
 
     def finish(self) -> None:
         manifest = {
@@ -141,57 +139,48 @@ def _fit_payload(result: fitting.FitResult, scale: dict[str, tuple[str, float]]
             "message": result.message}
 
 
+def _empty_as_nan(cell: str) -> float:
+    """loadtxt converter: an empty cell reads as NaN (loadtxt rejects it)."""
+    return float(cell) if cell.strip() else math.nan
+
+
 def _read_csv_columns(path: Path, minimum: int) -> np.ndarray:
-    rows = []
-    ncols = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = None
-        for row in reader:  # header = first non-comment, non-blank line
-            if row and row[0].lstrip().startswith("#"):
-                continue
-            if row and any(c.strip() for c in row):
-                header = row
-                break
-        if header is None:
+    """Numeric rows of a CSV file as a 2D float array.
+
+    The header is the first line that is neither blank nor a '#' comment.
+    After it, blank lines and text after '#' are skipped, empty cells read
+    as NaN and rows whose cells are all empty are dropped.
+    """
+    with open(path, encoding="utf-8") as fh:
+        line = fh.readline()
+        while line and (not line.replace(",", "").strip()
+                        or line.lstrip().startswith("#")):
+            line = fh.readline()
+        if not line:
             raise VortexlabError(f"{path}: empty file")
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            if row[0].lstrip().startswith("#"):
-                continue
-            if ncols is None:
-                ncols = len(row)
-                if ncols < minimum:
-                    raise VortexlabError(
-                        f"{path}: need at least {minimum} columns, got {ncols}")
-            if len(row) != ncols:
-                raise VortexlabError(f"{path}: ragged row {row!r}")
-            try:
-                rows.append([float(c) if c.strip() else math.nan for c in row])
-            except ValueError as exc:
-                raise VortexlabError(f"{path}: non-numeric cell: {exc}") from exc
-    if not rows:
+        try:
+            with warnings.catch_warnings():  # a header-only file is no data
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2,
+                                  converters=_empty_as_nan, quotechar='"')
+        except ValueError as exc:
+            reason = str(exc).partition("; use `usecols`")[0].replace(
+                "the number of columns", "ragged rows: the number of columns")
+            raise VortexlabError(f"{path}: {reason}") from exc
+    data = data[~np.isnan(data).all(axis=1)]
+    if not len(data):
         raise VortexlabError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+    if data.shape[1] < minimum:
+        raise VortexlabError(
+            f"{path}: need at least {minimum} columns, got {data.shape[1]}")
+    return data
 
 
 def _load_trace(path: Path) -> fitting.TimeTrace:
     """CSV with columns t_us, value[, sigma]."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        t, v, s = [], [], []
-        for row in reader:
-            if not row:
-                continue
-            t.append(float(row[0]) * 1e-6)
-            v.append(float(row[1]))
-            if len(row) > 2 and row[2].strip():
-                s.append(float(row[2]))
-    sigma = np.asarray(s) if len(s) == len(t) and s else None
-    return fitting.TimeTrace(times=np.asarray(t), values=np.asarray(v),
-                             sigma=sigma)
+    data = _read_csv_columns(path, 2)
+    return fitting.TimeTrace(times=data[:, 0] * 1e-6, values=data[:, 1],
+                             sigma=data[:, 2] if data.shape[1] > 2 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -203,23 +192,24 @@ def _cmd_scales(args, cfg: RunConfig, run: Run) -> int:
     scales = derive_scales(device)
     run.csv("scales.csv",
             ["Lambda_mm", "eps0_J", "eps0_over_h_THz", "phi_S", "B_S_uT"],
-            [[scales.Lambda * 1e3, scales.eps0, scales.eps0 / _H / 1e12,
-              scales.phi_S, scales.B_S * 1e6]])
+            [[scales.Lambda * 1e3], [scales.eps0], [scales.eps0 / _H / 1e12],
+             [scales.phi_S], [scales.B_S * 1e6]])
     return 0
 
 
 def _cmd_spectrum(args, cfg: RunConfig, run: Run) -> int:
     params, trunc = cfg.qrm()
     fields = cfg.sweep_fields()
-    rows = []
-    for B, spec in zip(fields, rabi.sweep_field(params, fields, trunc)):
-        if spec is None:  # labeling failed near resonance
-            rows.append([B * 1e6, None, None, None, None])
-        else:
-            rows.append([B * 1e6, spec.f_q_dressed / 1e9, spec.f_r_g / 1e9,
-                         spec.f_r_e / 1e9, spec.chi / 1e6])
+    specs = rabi.sweep_field(params, fields, trunc)
+
+    def column(attr: str, unit: float) -> list:
+        # empty where labeling failed near resonance
+        return [None if s is None else getattr(s, attr) / unit for s in specs]
+
     name = "chi.csv" if args.command == "chi" else "spectrum.csv"
-    run.csv(name, ["B_uT", "f_q_GHz", "f_r_g_GHz", "f_r_e_GHz", "chi_MHz"], rows)
+    run.csv(name, ["B_uT", "f_q_GHz", "f_r_g_GHz", "f_r_e_GHz", "chi_MHz"],
+            [fields * 1e6, column("f_q_dressed", 1e9), column("f_r_g", 1e9),
+             column("f_r_e", 1e9), column("chi", 1e6)])
     return 0
 
 
@@ -277,15 +267,16 @@ def _cmd_fit_rabi(args, cfg: RunConfig, run: Run) -> int:
         trace = fitting.TimeTrace(times=sel[order, 1] * 1e-6,
                                   values=sel[order, 2])
         scans.append((float(amp) * 1e-6, trace))
-    fit, omegas, warnings = fitting.fit_rabi_linear(scans)
+    fit, omegas, fit_warnings = fitting.fit_rabi_linear(scans)
     payload = _fit_payload(fit, {"slope": ("slope_MHz_per_uV", 1e12)})
     payload["Omega_MHz_per_amplitude"] = {_fmt(a * 1e6): om / 1e6
                                           for a, om in sorted(omegas.items())}
-    payload["warnings"] = warnings
+    payload["warnings"] = fit_warnings
     run.json("fit_rabi.json", payload)
     if args.format == "csv":
+        amps = sorted(omegas)
         run.csv("fit_rabi.csv", ["amplitude_uV", "Omega_MHz"],
-                [[a * 1e6, om / 1e6] for a, om in sorted(omegas.items())])
+                [[a * 1e6 for a in amps], [omegas[a] / 1e6 for a in amps]])
     return 0 if fit.converged else 2
 
 
@@ -297,9 +288,8 @@ def _cmd_landscape(args, cfg: RunConfig, run: Run) -> int:
     x = np.linspace(0.0, device.w, args.points)
     V = energetics.total_potential(x, 0.0, B, args.vortex_density, sites,
                                    scales, device)
-    rows = [[xi * 1e9, 0.0, vi / scales.eps0, vi / _H / 1e9]
-            for xi, vi in zip(x, V)]
-    run.csv("landscape.csv", ["x_nm", "y_nm", "V_over_eps0", "V_GHz"], rows)
+    run.csv("landscape.csv", ["x_nm", "y_nm", "V_over_eps0", "V_GHz"],
+            [x * 1e9, np.zeros_like(x), V / scales.eps0, V / _H / 1e9])
     return 0
 
 
@@ -307,14 +297,12 @@ def _cmd_gamma_map(args, cfg: RunConfig, run: Run) -> int:
     device = cfg.device()
     scales = derive_scales(device)
     deltas = np.linspace(args.delta_min_nm, args.delta_max_nm, args.n_delta) * 1e-9
-    rows = []
-    for delta in deltas:
-        x_bars = np.linspace(delta, device.w - delta, args.n_xbar)
-        for x_bar in x_bars:
-            gamma = energetics.gamma_from_geometry(delta, x_bar, scales, device)
-            rows.append([x_bar * 1e6, delta * 1e9, gamma / 1e12])
+    x_bars = np.linspace(deltas, device.w - deltas, args.n_xbar, axis=1).ravel()
+    delta_col = np.repeat(deltas, args.n_xbar)
+    gamma = np.array([energetics.gamma_from_geometry(delta, x_bar, scales, device)
+                      for delta, x_bar in zip(delta_col.tolist(), x_bars.tolist())])
     run.csv("gamma_map.csv", ["x_bar_um", "delta_LR_nm", "gamma_GHz_per_mT"],
-            rows)
+            [x_bars * 1e6, delta_col * 1e9, gamma / 1e12])
     return 0
 
 
@@ -348,11 +336,10 @@ def _cmd_tunnel(args, cfg: RunConfig, run: Run) -> int:
         sites, (t["x_min_nm"], t["x_max_nm"]), fields, model, scales, device,
         grid_points=int(t.get("grid_points", 1024)),
         k=max(2, int(t.get("k_levels", 3))))
-    rows = []
-    for B, omega, res in zip(sweep.fields, sweep.omega_q, sweep.results):
-        rows.append([B * 1e6, omega / (2 * math.pi) / 1e9,
-                     res.energies[0] / _H / 1e9, res.energies[1] / _H / 1e9])
-    run.csv("tunnel.csv", ["B_uT", "f_q_GHz", "E0_GHz", "E1_GHz"], rows)
+    energies = np.array([res.energies[:2] for res in sweep.results])
+    run.csv("tunnel.csv", ["B_uT", "f_q_GHz", "E0_GHz", "E1_GHz"],
+            [sweep.fields * 1e6, sweep.omega_q / (2 * math.pi) / 1e9,
+             energies[:, 0] / _H / 1e9, energies[:, 1] / _H / 1e9])
     run.json("tunnel_summary.json", {
         "sweet_spot_B_uT": sweep.sweet_spot_B * 1e6,
         "min_f_q_GHz": float(sweep.omega_q.min() / (2 * math.pi) / 1e9),
@@ -365,9 +352,9 @@ def _cmd_synth_jumps(args, cfg: RunConfig, run: Run) -> int:
     ro = cfg.readout()
     duration = cfg.section("jumps")["duration_s"]
     traj = jumps.simulate_trajectory(tg, ro, duration, run.seed)
-    rows = [[t * 1e6, z.real, z.imag, int(s)]
-            for t, z, s in zip(traj.times, traj.iq_points, traj.true_states)]
-    run.csv("trajectory.csv", ["t_us", "I", "Q", "true_state"], rows)
+    run.csv("trajectory.csv", ["t_us", "I", "Q", "true_state"],
+            [traj.times * 1e6, traj.iq_points.real, traj.iq_points.imag,
+             traj.true_states])
     return 0
 
 
@@ -434,7 +421,7 @@ def _cmd_batch_fit(args, cfg: RunConfig, run: Run) -> int:
     run.csv("batch_fit.csv",
             ["dataset", "phi_over_phi_S", "f_q0_GHz", "B0_uT",
              "gamma_GHz_per_mT", "g_MHz", "converged", "error"],
-            rows)
+            zip(*rows))
     return 0
 
 

@@ -1,18 +1,29 @@
 import csv
 import json
-
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vortexlab import cli, config
-from vortexlab.errors import ConfigError
+from vortexlab.errors import ConfigError, VortexlabError
 
-CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example.ini"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG = ROOT / "configs" / "example.ini"
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m vortexlab.cli` in a child that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "vortexlab.cli", *argv],
+                          env=env, capture_output=True, text=True)
 
 MINI_CONFIG = """\
 [device]
@@ -465,6 +476,163 @@ k_levels = 3
                                                                      rel=0.01)
 
 
+def _trace_text(command: str) -> str:
+    """A clean t_us,value,sigma trace that the given fit command converges on."""
+    if command == "fit-ramsey":
+        t = np.linspace(0, 2.0, 300)  # us
+        v = np.exp(-t / 0.44) * (0.4 * np.cos(2 * np.pi * 5 * t)
+                                 + 0.4 * np.cos(2 * np.pi * 7 * t)) + 0.5
+    else:
+        t = np.linspace(0, 1000, 80)  # us
+        v = 0.9 * np.exp(-t / 186.0) + 0.05
+    return "t_us,value,sigma\n" + "".join(
+        f"{ti!r},{vi!r},0.01\n" for ti, vi in zip(t.tolist(), v.tolist()))
+
+
+TRACE_COMMANDS = ["fit-decay", "fit-echo", "fit-ramsey"]
+
+
+class TestTraceFiles:
+    """fit-decay, fit-echo and fit-ramsey read traces with the one reader."""
+
+    @staticmethod
+    def _run(tmp_path, command, text, name="trace"):
+        data = tmp_path / f"{name}.csv"
+        data.write_text(text)
+        out = tmp_path / name
+        return cli.main([command, "--data", str(data), "-o", str(out)]), data, out
+
+    @pytest.mark.parametrize("command", TRACE_COMMANDS)
+    def test_short_row_exits_two_with_report(self, tmp_path, command):
+        lines = _trace_text(command).splitlines(keepends=True)
+        lines.insert(5, "2\n")
+        code, data, out = self._run(tmp_path, command, "".join(lines))
+        assert code == 2
+        report = json.loads((out / "error.json").read_text())
+        assert str(data) in report["message"]
+
+    @pytest.mark.parametrize("command", TRACE_COMMANDS)
+    def test_partial_sigma_column_rejected(self, tmp_path, command):
+        lines = _trace_text(command).splitlines(keepends=True)
+        lines[5] = lines[5].replace(",0.01\n", ",\n")
+        code, _, out = self._run(tmp_path, command, "".join(lines))
+        assert code == 2
+        report = json.loads((out / "error.json").read_text())
+        assert report["error"] == "InvalidParameterError"
+
+    @pytest.mark.parametrize("command", TRACE_COMMANDS)
+    def test_comment_before_header_parses(self, tmp_path, command):
+        stem = command.replace("-", "_")
+        code, _, plain = self._run(tmp_path, command, _trace_text(command),
+                                   "plain")
+        assert code == 0
+        code, _, out = self._run(tmp_path, command,
+                                 "# recorded 2024-05-01\n" + _trace_text(command),
+                                 "commented")
+        assert code == 0
+        assert (out / f"{stem}.json").read_bytes() == \
+            (plain / f"{stem}.json").read_bytes()
+
+    @pytest.mark.parametrize("command", TRACE_COMMANDS)
+    def test_blank_value_exits_two(self, tmp_path, command):
+        lines = _trace_text(command).splitlines(keepends=True)
+        head, _, tail = lines[5].split(",")
+        lines[5] = f"{head},,{tail}"
+        code, _, out = self._run(tmp_path, command, "".join(lines))
+        assert code == 2
+        assert (out / "error.json").exists()
+
+
+class TestReader:
+    @pytest.mark.parametrize("text, expected", [
+        ("a,b\n1,2\n\n# note\n3,4\n\n", [[1, 2], [3, 4]]),  # blank, comment
+        ("# c1\n\n# c2\na,b\n1,2\n", [[1, 2]]),  # comments before header
+        ("a,b,c\n1,2,3\n,,\n4,5,6\n", [[1, 2, 3], [4, 5, 6]]),  # empty row
+        ('a,b\n"1.5",2\n3,"-4e-3"\n', [[1.5, 2], [3, -4e-3]]),  # quoted
+        ("a,b\n1,2 # tail\n3,4\n", [[1, 2], [3, 4]]),  # text after '#'
+        ("a,b\n1,\n 3 ,4\r\n", [[1, math.nan], [3, 4]]),  # empty cell, CRLF
+        ("a,b\n1,2,3\n", [[1, 2, 3]]),  # the header's width is not checked
+    ])
+    def test_rules(self, tmp_path, text, expected):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        np.testing.assert_array_equal(cli._read_csv_columns(path, 2), expected)
+
+    @pytest.mark.parametrize("text, match", [
+        ("", "empty file"),
+        ("# only\n\n", "empty file"),
+        ("a,b\n", "no data rows"),
+        ("a,b\n,\n# c\n", "no data rows"),
+        ("a\n1\n2\n", "need at least 2 columns, got 1"),
+        ("a,b\n1,2\n3\n", "ragged rows"),
+        ("a,b\n1,x\n", "could not convert"),
+    ])
+    def test_rejections(self, tmp_path, text, match):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may leak
+            with pytest.raises(VortexlabError, match=match) as info:
+                cli._read_csv_columns(path, 2)
+        assert str(path) in str(info.value)
+        assert "usecols" not in str(info.value)
+
+    def test_ragged_record_in_analyze_jumps(self, mini_config, tmp_path):
+        data = tmp_path / "traj.csv"
+        data.write_text("t_us,I,Q\n0.0,0.1,0.2\n5.0,0.3\n10.0,0.1,0.0\n")
+        out = tmp_path / "out"
+        assert cli.main(["analyze-jumps", "-c", str(mini_config), "-o", str(out),
+                         "--data", str(data)]) == 2
+        message = json.loads((out / "error.json").read_text())["message"]
+        assert str(data) in message and "ragged" in message
+
+    def test_header_only_record_is_quiet(self, tmp_path):
+        data = tmp_path / "traj.csv"
+        data.write_text("t_us,I,Q\n")
+        proc = run_cli("analyze-jumps", "--data", str(data),
+                       "-o", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {data}: no data rows\n"
+
+
+class TestWriter:
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "w.csv"
+        cli._write_csv(path, ["a", "b", "c", "d"], [
+            [None, math.nan, math.inf, -math.inf],
+            np.array([0.1, 1 / 3, -2.5e-300, 1e22]),
+            [np.int64(7), True, np.bool_(False), 'say "hi", then go'],
+            [np.float64(2.5), np.float32(0.5), np.float64("nan"), 3],
+        ])
+        assert path.read_bytes() == (
+            b"a,b,c,d\n"
+            b",0.1,7,2.5\n"
+            b",0.3333333333333333,True,0.5\n"
+            b"inf,-2.5e-300,False,\n"
+            b'-inf,1e+22,"say ""hi"", then go",3\n')
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._write_csv(tmp_path / "w.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
+
+    def test_trajectory_round_trip(self, mini_config, tmp_path, monkeypatch):
+        from vortexlab import jumps
+        monkeypatch.delenv("VORTEXLAB_SEED", raising=False)
+        out = tmp_path / "out"
+        assert cli.main(["synth-jumps", "-c", str(mini_config),
+                         "-o", str(out)]) == 0
+        cfg = config.load_config(mini_config)
+        traj = jumps.simulate_trajectory(cfg.telegraph(), cfg.readout(),
+                                         cfg.section("jumps")["duration_s"],
+                                         cfg.seed(None))
+        data = cli._read_csv_columns(out / "trajectory.csv", 4)
+        assert data.shape == (traj.times.size, 4)
+        np.testing.assert_array_equal(data[:, 0], traj.times * 1e6)
+        np.testing.assert_array_equal(data[:, 1], traj.iq_points.real)
+        np.testing.assert_array_equal(data[:, 2], traj.iq_points.imag)
+        np.testing.assert_array_equal(data[:, 3], traj.true_states)
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self):
         assert cli.main(["no-such-command"]) == 1
@@ -491,8 +659,6 @@ def test_console_entry_point(tmp_path):
     conf = tmp_path / "c.ini"
     conf.write_text(MINI_CONFIG)
     out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-m", "vortexlab.cli", "scales", "-c", str(conf),
-         "-o", str(out)], capture_output=True, text=True)
+    proc = run_cli("scales", "-c", str(conf), "-o", str(out))
     assert proc.returncode == 0
     assert (out / "scales.csv").exists()
