@@ -31,7 +31,7 @@ from . import __version__
 from .config import RunConfig, load_config
 from .constants import CONSTANTS
 from .core import derive_scales
-from .errors import ConfigError, VortexlabError
+from .errors import ConfigError, InvalidParameterError, VortexlabError
 from . import energetics, fitting, jumps, rabi, tunneling
 
 _H = CONSTANTS.h
@@ -144,6 +144,11 @@ def _empty_as_nan(cell: str) -> float:
     return float(cell) if cell.strip() else math.nan
 
 
+def _before_header(line: str) -> bool:
+    """A blank (or commas-only) line or a '#' comment ahead of the header."""
+    return not line.replace(",", "").strip() or line.lstrip().startswith("#")
+
+
 def _read_csv_columns(path: Path, minimum: int) -> np.ndarray:
     """Numeric rows of a CSV file as a 2D float array.
 
@@ -153,8 +158,7 @@ def _read_csv_columns(path: Path, minimum: int) -> np.ndarray:
     """
     with open(path, encoding="utf-8") as fh:
         line = fh.readline()
-        while line and (not line.replace(",", "").strip()
-                        or line.lstrip().startswith("#")):
+        while line and _before_header(line):
             line = fh.readline()
         if not line:
             raise VortexlabError(f"{path}: empty file")
@@ -260,6 +264,9 @@ def _cmd_fit_ramsey(args, cfg: RunConfig, run: Run) -> int:
 
 def _cmd_fit_rabi(args, cfg: RunConfig, run: Run) -> int:
     data = _read_csv_columns(Path(args.data), 3)  # amplitude_uV, t_us, value
+    if not np.all(np.isfinite(data[:, 0])):
+        raise InvalidParameterError(
+            f"{args.data}: amplitude_uV must be finite")
     scans = []
     for amp in np.unique(data[:, 0]):
         sel = data[data[:, 0] == amp]
@@ -430,7 +437,7 @@ def _phi_from_header(path: Path) -> float | None:
     try:
         with open(path, encoding="utf-8") as fh:
             for line in fh:
-                if not line.startswith("#"):
+                if not _before_header(line):
                     break
                 if "phi_over_phi_S" in line and "=" in line:
                     return float(line.split("=", 1)[1])

@@ -37,6 +37,13 @@ from .constants import CONSTANTS
 from .errors import AmbiguousLabelingError, DivergenceError, InvalidOrientationError, InvalidParameterError
 
 _ORIENTATION_TOL = 1e-9
+# the bare states entering the reported transitions, in LabeledSpectrum.vectors
+# column order
+_TRANSITION_STATES = (("g", 0), ("e", 0), ("g", 1), ("e", 1))
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
+# the parameters transition_gradients differentiates by, in column order
+GRADIENT_PARAMS = ("f_r", "g", "gamma", "B0", "f_q0")
 
 
 @dataclass(frozen=True)
@@ -109,7 +116,9 @@ class LabeledSpectrum:
     energies are ascending (J); labels[i] is the (branch, photon) pair of
     eigenstate i with branch 'g' or 'e'. The derived transitions are the
     lowest qubit-like transition f_q_dressed and the resonator transition
-    conditioned on the qubit branch, all in Hz.
+    conditioned on the qubit branch, all in Hz. vectors holds the
+    eigenvectors of the states (g,0), (e,0), (g,1) and (e,1), in that
+    column order, in the real basis of build_hamiltonian.
     """
 
     B: float
@@ -118,6 +127,7 @@ class LabeledSpectrum:
     f_q_dressed: float
     f_r_g: float
     f_r_e: float
+    vectors: np.ndarray
 
     @property
     def chi(self) -> float:
@@ -142,6 +152,16 @@ def _spin_term_hz(params: QrmParams, B: float) -> np.ndarray:
     return 0.5 * np.array([[vz, vx], [vx, -vz]])
 
 
+def _oscillator_factors(trunc: HilbertTruncation):
+    """(oscillator, spin) factors of the resonator and coupling terms per Hz
+    of f_r and of g: (n + 1/2, 1) and (x, sigma_x) with x = a + a^dag."""
+    nosc = trunc.n_fock + 1
+    idx = np.arange(nosc)
+    a = np.diag(np.sqrt(idx[1:].astype(float)), k=1)
+    n_osc = np.diag(idx.astype(float))
+    return (n_osc + 0.5 * np.eye(nosc), np.eye(2)), (a + a.T, _SX)
+
+
 def build_hamiltonian(params: QrmParams, B: float,
                       trunc: HilbertTruncation) -> np.ndarray:
     """Dense real symmetric Hamiltonian (J) in the Fock (x) spin product basis.
@@ -154,17 +174,9 @@ def build_hamiltonian(params: QrmParams, B: float,
     """
     if not math.isfinite(B):
         raise InvalidParameterError(f"field must be finite, got {B}")
-    nosc = trunc.n_fock + 1
-    idx = np.arange(nosc)
-    a = np.diag(np.sqrt(idx[1:].astype(float)), k=1)
-    x_osc = a + a.T
-    n_osc = np.diag(idx.astype(float))
-    i_osc = np.eye(nosc)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-    H = (params.f_r * np.kron(n_osc + 0.5 * i_osc, np.eye(2))
-         + params.g * np.kron(x_osc, sx)
-         + np.kron(i_osc, _spin_term_hz(params, B)))
+    number, coupling = _oscillator_factors(trunc)
+    H = (params.f_r * np.kron(*number) + params.g * np.kron(*coupling)
+         + np.kron(np.eye(trunc.n_fock + 1), _spin_term_hz(params, B)))
     return CONSTANTS.h * H
 
 
@@ -200,8 +212,8 @@ def solve_qrm(params: QrmParams, B: float,
 
     # the transition states must carry a clear majority of one bare state,
     # otherwise the branch assignment is meaningless (near resonance)
-    for key in (("g", 0), ("e", 0), ("g", 1), ("e", 1)):
-        j = assigned[key]
+    transition_states = [assigned[key] for key in _TRANSITION_STATES]
+    for key, j in zip(_TRANSITION_STATES, transition_states):
         if overlaps[:, j].max() < 2.0 / 3.0:
             raise AmbiguousLabelingError(
                 f"state assigned to {key} at B={B} is strongly mixed "
@@ -215,7 +227,46 @@ def solve_qrm(params: QrmParams, B: float,
     f_r_g = (level("g", 1) - level("g", 0)) / h
     f_r_e = (level("e", 1) - level("e", 0)) / h
     return LabeledSpectrum(B=B, energies=energies, labels=labels,
-                           f_q_dressed=f_q_dressed, f_r_g=f_r_g, f_r_e=f_r_e)
+                           f_q_dressed=f_q_dressed, f_r_g=f_r_g, f_r_e=f_r_e,
+                           vectors=vecs[:, transition_states])
+
+
+def transition_gradients(params: QrmParams, spectra: list[LabeledSpectrum],
+                         trunc: HilbertTruncation) -> np.ndarray:
+    """Hellmann-Feynman gradients of f_q_dressed and f_r_g (Hz per unit).
+
+    In the asymmetric orientation the spin term of build_hamiltonian is
+    [f_q0 sz - gamma (B - B0) sx] / 2, so H/h is linear in each parameter
+    and a level moves as dE_i/dp = <i| dH/dp |i> (Feynman 1939), with dH/dp
+    equal to the resonator and coupling terms of _oscillator_factors for
+    f_r and g, and to -(B - B0) sx / 2, gamma sx / 2 and sz / 2 for gamma,
+    B0 and f_q0. The expectations take the eigenvectors each spectrum
+    keeps (solve_qrm computes nothing for this). Returns shape
+    (len(spectra), 2, 5): the gradients of f_q_dressed and of f_r_g over
+    GRADIENT_PARAMS. Other orientations raise InvalidOrientationError.
+    """
+    if (abs(params.theta - math.pi / 2) > _ORIENTATION_TOL
+            or abs(params.phi - math.pi / 2) > _ORIENTATION_TOL):
+        raise InvalidOrientationError(
+            "transition gradients need the asymmetric orientation "
+            f"(theta = phi = pi/2), got ({params.theta}, {params.phi})")
+    # (g,0), (e,0), (g,1): the first three columns of _TRANSITION_STATES
+    vecs = np.stack([spec.vectors[:, :3] for spec in spectra])
+    dB = np.array([spec.B for spec in spectra])[:, None] - params.B0
+    nosc = trunc.n_fock + 1
+    number, coupling = _oscillator_factors(trunc)
+
+    def expect(osc: np.ndarray, spin: np.ndarray) -> np.ndarray:
+        """<v| osc (x) spin |v> for every vector."""
+        return np.einsum("fdi,fdi->fi", vecs, np.kron(osc, spin) @ vecs)
+
+    sx = expect(np.eye(nosc), _SX)
+    level = np.stack([expect(*number), expect(*coupling), -0.5 * dB * sx,
+                      0.5 * params.gamma * sx, 0.5 * expect(np.eye(nosc), _SZ)],
+                     axis=-1)
+    # f_q_dressed = E(e,0) - E(g,0), f_r_g = E(g,1) - E(g,0)
+    return np.stack([level[:, 1] - level[:, 0], level[:, 2] - level[:, 0]],
+                    axis=1)
 
 
 def qubit_frequency(params: QrmParams, B: float) -> float:

@@ -295,6 +295,30 @@ class TestFitCommands:
         assert result["params"]["g_MHz"] == pytest.approx(92.5, rel=1e-3)
         assert result["params"]["B0_uT"] == pytest.approx(128.0, rel=1e-3)
 
+    def test_fit_spectrum_g_verdict_exits_zero(self, tmp_path,
+                                               criterion_05_dataset):
+        # criterion 05's points at noise seed 1: the coupling's pull is
+        # below the noise and the fit reports g = 0 without an error bar
+        ds = criterion_05_dataset(noise_seed=1)
+        paths = []
+        for name, pts in (("q.csv", ds.qubit_points),
+                          ("r.csv", ds.resonator_points)):
+            paths.append(tmp_path / name)
+            paths[-1].write_text("B_uT,f_GHz,sigma_GHz\n" + "".join(
+                f"{B * 1e6!r},{f / 1e9!r},{sig / 1e9!r}\n"
+                for B, f, sig in pts.tolist()))
+        out = tmp_path / "out"
+        assert cli.main(["fit-spectrum", "--qubit", str(paths[0]),
+                         "--resonator", str(paths[1]), "-o", str(out)]) == 0
+        result = json.loads((out / "fit_spectrum.json").read_text())
+        assert result["converged"] is True
+        assert result["params"]["g_MHz"] == 0.0
+        assert result["std_errors"]["g_MHz"] is None
+        assert result["message"].endswith(
+            "g unidentifiable: the data fit as well at g = 0")
+        assert None not in (se for key, se in result["std_errors"].items()
+                            if key != "g_MHz")
+
     @pytest.mark.parametrize("blank", ["qubit", "resonator"])
     def test_fit_spectrum_rejects_blank_field(self, tmp_path, blank):
         # a blank B_uT cell reads as NaN and must not reach the fit
@@ -372,6 +396,18 @@ class TestBatchFit:
         with pytest.raises(TypeError):
             cli.main(["batch-fit", "--data-dir", str(data_dir),
                       "-o", str(tmp_path / "out")])
+
+    def test_blank_line_before_phi_comment(self, tmp_path):
+        data_dir = tmp_path / "sets"
+        data_dir.mkdir()
+        path = data_dir / "run0.csv"
+        self._write_dataset(path, 120.0, 0.7)
+        path.write_text("\n" + path.read_text())
+        out = tmp_path / "out"
+        assert cli.main(["batch-fit", "--data-dir", str(data_dir),
+                         "-o", str(out)]) == 0
+        header, rows = read_csv(out / "batch_fit.csv")
+        assert float(rows[0][header.index("phi_over_phi_S")]) == 0.7
 
     def test_empty_directory_exits_one(self, tmp_path):
         data_dir = tmp_path / "empty"
@@ -492,6 +528,21 @@ def _trace_text(command: str) -> str:
 TRACE_COMMANDS = ["fit-decay", "fit-echo", "fit-ramsey"]
 
 
+def _rabi_text() -> str:
+    """amplitude_uV,t_us,value scans at 1 MHz per uV."""
+    t = np.linspace(0, 2.0, 150)  # us
+    return "amplitude_uV,t_us,value\n" + "".join(
+        f"{amp!r},{ti!r},{0.5 - 0.5 * math.cos(2 * math.pi * amp * ti)!r}\n"
+        for amp in (4.0, 8.0) for ti in t.tolist())
+
+
+BLANK_CELLS = [("fit-rabi", "amplitude_uV", "amplitude_uV must be finite"),
+               ("fit-rabi", "t_us", "times must be finite"),
+               ("fit-rabi", "value", "values must be finite")] + [
+    (command, column, f"{name} must be finite") for command in TRACE_COMMANDS
+    for column, name in (("t_us", "times"), ("value", "values"))]
+
+
 class TestTraceFiles:
     """fit-decay, fit-echo and fit-ramsey read traces with the one reader."""
 
@@ -541,6 +592,20 @@ class TestTraceFiles:
         code, _, out = self._run(tmp_path, command, "".join(lines))
         assert code == 2
         assert (out / "error.json").exists()
+
+    @pytest.mark.parametrize("command, column, message", BLANK_CELLS)
+    def test_blank_cell_named_in_report(self, tmp_path, command, column,
+                                        message):
+        text = _rabi_text() if command == "fit-rabi" else _trace_text(command)
+        lines = text.splitlines()
+        cells = lines[5].split(",")
+        cells[lines[0].split(",").index(column)] = ""
+        lines[5] = ",".join(cells)
+        code, _, out = self._run(tmp_path, command, "\n".join(lines) + "\n")
+        assert code == 2
+        report = json.loads((out / "error.json").read_text())
+        assert report["error"] == "InvalidParameterError"
+        assert message in report["message"]
 
 
 class TestReader:

@@ -221,7 +221,145 @@ class TestJointAqrm:
         assert set(per_eval) == {n_distinct}
 
 
+class TestJointJacobian:
+    trunc = rabi.HilbertTruncation(24)
+    truth = {"f_r": F_R, "g": G, "gamma": GAMMA, "B0": B0, "f_q0": F_Q0}
+
+    @pytest.mark.parametrize("signs", [(1, 1, 1, 1, 1), (1, -1, -1, 1, -1)])
+    def test_hellmann_feynman_matches_central_differences(self, monkeypatch,
+                                                         signs):
+        # both branches at 7 fields over B0 +- 250 uT, B0 itself included,
+        # where the gamma column vanishes; negative parameters check the
+        # sign the residual's abs() puts on each column
+        true = rabi.QrmParams.asymmetric(F_R, G, GAMMA, B0, F_Q0)
+        B = B0 + np.linspace(-250e-6, 250e-6, 7)
+        specs = rabi.sweep_field(true, B, self.trunc)
+        ds = fitting.SpectrumDataset(
+            qubit_points=[[b, s.f_q_dressed, 1e6] for b, s in zip(B, specs)],
+            resonator_points=[[b, s.f_r_g, 0.2e6] for b, s in zip(B, specs)])
+        captured = []
+        least_squares = fitting.least_squares
+
+        def recording(residual_fn, init, *args, **kwargs):
+            captured.append(residual_fn)
+            return least_squares(residual_fn, init, *args, **kwargs)
+
+        monkeypatch.setattr(fitting, "least_squares", recording)
+        fitting.fit_joint_aqrm(ds, dict(self.truth), self.trunc)
+        resid = captured[0]
+        p = {k: s * v for s, (k, v) in zip(signs, self.truth.items())}
+        _, J = resid(p)
+        J_cd = np.empty_like(J)
+        for i, key in enumerate(p):
+            h = 1e-4 * abs(p[key])
+            up = resid({**p, key: p[key] + h})[0]
+            down = resid({**p, key: p[key] - h})[0]
+            J_cd[:, i] = (up - down) / (2 * h)
+        floor = 1e-3 * np.abs(J_cd).max(axis=0)
+        assert np.all(np.abs(J - J_cd) <= 1e-5 * np.maximum(np.abs(J_cd), floor))
+        assert np.all(J[[3, 10], 2] == 0.0)  # d/dgamma at B = B0
+
+    def test_analytic_and_finite_difference_paths_agree(
+            self, monkeypatch, criterion_05_dataset):
+        ds = criterion_05_dataset()
+        exact = fitting.fit_joint_aqrm(ds, None, self.trunc)
+        least_squares = fitting.least_squares
+
+        def finite_differences(residual_fn, init, *args, **kwargs):
+            return least_squares(lambda p: residual_fn(p)[0], init,
+                                 *args, **kwargs)
+
+        monkeypatch.setattr(fitting, "least_squares", finite_differences)
+        fd = fitting.fit_joint_aqrm(ds, None, self.trunc)
+        assert exact.converged and fd.converged
+        assert exact.residual_norm == pytest.approx(fd.residual_norm, rel=1e-9)
+        for key, value in exact.params.items():
+            assert abs(value - fd.params[key]) < 0.01 * exact.std_errors[key]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 17])
+    def test_noise_seeds_converge_or_get_the_g_verdict(
+            self, monkeypatch, seed, criterion_05_dataset):
+        iterations = {}  # of each least_squares call, by parameter count
+        least_squares = fitting.least_squares
+
+        def recording(residual_fn, init, *args, **kwargs):
+            result = least_squares(residual_fn, init, *args, **kwargs)
+            iterations[len(init)] = result.iterations
+            return result
+
+        monkeypatch.setattr(fitting, "least_squares", recording)
+        res = fitting.fit_joint_aqrm(criterion_05_dataset(seed), None,
+                                     self.trunc)
+        assert res.converged
+        assert iterations[5] <= 25
+        verdict = "g unidentifiable" in res.message
+        assert verdict == (seed not in (0, 3, 17))
+        assert verdict == (4 in iterations)  # the refit with g pinned at 0
+        if verdict:
+            assert iterations[4] <= 10
+        for key, se in res.std_errors.items():
+            if verdict and key == "g":
+                assert res.params["g"] == 0.0 and math.isinf(se)
+            else:
+                assert math.isfinite(se)
+
+    def test_solves_per_fit_under_half_the_finite_difference_count(
+            self, monkeypatch, criterion_05_dataset):
+        # the forward-difference Jacobian took 2,016 solves on this dataset
+        solves = [0]
+        solve_qrm = rabi.solve_qrm
+
+        def counting_solve(*args):
+            solves[0] += 1
+            return solve_qrm(*args)
+
+        ds = criterion_05_dataset()
+        monkeypatch.setattr(rabi, "solve_qrm", counting_solve)
+        res = fitting.fit_joint_aqrm(ds, None, self.trunc)
+        assert res.converged
+        assert solves[0] < 2016 // 2
+
+    def test_penalized_points_counted(self):
+        true = rabi.QrmParams.asymmetric(F_R, G, GAMMA, B0, F_Q0)
+        B = B0 + np.linspace(-250e-6, 250e-6, 9)
+        specs = rabi.sweep_field(true, B, self.trunc)
+        B_cross = B0 + math.sqrt(F_R**2 - F_Q0**2) / GAMMA  # f_q = f_r
+        assert rabi.sweep_field(true, [B_cross], self.trunc) == [None]
+        ds = fitting.SpectrumDataset(
+            qubit_points=[[b, s.f_q_dressed, 1e6] for b, s in zip(B, specs)],
+            resonator_points=[[b, s.f_r_g, 0.2e6] for b, s in zip(B, specs)]
+            + [[B_cross, F_R, 0.2e6]])
+        res = fitting.fit_joint_aqrm(ds, dict(self.truth), self.trunc)
+        assert res.n_penalized == 1
+        assert fitting.fit_hyperbola(hyperbola_points()).n_penalized == 0
+
+    def test_penalized_point_leaves_a_resolved_g(self, criterion_05_dataset):
+        # criterion 05's data plus one resonator point at the fitted
+        # crossing f_q = f_r, started at the optimum so the point stays
+        # penalized: the g verdict compares the misfit of the other points
+        ds = criterion_05_dataset()
+        best = fitting.fit_joint_aqrm(ds, None, self.trunc).params
+        B_cross = best["B0"] + math.sqrt(best["f_r"]**2
+                                         - best["f_q0"]**2) / best["gamma"]
+        ds = fitting.SpectrumDataset(
+            qubit_points=ds.qubit_points,
+            resonator_points=np.vstack([ds.resonator_points,
+                                        [B_cross, best["f_r"], 4e6]]))
+        res = fitting.fit_joint_aqrm(ds, dict(best), self.trunc)
+        assert res.n_penalized == 1
+        assert "g unidentifiable" not in res.message
+        assert res.params["g"] == pytest.approx(best["g"], rel=1e-6)
+        assert math.isfinite(res.std_errors["g"])
+
+
 class TestTimeTrace:
+    @pytest.mark.parametrize("column", ["times", "values"])
+    def test_rejects_non_finite(self, column):
+        cells = {"times": np.arange(4.0), "values": np.zeros(4)}
+        cells[column][2] = math.nan
+        with pytest.raises(InvalidParameterError, match=f"{column} must be finite"):
+            fitting.TimeTrace(**cells)
+
     def test_requires_ascending_times(self):
         with pytest.raises(InvalidParameterError):
             fitting.TimeTrace(times=np.array([0.0, 2.0, 1.0]),

@@ -380,3 +380,18 @@ class TestRealSymmetricPath:
             assert np.abs(np.subtract(got, ref[1])).max() <= tol / CONSTANTS.h
             outcomes.add("labeled")
         assert "labeled" in outcomes
+
+
+class TestTransitionGradients:
+    def test_vectors_are_the_transition_eigenstates(self, aqrm, trunc):
+        spec = rabi.solve_qrm(aqrm, B0 + 50e-6, trunc)
+        assert spec.vectors.shape == (trunc.dim, 4)
+        H = rabi.build_hamiltonian(aqrm, spec.B, trunc)
+        for v, label in zip(spec.vectors.T, [("g", 0), ("e", 0), ("g", 1), ("e", 1)]):
+            E = spec.energies[spec.labels.index(label)]
+            assert np.allclose(H @ v, E * v, atol=1e-6 * abs(E))
+
+    def test_other_orientations_rejected(self, sqrm, trunc):
+        spec = rabi.solve_qrm(sqrm, B0, trunc)
+        with pytest.raises(InvalidOrientationError):
+            rabi.transition_gradients(sqrm, [spec], trunc)
