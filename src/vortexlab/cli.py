@@ -306,8 +306,7 @@ def _cmd_gamma_map(args, cfg: RunConfig, run: Run) -> int:
     deltas = np.linspace(args.delta_min_nm, args.delta_max_nm, args.n_delta) * 1e-9
     x_bars = np.linspace(deltas, device.w - deltas, args.n_xbar, axis=1).ravel()
     delta_col = np.repeat(deltas, args.n_xbar)
-    gamma = np.array([energetics.gamma_from_geometry(delta, x_bar, scales, device)
-                      for delta, x_bar in zip(delta_col.tolist(), x_bars.tolist())])
+    gamma = energetics.gamma_from_geometry(delta_col, x_bars, scales, device)
     run.csv("gamma_map.csv", ["x_bar_um", "delta_LR_nm", "gamma_GHz_per_mT"],
             [x_bars * 1e6, delta_col * 1e9, gamma / 1e12])
     return 0
@@ -378,7 +377,7 @@ def _cmd_analyze_jumps(args, cfg: RunConfig, run: Run) -> int:
                             tau_m=spacing, spacing=spacing)
     traj = jumps.Trajectory(times=times, iq_points=points)
     assigned = jumps.latching_filter(traj, ro, n_sigma=args.n_sigma)
-    stats = jumps.dwell_statistics(assigned, spacing)
+    stats = jumps.dwell_statistics(assigned, spacing, n_sigma=args.n_sigma)
     p_e = float(assigned.mean())
 
     payload = {

@@ -40,42 +40,6 @@ class PinningSite:
 
 
 @dataclass(frozen=True)
-class DoubleWell:
-    """Two pinning wells delta_LR apart centered at x_bar along the width.
-
-    Delta, when set, is the tunneling amplitude (J) obtained from a
-    two-level reduction of the solved landscape.
-    """
-
-    x_bar: float
-    delta_LR: float
-    V1: float
-    V2: float
-    Delta: float | None = None
-
-    def __post_init__(self):
-        if self.delta_LR <= 0:
-            raise InvalidParameterError("delta_LR must be positive")
-
-    @property
-    def x_left(self) -> float:
-        return self.x_bar - self.delta_LR / 2.0
-
-    @property
-    def x_right(self) -> float:
-        return self.x_bar + self.delta_LR / 2.0
-
-    def asymmetry(self, B: float, scales: DerivedScales, device: DeviceModel,
-                  n: float = 0.0) -> float:
-        """Signed well offset epsilon(B) of this geometry (J)."""
-        return well_detuning(self.x_bar, self.delta_LR, B, scales, device, n)
-
-    def gamma(self, scales: DerivedScales, device: DeviceModel) -> float:
-        """Field dispersion of this geometry (Hz/T)."""
-        return gamma_from_geometry(self.delta_LR, self.x_bar, scales, device)
-
-
-@dataclass(frozen=True)
 class VortexPair:
     """Two pinned vortices with their tunneling geometry coefficients.
 
@@ -167,20 +131,24 @@ def total_potential(x, y, B: float, n: float, sites: Sequence[PinningSite],
 # double-well asymmetry and field dispersion
 # ---------------------------------------------------------------------------
 
-def _check_well_domain(x_bar: float, delta_LR: float, w: float):
-    lo, hi = x_bar - delta_LR / 2.0, x_bar + delta_LR / 2.0
-    if not (0.0 < lo and hi < w):
-        raise DomainError(
-            f"double well [{lo}, {hi}] must sit strictly inside (0, {w})")
+def _check_well_domain(x_bar, delta_LR, w: float):
+    lo, hi = np.broadcast_arrays(x_bar - delta_LR / 2.0, x_bar + delta_LR / 2.0)
+    inside = (0.0 < lo) & (hi < w)
+    if not np.all(inside):
+        i = np.argmin(inside)  # the first well outside
+        raise DomainError(f"double well [{lo.flat[i]}, {hi.flat[i]}] must "
+                          f"sit strictly inside (0, {w})")
 
 
-def gamma_from_geometry(delta_LR: float, x_bar: float, scales: DerivedScales,
+def gamma_from_geometry(delta_LR, x_bar, scales: DerivedScales,
                         device: DeviceModel,
-                        consts: PhysicalConstants = CONSTANTS) -> float:
+                        consts: PhysicalConstants = CONSTANTS):
     """Field dispersion (Hz/T) of a double well from its geometry.
 
     gamma = (2 pi / h) (eps0 / Phi0) |delta_LR (2 x_bar - w)|; zero for a
     well centered on the strip axis and linear in the site separation.
+    delta_LR and x_bar may be arrays (broadcast elementwise); every well
+    must lie inside the strip.
     """
     _check_well_domain(x_bar, delta_LR, device.w)
     return (2.0 * math.pi / consts.h) * (scales.eps0 / consts.Phi0) * \

@@ -358,9 +358,11 @@ def fit_joint_aqrm(dataset: SpectrumDataset, init: dict[str, float] | None,
     from exact diagonalization. Fields where state labeling fails are
     penalized with a large constant residual (and a zero Jacobian row)
     instead of aborting the fit; result.n_penalized counts them at the
-    reported point. The Jacobian is exact: Hellmann-Feynman derivatives
-    from the eigenvectors of the same solves (rabi.transition_gradients),
-    one solve per distinct field per residual evaluation.
+    reported point, and the standard errors and residual_norm come from
+    the other points alone. The Jacobian is exact: Hellmann-Feynman
+    derivatives from the eigenvectors of the same solves
+    (rabi.transition_gradients), one solve per distinct field per residual
+    evaluation.
 
     Free parameters: f_r, g, gamma, B0, f_q0. Missing initial values are
     filled in from the data: f_r from the median resonator frequency, B0
@@ -419,7 +421,7 @@ def fit_joint_aqrm(dataset: SpectrumDataset, init: dict[str, float] | None,
     def point_of(p):
         return tuple(float(p[k]) for k in names)
 
-    seen = {}  # residual and mask of penalized points of every evaluation
+    seen = {}  # residual, gap mask and Jacobian of every evaluation
 
     def evaluate(p):
         """Residual and its Jacobian."""
@@ -436,13 +438,15 @@ def fit_joint_aqrm(dataset: SpectrumDataset, init: dict[str, float] | None,
             grad[ok] = rabi.transition_gradients(params, present, trunc)
         gap = ~ok[which]
         r = np.where(gap, penalty, (model[which, branch] - measured) / sigma)
-        seen[point_of(p)] = r, gap
         # the model sees |f_r|, |g|, |gamma| and |f_q0|
         signs = np.sign([p["f_r"], p["g"], p["gamma"], 1.0, p["f_q0"]])
-        return r, grad[which, branch] * signs / sigma[:, None]
+        J = grad[which, branch] * signs / sigma[:, None]
+        seen[point_of(p)] = r, gap, J
+        return r, J
 
     result = least_squares(evaluate, init)
-    r, gap = seen[point_of(result.params)]
+    free = list(names)
+    r, gap, _ = seen[point_of(result.params)]
     at_zero = {**result.params, "g": 0.0}
     r0 = evaluate(at_zero)[0]
     gap0 = seen[point_of(at_zero)][1]
@@ -454,9 +458,8 @@ def fit_joint_aqrm(dataset: SpectrumDataset, init: dict[str, float] | None,
             r, J = evaluate({**p, "g": 0.0})
             return r, np.delete(J, 1, axis=1)
 
-        rest = least_squares(pinned, {k: result.params[k] for k in names
-                                      if k != "g"})
-        gap = seen[point_of({**rest.params, "g": 0.0})][1]
+        free.remove("g")
+        rest = least_squares(pinned, {k: result.params[k] for k in free})
         result = replace(
             rest, params={k: rest.params.get(k, 0.0) for k in names},
             std_errors={k: rest.std_errors.get(k, math.inf) for k in names},
@@ -464,6 +467,13 @@ def fit_joint_aqrm(dataset: SpectrumDataset, init: dict[str, float] | None,
             residual_history=result.residual_history + rest.residual_history,
             message=rest.message
             + "; g unidentifiable: the data fit as well at g = 0")
+    r, gap, J = seen[point_of(result.params)]
+    if gap.any():
+        # a penalty is no misfit: errors and norm from the labelled points
+        r, J = r[~gap], J[~gap][:, [names.index(k) for k in free]]
+        se = _std_errors(J, float(r @ r), r.size)
+        result.std_errors.update(zip(free, se.tolist()))
+        result.residual_norm = math.sqrt(float(r @ r))
     result.n_penalized = int(gap.sum())
     for key in ("f_r", "g", "gamma", "f_q0"):
         result.params[key] = abs(result.params[key])

@@ -2,9 +2,11 @@
 
 Generates single-shot readout records from a two-state continuous-time
 Markov chain with Gaussian IQ noise, then recovers the dynamics with a
-hysteretic two-point latching filter, per-state dwell-time statistics, a
-two-component Gaussian-mixture clustering of the IQ plane, and the
-Boltzmann effective-temperature relation.
+hysteretic two-point latching filter (Vool et al., Phys. Rev. Lett. 113,
+247001, 2014), closed-form maximum-likelihood dwell times from the
+geometric run lengths of the assigned states, a two-component
+Gaussian-mixture clustering of the IQ plane, and the Boltzmann
+effective-temperature relation.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .constants import CONSTANTS, PhysicalConstants
 from .errors import (AmbiguousBandsError, ClusteringError,
                      InsufficientDwellsError, InvalidParameterError,
                      PopulationInversionError)
-from .fitting import TimeTrace, fit_exponential
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,8 @@ class Trajectory:
 
 @dataclass
 class DwellStats:
-    """Fitted mean dwell times and their harmonic combination."""
+    """Maximum-likelihood mean dwell times (dwell_statistics) and their
+    harmonic combination; n_up and n_down count the complete intervals."""
 
     T_up_hat: float
     T_down_hat: float
@@ -169,33 +171,49 @@ def dwell_intervals(states: np.ndarray, spacing: float):
     return lengths[run_state == 0], lengths[run_state == 1]
 
 
-def _fit_dwell_mean(durations: np.ndarray, bins_per_decade: int = 20) -> float:
-    """Mean dwell time from an exponential fit to log-binned densities."""
-    lo, hi = durations.min(), durations.max()
-    if hi <= lo:
-        return float(durations.mean())
-    n_bins = max(4, int(math.ceil(math.log10(hi / lo) * bins_per_decade)))
-    edges = np.geomspace(lo, hi * (1 + 1e-9), n_bins + 1)
-    counts, edges = np.histogram(durations, bins=edges)
-    widths = np.diff(edges)
-    centers = np.sqrt(edges[:-1] * edges[1:])
-    keep = counts > 0
-    density = counts[keep] / (durations.size * widths[keep])
-    sigma = np.sqrt(counts[keep]) / (durations.size * widths[keep])
-    trace = TimeTrace(times=centers[keep], values=density, sigma=sigma)
-    result = fit_exponential(trace)
-    T = result.params["T"]
-    if not (result.converged and T > 0):
-        return float(durations.mean())
-    return float(T)
+def _min_run(n_sigma: float) -> int:
+    """Shortest run length, in samples, that the dwell estimator keeps.
+
+    A point lands in its state's band with per-sample probability
+    p = 1 - exp(-n_sigma^2 / 2) (2D Gaussian noise), so an excursion of m
+    samples escapes the latching filter with probability (1 - p)^m. m is
+    the smallest integer with (1 - p)^m < 0.01: 5 at n_sigma = 1.5, 10 at
+    1.0 and 3 at 2.0.
+    """
+    if not n_sigma > 0:
+        raise InvalidParameterError("n_sigma must be positive")
+    # (1 - p)^m < 0.01  <=>  m n_sigma^2 / 2 > ln 100
+    return math.floor(2.0 * math.log(100.0) / n_sigma**2) + 1
 
 
-def dwell_statistics(states: np.ndarray, spacing: float,
+def _dwell_mle(durations: np.ndarray, spacing: float, m: int,
+               state: str) -> float:
+    """Maximum-likelihood mean dwell time from runs of at least m samples.
+
+    Sampled every spacing, an exponential dwell has a geometric run length;
+    by memorylessness its excess over m, among runs of at least m samples,
+    is geometric from 0 with ratio q = e / (1 + e), e the mean excess. So
+    T = -spacing / ln(q) = spacing / log1p(1 / e).
+    """
+    runs = np.rint(durations / spacing)
+    excess = runs[runs >= m] - m
+    if not excess.any():
+        raise InsufficientDwellsError(
+            f"no {state} run longer than {m} samples: the dwell time "
+            "estimate is undefined")
+    return spacing / math.log1p(1.0 / float(excess.mean()))
+
+
+def dwell_statistics(states: np.ndarray, spacing: float, n_sigma: float = 1.5,
                      min_dwells: int = 50) -> DwellStats:
     """Per-state dwell statistics from an assigned-state record.
 
     Each state needs at least min_dwells complete intervals; the censored
-    first and last runs are excluded.
+    first and last runs are excluded. The mean dwell times are the
+    closed-form maximum-likelihood estimates over runs of at least m
+    samples (_min_run), where n_sigma is the band given to
+    latching_filter: shorter runs are the excursions that filter misses
+    or splits.
     """
     down_dwells, up_dwells = dwell_intervals(states, spacing)
     # state 0 runs are ground dwells (ending in excitation): T_up scale
@@ -203,9 +221,9 @@ def dwell_statistics(states: np.ndarray, spacing: float,
         raise InsufficientDwellsError(
             f"need at least {min_dwells} dwells per state, got "
             f"{down_dwells.size} ground and {up_dwells.size} excited")
-    T_up_hat = _fit_dwell_mean(down_dwells)
-    T_down_hat = _fit_dwell_mean(up_dwells)
-    return DwellStats(T_up_hat=T_up_hat, T_down_hat=T_down_hat,
+    m = _min_run(n_sigma)
+    return DwellStats(T_up_hat=_dwell_mle(down_dwells, spacing, m, "ground"),
+                      T_down_hat=_dwell_mle(up_dwells, spacing, m, "excited"),
                       n_up=int(down_dwells.size), n_down=int(up_dwells.size))
 
 

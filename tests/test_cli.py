@@ -235,6 +235,24 @@ class TestJumpsPipeline:
         assert 0.1 < result["P_e"] < 0.3
         assert result["T_eff_mK"] is not None
 
+    def test_n_sigma_reaches_dwell_statistics(self, mini_config, tmp_path,
+                                              monkeypatch):
+        bands = []
+        real = cli.jumps.dwell_statistics
+
+        def spy(states, spacing, **kwargs):
+            bands.append(kwargs.get("n_sigma"))
+            return real(states, spacing, **kwargs)
+
+        monkeypatch.setattr(cli.jumps, "dwell_statistics", spy)
+        out = tmp_path / "out"
+        assert cli.main(["synth-jumps", "-c", str(mini_config),
+                         "-o", str(out)]) == 0
+        assert cli.main(["analyze-jumps", "-c", str(mini_config),
+                         "-o", str(out), "--n-sigma", "1.0",
+                         "--data", str(out / "trajectory.csv")]) == 0
+        assert bands == [1.0]
+
 
 class TestFitCommands:
     def test_fit_decay_json(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -133,6 +134,21 @@ class TestGammaFromGeometry:
     def test_domain_check(self, scales, device):
         with pytest.raises(DomainError):
             energetics.gamma_from_geometry(10e-9, 2e-9, scales, device)
+
+    def test_array_call_matches_scalar_calls(self, scales, device):
+        # the gamma-map grid: x_bar spans [delta, w - delta] per separation
+        d = np.linspace(5e-9, 50e-9, 30)
+        deltas = np.repeat(d, 30)
+        x_bars = np.linspace(d, device.w - d, 30, axis=1).ravel()
+        gammas = energetics.gamma_from_geometry(deltas, x_bars, scales, device)
+        scalar = [energetics.gamma_from_geometry(delta, x, scales, device)
+                  for delta, x in zip(deltas.tolist(), x_bars.tolist())]
+        assert np.array_equal(gammas, scalar)
+        # one well off the strip: the error names that well
+        deltas[417], x_bars[417] = 10e-9, 2e-9
+        bad = re.escape(f"[{2e-9 - 5e-9}, {2e-9 + 5e-9}]")
+        with pytest.raises(DomainError, match=bad):
+            energetics.gamma_from_geometry(deltas, x_bars, scales, device)
 
 
 class TestWellAsymmetry:

@@ -338,7 +338,8 @@ class TestJointJacobian:
         # crossing f_q = f_r, started at the optimum so the point stays
         # penalized: the g verdict compares the misfit of the other points
         ds = criterion_05_dataset()
-        best = fitting.fit_joint_aqrm(ds, None, self.trunc).params
+        clean = fitting.fit_joint_aqrm(ds, None, self.trunc)
+        best = clean.params
         B_cross = best["B0"] + math.sqrt(best["f_r"]**2
                                          - best["f_q0"]**2) / best["gamma"]
         ds = fitting.SpectrumDataset(
@@ -350,6 +351,10 @@ class TestJointJacobian:
         assert "g unidentifiable" not in res.message
         assert res.params["g"] == pytest.approx(best["g"], rel=1e-6)
         assert math.isfinite(res.std_errors["g"])
+        # a penalty is no misfit: errors and norm from the labelled points
+        ratio = res.std_errors["g"] / clean.std_errors["g"]
+        assert 0.5 < ratio < 2.0
+        assert res.residual_norm == pytest.approx(clean.residual_norm, rel=0.1)
 
 
 class TestTimeTrace:
