@@ -103,8 +103,6 @@ class Run:
             if isinstance(value, dict):
                 for sub, v in value.items():
                     flat[f"{key}.{sub}"] = v
-            elif isinstance(value, (list, tuple)):
-                flat[key] = ";".join(str(v) for v in value)
             else:
                 flat[key] = value
         keys = sorted(flat)
@@ -449,26 +447,16 @@ def _phi_from_header(path: Path) -> float | None:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-_NEEDS_CONFIG = {"scales", "spectrum", "chi", "landscape", "gamma-map", "pair",
-                 "tunnel", "synth-jumps"}
+def _positive(kind):
+    """argparse type: a number of the given kind (int or float) above zero."""
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
 
-_HANDLERS = {
-    "scales": _cmd_scales,
-    "spectrum": _cmd_spectrum,
-    "chi": _cmd_spectrum,
-    "fit-spectrum": _cmd_fit_spectrum,
-    "fit-decay": _cmd_fit_decay,
-    "fit-echo": _cmd_fit_decay,
-    "fit-ramsey": _cmd_fit_ramsey,
-    "fit-rabi": _cmd_fit_rabi,
-    "landscape": _cmd_landscape,
-    "gamma-map": _cmd_gamma_map,
-    "pair": _cmd_pair,
-    "tunnel": _cmd_tunnel,
-    "synth-jumps": _cmd_synth_jumps,
-    "analyze-jumps": _cmd_analyze_jumps,
-    "batch-fit": _cmd_batch_fit,
-}
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -478,8 +466,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, needs_data=False, analysis=False):
+    def add(name, handler, help_text, needs_config=True, needs_data=False,
+            analysis=False):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler, needs_config=needs_config)
         p.add_argument("-c", "--config", help="config file path")
         p.add_argument("-o", "--out", default="out",
                        help="output directory (default: out)")
@@ -490,38 +480,44 @@ def _build_parser() -> argparse.ArgumentParser:
                            default="json", help="result format")
         return p
 
-    add("scales", "derived device scales and thresholds")
-    add("spectrum", "dressed transition spectrum versus field")
-    add("chi", "dispersive shift versus field")
+    add("scales", _cmd_scales, "derived device scales and thresholds")
+    add("spectrum", _cmd_spectrum, "dressed transition spectrum versus field")
+    add("chi", _cmd_spectrum, "dispersive shift versus field")
 
-    p = add("fit-spectrum", "joint qubit+resonator spectrum fit", analysis=True)
+    p = add("fit-spectrum", _cmd_fit_spectrum,
+            "joint qubit+resonator spectrum fit", needs_config=False,
+            analysis=True)
     p.add_argument("--qubit", required=True, help="qubit points CSV "
                    "(B_uT, f_GHz, sigma_GHz)")
     p.add_argument("--resonator", required=True, help="resonator points CSV")
 
-    add("fit-decay", "exponential decay fit (t_us, value[, sigma])",
-        needs_data=True, analysis=True)
-    add("fit-echo", "echo decay fit (same model as fit-decay)",
-        needs_data=True, analysis=True)
-    add("fit-ramsey", "two-tone damped-cosine fit with beat extraction",
-        needs_data=True, analysis=True)
-    add("fit-rabi", "oscillation frequency versus drive amplitude "
-        "(amplitude_uV, t_us, value)", needs_data=True, analysis=True)
+    add("fit-decay", _cmd_fit_decay,
+        "exponential decay fit (t_us, value[, sigma])",
+        needs_config=False, needs_data=True, analysis=True)
+    add("fit-echo", _cmd_fit_decay, "echo decay fit (same model as fit-decay)",
+        needs_config=False, needs_data=True, analysis=True)
+    add("fit-ramsey", _cmd_fit_ramsey,
+        "two-tone damped-cosine fit with beat extraction",
+        needs_config=False, needs_data=True, analysis=True)
+    add("fit-rabi", _cmd_fit_rabi, "oscillation frequency versus drive "
+        "amplitude (amplitude_uV, t_us, value)",
+        needs_config=False, needs_data=True, analysis=True)
 
-    p = add("landscape", "vortex energy along the strip width")
+    p = add("landscape", _cmd_landscape, "vortex energy along the strip width")
     p.add_argument("--field-ut", type=float, default=0.0,
                    help="applied field in microtesla")
-    p.add_argument("--points", type=int, default=512)
+    p.add_argument("--points", type=_positive(int), default=512)
     p.add_argument("--vortex-density", type=float, default=0.0,
                    help="areal density of other vortices (1/m^2)")
 
-    p = add("gamma-map", "field dispersion over double-well geometries")
+    p = add("gamma-map", _cmd_gamma_map,
+            "field dispersion over double-well geometries")
     p.add_argument("--delta-min-nm", type=float, default=5.0)
     p.add_argument("--delta-max-nm", type=float, default=50.0)
-    p.add_argument("--n-delta", type=int, default=200)
-    p.add_argument("--n-xbar", type=int, default=200)
+    p.add_argument("--n-delta", type=_positive(int), default=200)
+    p.add_argument("--n-xbar", type=_positive(int), default=200)
 
-    p = add("pair", "two-vortex interaction at given positions")
+    p = add("pair", _cmd_pair, "two-vortex interaction at given positions")
     p.add_argument("--x1-um", type=float, required=True)
     p.add_argument("--y1-um", type=float, required=True)
     p.add_argument("--x2-um", type=float, required=True)
@@ -529,17 +525,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-nm", type=float, default=10.0,
                    help="tunneling length for the coupling scale")
 
-    add("tunnel", "double-well eigenfrequencies versus field")
-    add("synth-jumps", "synthesize a telegraph readout record")
+    add("tunnel", _cmd_tunnel, "double-well eigenfrequencies versus field")
+    add("synth-jumps", _cmd_synth_jumps,
+        "synthesize a telegraph readout record")
 
-    p = add("analyze-jumps", "cluster, filter and time a readout record",
-            needs_data=True, analysis=True)
-    p.add_argument("--n-sigma", type=float, default=1.5,
+    p = add("analyze-jumps", _cmd_analyze_jumps,
+            "cluster, filter and time a readout record",
+            needs_config=False, needs_data=True, analysis=True)
+    p.add_argument("--n-sigma", type=_positive(float), default=1.5,
                    help="latching band half-width in cloud sigmas")
     p.add_argument("--f-q-ghz", type=float, default=None,
                    help="qubit frequency for the effective temperature")
 
-    p = add("batch-fit", "hyperbola fits over a directory of spectra")
+    p = add("batch-fit", _cmd_batch_fit,
+            "hyperbola fits over a directory of spectra", needs_config=False)
     p.add_argument("--data-dir", required=True)
 
     return parser
@@ -558,7 +557,7 @@ def main(argv=None) -> int:
     try:
         if args.config:
             cfg = load_config(args.config)
-        elif args.command in _NEEDS_CONFIG:
+        elif args.needs_config:
             print(f"error: {args.command} requires --config", file=sys.stderr)
             return 1
         if cfg is not None:
@@ -569,7 +568,7 @@ def main(argv=None) -> int:
 
     run = Run(args.command, Path(args.out), cfg, seed)
     try:
-        code = _HANDLERS[args.command](args, cfg, run)
+        code = args.handler(args, cfg, run)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

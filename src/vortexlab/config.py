@@ -85,6 +85,18 @@ _SITE_FACTORS = {"x_nm": 1e-9, "y_nm": 1e-9, "V_GHz": 1e9 * CONSTANTS.h,
                  "sigma_nm": 1e-9}
 
 
+class _Section(dict):
+    """One section's key -> SI value. Keys are optional at load time;
+    reading an absent one with [] is a ConfigError naming it."""
+
+    def __init__(self, name: str, values: dict):
+        super().__init__(values)
+        self.name = name
+
+    def __missing__(self, key: str):
+        raise ConfigError(f"[{self.name}] is missing key '{key}'")
+
+
 @dataclass
 class RunConfig:
     """Parsed configuration: section -> key -> SI value."""
@@ -106,29 +118,22 @@ class RunConfig:
 
     def device(self) -> DeviceModel:
         d = self.section("device")
-        try:
-            return DeviceModel(w=d["w_um"], t=d["t_nm"], length=d["length_um"],
-                               xi=d["xi_nm"], lambda_L=d["lambda_L_um"],
-                               f_r=d["f_r_GHz"], Z_r=d["Z_r_ohm"])
-        except KeyError as exc:
-            raise ConfigError(f"[device] is missing key {exc}") from exc
+        return DeviceModel(w=d["w_um"], t=d["t_nm"], length=d["length_um"],
+                           xi=d["xi_nm"], lambda_L=d["lambda_L_um"],
+                           f_r=d["f_r_GHz"], Z_r=d["Z_r_ohm"])
 
     def qrm(self) -> tuple[QrmParams, HilbertTruncation]:
         q = self.section("qrm")
-        try:
-            params = QrmParams(f_r=q["f_r_GHz"], g=q["g_MHz"],
-                               gamma=q["gamma_GHz_per_mT"], B0=q["B0_uT"],
-                               f_q0=q["f_q0_GHz"],
-                               theta=q.get("theta_deg", math.pi / 2),
-                               phi=q.get("phi_deg", math.pi / 2))
-        except KeyError as exc:
-            raise ConfigError(f"[qrm] is missing key {exc}") from exc
+        params = QrmParams(f_r=q["f_r_GHz"], g=q["g_MHz"],
+                           gamma=q["gamma_GHz_per_mT"], B0=q["B0_uT"],
+                           f_q0=q["f_q0_GHz"],
+                           theta=q.get("theta_deg", math.pi / 2),
+                           phi=q.get("phi_deg", math.pi / 2))
         trunc = HilbertTruncation(int(q.get("n_fock", 60)))
         return params, trunc
 
     def sites(self) -> list[PinningSite]:
-        if "pinning" not in self.sections:
-            raise ConfigError("config is missing the [pinning] section")
+        self.section("pinning")  # raises ConfigError when absent
         return list(self.site_list)
 
     def tunnel_model(self) -> TunnelModel:
@@ -173,9 +178,6 @@ class RunConfig:
 
     def sweep_fields(self) -> np.ndarray:
         s = self.section("sweep")
-        for key in ("B_min_uT", "B_max_uT", "n_points"):
-            if key not in s:
-                raise ConfigError(f"[sweep] is missing key '{key}'")
         n = int(s["n_points"])
         if n < 1:
             raise ConfigError("[sweep] n_points must be >= 1")
@@ -246,12 +248,13 @@ def parse_config(text: str, path: Path | None = None) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from exc
 
-    sections: dict[str, dict] = {}
+    sections: dict[str, _Section] = {}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
-        sections[section] = {key: _convert(section, key, raw)
-                             for key, raw in parser[section].items()}
+        sections[section] = _Section(section, {
+            key: _convert(section, key, raw)
+            for key, raw in parser[section].items()})
 
     sites = _collect_sites(sections.get("pinning", {}))
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()

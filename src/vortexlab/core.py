@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import CONSTANTS, PhysicalConstants
+from .constants import CONSTANTS
 from .errors import DegenerateFitError, InvalidDeviceError, InvalidParameterError
 
 # Flux bias (in units of phi_S) where a single vortex row splits into two.
@@ -73,7 +73,6 @@ def example_device() -> DeviceModel:
 
 
 def derive_scales(device: DeviceModel,
-                  consts: PhysicalConstants = CONSTANTS,
                   eps0_override: float | None = None) -> DerivedScales:
     """Compute the screening length, vortex energy scale and thresholds.
 
@@ -81,23 +80,23 @@ def derive_scales(device: DeviceModel,
     (J) for the closed-form value; Lambda, phi_S and B_S are unaffected.
     """
     Lambda = 2.0 * device.lambda_L**2 / device.t
-    eps0 = consts.Phi0**2 / (2.0 * math.pi * consts.mu0 * Lambda)
+    eps0 = CONSTANTS.Phi0**2 / (2.0 * math.pi * CONSTANTS.mu0 * Lambda)
     if eps0_override is not None:
         if not (math.isfinite(eps0_override) and eps0_override > 0):
             raise InvalidParameterError("eps0 override must be positive and finite")
         eps0 = eps0_override
     phi_S = (2.0 / math.pi) * math.log(2.0 * device.w / (math.pi * device.xi))
-    B_S = phi_S * consts.Phi0 / device.w**2
+    B_S = phi_S * CONSTANTS.Phi0 / device.w**2
     return DerivedScales(Lambda=Lambda, eps0=eps0, phi_S=phi_S, B_S=B_S)
 
 
-def flux_bias(B: float, w: float, consts: PhysicalConstants = CONSTANTS) -> float:
+def flux_bias(B: float, w: float) -> float:
     """Dimensionless flux bias B w^2 / Phi0; sign follows the sign of B."""
     if not (w > 0):
         raise InvalidParameterError(f"width must be positive, got {w}")
     if not math.isfinite(B):
         raise InvalidParameterError(f"field must be finite, got {B}")
-    return B * w**2 / consts.Phi0
+    return B * w**2 / CONSTANTS.Phi0
 
 
 class VortexRegime(enum.Enum):
@@ -123,14 +122,13 @@ def vortex_regime(phi: float, phi_S: float) -> VortexRegime:
     return VortexRegime.TWO_ROW
 
 
-def esr_field(f: float, g_factor: float,
-              consts: PhysicalConstants = CONSTANTS) -> float:
+def esr_field(f: float, g_factor: float) -> float:
     """Field (T) bringing g-factor spin-1/2 impurities into resonance at f (Hz)."""
     if g_factor <= 0:
         raise InvalidParameterError(f"g-factor must be positive, got {g_factor}")
     if not (math.isfinite(f) and f >= 0):
         raise InvalidParameterError(f"frequency must be finite and >= 0, got {f}")
-    return consts.h * f / (g_factor * consts.mu_B)
+    return CONSTANTS.h * f / (g_factor * CONSTANTS.mu_B)
 
 
 @dataclass(frozen=True)

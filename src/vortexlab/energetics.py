@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import CONSTANTS, PhysicalConstants
+from .constants import CONSTANTS
 from .core import DeviceModel, DerivedScales
 from .errors import (DivergenceError, DomainError, InvalidParameterError,
                      LinearizationError)
@@ -96,8 +96,7 @@ def _check_x_domain(x, w: float):
 
 
 def gibbs_single(x, B: float, n: float, scales: DerivedScales,
-                 device: DeviceModel,
-                 consts: PhysicalConstants = CONSTANTS):
+                 device: DeviceModel):
     """Energy (J) of one vortex at position x across the width.
 
     Self-energy term eps0 ln((2w / pi xi) sin(pi x / w) + 1) plus the
@@ -109,19 +108,18 @@ def gibbs_single(x, B: float, n: float, scales: DerivedScales,
     x = _check_x_domain(x, w)
     geom = 2.0 * w / (math.pi * device.xi)
     self_energy = scales.eps0 * np.log1p(geom * np.sin(math.pi * x / w))
-    meissner = (consts.Phi0 * (B - n * consts.Phi0)
-                / (consts.mu0 * scales.Lambda)) * x * (w - x)
+    meissner = (CONSTANTS.Phi0 * (B - n * CONSTANTS.Phi0)
+                / (CONSTANTS.mu0 * scales.Lambda)) * x * (w - x)
     return self_energy - meissner
 
 
 def total_potential(x, y, B: float, n: float, sites: Sequence[PinningSite],
-                    scales: DerivedScales, device: DeviceModel,
-                    consts: PhysicalConstants = CONSTANTS):
+                    scales: DerivedScales, device: DeviceModel):
     """Single-vortex energy minus the Lorentzian pinning dips (J)."""
     for s in sites:
         if not (0.0 < s.x_i < device.w):
             raise DomainError(f"pinning site at x={s.x_i} outside (0, {device.w})")
-    out = gibbs_single(x, B, n, scales, device, consts)
+    out = gibbs_single(x, B, n, scales, device)
     for s in sites:
         out = out - s.dip(x, y)
     return out
@@ -141,8 +139,7 @@ def _check_well_domain(x_bar, delta_LR, w: float):
 
 
 def gamma_from_geometry(delta_LR, x_bar, scales: DerivedScales,
-                        device: DeviceModel,
-                        consts: PhysicalConstants = CONSTANTS):
+                        device: DeviceModel):
     """Field dispersion (Hz/T) of a double well from its geometry.
 
     gamma = (2 pi / h) (eps0 / Phi0) |delta_LR (2 x_bar - w)|; zero for a
@@ -151,37 +148,34 @@ def gamma_from_geometry(delta_LR, x_bar, scales: DerivedScales,
     must lie inside the strip.
     """
     _check_well_domain(x_bar, delta_LR, device.w)
-    return (2.0 * math.pi / consts.h) * (scales.eps0 / consts.Phi0) * \
+    return (2.0 * math.pi / CONSTANTS.h) * (scales.eps0 / CONSTANTS.Phi0) * \
         abs(delta_LR * (2.0 * x_bar - device.w))
 
 
 def well_detuning(x_bar: float, delta_LR: float, B: float,
-                  scales: DerivedScales, device: DeviceModel, n: float = 0.0,
-                  consts: PhysicalConstants = CONSTANTS) -> float:
+                  scales: DerivedScales, device: DeviceModel) -> float:
     """Signed energy offset (J) between the left and right well bottoms.
 
-    G1(x_bar - delta/2; B) - G1(x_bar + delta/2; B); linear in B with slope
-    magnitude h * gamma_from_geometry.
+    G1(x_bar - delta/2; B) - G1(x_bar + delta/2; B) with no other vortices
+    (n = 0); linear in B with slope magnitude h * gamma_from_geometry.
     """
     _check_well_domain(x_bar, delta_LR, device.w)
-    g_left = gibbs_single(x_bar - delta_LR / 2.0, B, n, scales, device, consts)
-    g_right = gibbs_single(x_bar + delta_LR / 2.0, B, n, scales, device, consts)
+    g_left = gibbs_single(x_bar - delta_LR / 2.0, B, 0.0, scales, device)
+    g_right = gibbs_single(x_bar + delta_LR / 2.0, B, 0.0, scales, device)
     return float(g_left - g_right)
 
 
 def well_asymmetry(x_bar: float, delta_LR: float, B: float,
-                   scales: DerivedScales, device: DeviceModel, n: float = 0.0,
-                   consts: PhysicalConstants = CONSTANTS) -> float:
+                   scales: DerivedScales, device: DeviceModel) -> float:
     """Magnitude |C - h gamma B| of the well offset (J)."""
-    return abs(well_detuning(x_bar, delta_LR, B, scales, device, n, consts))
+    return abs(well_detuning(x_bar, delta_LR, B, scales, device))
 
 
 def degeneracy_field(x_bar: float, delta_LR: float, scales: DerivedScales,
-                     device: DeviceModel, n: float = 0.0,
-                     consts: PhysicalConstants = CONSTANTS) -> float:
+                     device: DeviceModel) -> float:
     """Field (T) at which the two wells align, i.e. the detuning vanishes."""
-    d0 = well_detuning(x_bar, delta_LR, 0.0, scales, device, n, consts)
-    d1 = well_detuning(x_bar, delta_LR, 1.0, scales, device, n, consts)
+    d0 = well_detuning(x_bar, delta_LR, 0.0, scales, device)
+    d1 = well_detuning(x_bar, delta_LR, 1.0, scales, device)
     slope = d1 - d0  # J per tesla, exactly linear
     if slope == 0.0:
         raise DivergenceError("well detuning does not depend on field "
@@ -190,14 +184,13 @@ def degeneracy_field(x_bar: float, delta_LR: float, scales: DerivedScales,
 
 
 def aligned_depth(V1: float, x_bar: float, delta_LR: float, B0: float,
-                  scales: DerivedScales, device: DeviceModel, n: float = 0.0,
-                  consts: PhysicalConstants = CONSTANTS) -> float:
+                  scales: DerivedScales, device: DeviceModel) -> float:
     """Depth V2 (J) aligning the second well with the first at field B0.
 
     For equal well curvatures the alignment constraint reads
     V2 = V1 + (G1(left) - G1(right)) evaluated at B0.
     """
-    return V1 + well_detuning(x_bar, delta_LR, B0, scales, device, n, consts)
+    return V1 + well_detuning(x_bar, delta_LR, B0, scales, device)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +273,7 @@ def pair_coupling(pair: VortexPair, scales: DerivedScales, device: DeviceModel,
 # resonator coupling estimate
 # ---------------------------------------------------------------------------
 
-def coupling_estimate(inp: CouplingEstimateInput,
-                      consts: PhysicalConstants = CONSTANTS) -> float:
+def coupling_estimate(inp: CouplingEstimateInput) -> float:
     """Kinetic-inductance coupling ratio g / omega_r (dimensionless).
 
     (1 / (w t)) (lambda_L^2 / y_zpf) (mu0 e^2 / m_e) sqrt(R_K / (4 pi Z_r));
@@ -289,5 +281,5 @@ def coupling_estimate(inp: CouplingEstimateInput,
     """
     return ((1.0 / (inp.w * inp.t))
             * (inp.lambda_L**2 / inp.y_zpf)
-            * (consts.mu0 * consts.e**2 / consts.m_e)
-            * math.sqrt(consts.R_K / (4.0 * math.pi * inp.Z_r)))
+            * (CONSTANTS.mu0 * CONSTANTS.e**2 / CONSTANTS.m_e)
+            * math.sqrt(CONSTANTS.R_K / (4.0 * math.pi * inp.Z_r)))

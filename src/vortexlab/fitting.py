@@ -29,6 +29,11 @@ from . import rabi
 from .errors import DegenerateFitError, InvalidParameterError
 
 _TINY = 1e-300
+_GTOL = 1e-10      # on the scaled gradient measure
+_XTOL = 1e-12      # on two consecutive relative steps
+_MAX_ITER = 200
+_REL_STEP = 1e-6   # times |p_i|, but at least _ABS_FLOOR
+_ABS_FLOOR = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +110,12 @@ class SpectrumDataset:
 # generic engine
 # ---------------------------------------------------------------------------
 
-def _fd_jacobian(call, p: np.ndarray, r0: np.ndarray,
-                 rel_step: float, abs_floor: float) -> np.ndarray:
+def _fd_jacobian(call, p: np.ndarray, r0: np.ndarray) -> np.ndarray:
     J = np.empty((r0.size, p.size))
     for i in range(p.size):
-        h = rel_step * abs(p[i])
-        if h < abs_floor:
-            h = abs_floor
+        h = _REL_STEP * abs(p[i])
+        if h < _ABS_FLOOR:
+            h = _ABS_FLOOR
         pp = p.copy()
         pp[i] += h
         J[:, i] = (call(pp) - r0) / h
@@ -153,18 +157,15 @@ def _std_errors(J: np.ndarray, cost: float, n_points: int) -> np.ndarray:
     return se
 
 
-def least_squares(residual_fn: Callable, init: dict[str, float], data=None, *,
-                  gtol: float = 1e-10, xtol: float = 1e-12, max_iter: int = 200,
-                  rel_step: float = 1e-6, abs_floor: float = 1e-12) -> FitResult:
+def least_squares(residual_fn: Callable, init: dict[str, float]) -> FitResult:
     """Minimize |residual(params)|^2 over the named parameters in init.
 
-    residual_fn(params_dict) -> r, or residual_fn(params_dict, data) when
-    data is given. It may instead return a pair (r, J) with J the exact
-    Jacobian (one row per residual, one column per parameter in init
-    order); the engine then keeps the J of each accepted point. A bare r
-    gets a forward finite-difference Jacobian. Singular Jacobians are
-    handled by damping; if no damped step reduces the cost the result
-    comes back converged=False rather than raising.
+    residual_fn(params_dict) returns the residual vector r, or a pair
+    (r, J) with J the exact Jacobian (one row per residual, one column per
+    parameter in init order); the engine then keeps the J of each accepted
+    point. A bare r gets a forward finite-difference Jacobian. Singular
+    Jacobians are handled by damping; if no damped step reduces the cost
+    the result comes back converged=False rather than raising.
     """
     names = list(init)
     p = np.array([float(init[k]) for k in names])
@@ -173,14 +174,14 @@ def least_squares(residual_fn: Callable, init: dict[str, float], data=None, *,
 
     def call(pvec: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         d = dict(zip(names, pvec))
-        out = residual_fn(d, data) if data is not None else residual_fn(d)
+        out = residual_fn(d)
         r, J = out if isinstance(out, tuple) else (out, None)
         return np.atleast_1d(np.asarray(r, dtype=float)).ravel(), J
 
     def jacobian(pvec: np.ndarray, r: np.ndarray, J) -> np.ndarray:
         if J is not None:
             return np.asarray(J, dtype=float)
-        return _fd_jacobian(lambda q: call(q)[0], pvec, r, rel_step, abs_floor)
+        return _fd_jacobian(lambda q: call(q)[0], pvec, r)
 
     r, J_exact = call(p)
     if not np.all(np.isfinite(r)):
@@ -201,10 +202,10 @@ def least_squares(residual_fn: Callable, init: dict[str, float], data=None, *,
         denom = col * (math.sqrt(costc) + r_floor) + _TINY
         return float((num / denom).max())
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         g = J.T @ r
         gmeas = gradient_measure(J, r, cost)
-        if gmeas <= gtol and bool(np.any(J != 0.0)):
+        if gmeas <= _GTOL and bool(np.any(J != 0.0)):
             converged = True
             message = "gradient tolerance reached"
             break
@@ -254,7 +255,7 @@ def least_squares(residual_fn: Callable, init: dict[str, float], data=None, *,
         J = jacobian(p, r, J_new)
         # demand two consecutive sub-tolerance steps so the iterate is
         # polished to the fixed point, not merely slowing down
-        small_steps = small_steps + 1 if step_rel <= xtol else 0
+        small_steps = small_steps + 1 if step_rel <= _XTOL else 0
         if small_steps >= 2:
             converged = True
             message = "step tolerance reached"

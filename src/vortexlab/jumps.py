@@ -16,10 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONSTANTS, PhysicalConstants
+from .constants import CONSTANTS
 from .errors import (AmbiguousBandsError, ClusteringError,
                      InsufficientDwellsError, InvalidParameterError,
                      PopulationInversionError)
+
+_MIN_DWELLS = 50  # complete intervals dwell_statistics needs per state
+_EM_MAX_ITER = 100
+_EM_TOL = 1e-8  # on the relative change of iq_cluster's log-likelihood
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,6 @@ class Trajectory:
     times: np.ndarray
     iq_points: np.ndarray
     true_states: np.ndarray | None = None
-    assigned_states: np.ndarray | None = None
 
     def __post_init__(self):
         if self.times.shape != self.iq_points.shape:
@@ -136,8 +139,11 @@ def latching_filter(traj: Trajectory, ro: ReadoutModel,
     A point within n_sigma * sigma_cloud of a cloud center (re)asserts
     that state; points in neither band keep the previous assignment. The
     first point starts from the nearer center. The filter is causal: the
-    assignment at index i depends only on points 0..i.
+    assignment at index i depends only on points 0..i. Returns the int8
+    assignments and leaves traj unchanged.
     """
+    if not n_sigma > 0:
+        raise InvalidParameterError(f"n_sigma must be positive, got {n_sigma}")
     if abs(ro.center_e - ro.center_g) <= 2.0 * n_sigma * ro.sigma_cloud:
         raise AmbiguousBandsError(
             "acceptance bands overlap: centers closer than "
@@ -154,8 +160,7 @@ def latching_filter(traj: Trajectory, ro: ReadoutModel,
     idx = np.maximum.accumulate(idx)
     initial = int(abs(z[0] - ro.center_e) < abs(z[0] - ro.center_g))
     assigned = np.where(idx >= 0, state_at_event[np.clip(idx, 0, None)], initial)
-    traj.assigned_states = assigned.astype(np.int8)
-    return traj.assigned_states
+    return assigned.astype(np.int8)
 
 
 def dwell_intervals(states: np.ndarray, spacing: float):
@@ -204,11 +209,11 @@ def _dwell_mle(durations: np.ndarray, spacing: float, m: int,
     return spacing / math.log1p(1.0 / float(excess.mean()))
 
 
-def dwell_statistics(states: np.ndarray, spacing: float, n_sigma: float = 1.5,
-                     min_dwells: int = 50) -> DwellStats:
+def dwell_statistics(states: np.ndarray, spacing: float,
+                     n_sigma: float = 1.5) -> DwellStats:
     """Per-state dwell statistics from an assigned-state record.
 
-    Each state needs at least min_dwells complete intervals; the censored
+    Each state needs at least _MIN_DWELLS complete intervals; the censored
     first and last runs are excluded. The mean dwell times are the
     closed-form maximum-likelihood estimates over runs of at least m
     samples (_min_run), where n_sigma is the band given to
@@ -217,9 +222,9 @@ def dwell_statistics(states: np.ndarray, spacing: float, n_sigma: float = 1.5,
     """
     down_dwells, up_dwells = dwell_intervals(states, spacing)
     # state 0 runs are ground dwells (ending in excitation): T_up scale
-    if down_dwells.size < min_dwells or up_dwells.size < min_dwells:
+    if down_dwells.size < _MIN_DWELLS or up_dwells.size < _MIN_DWELLS:
         raise InsufficientDwellsError(
-            f"need at least {min_dwells} dwells per state, got "
+            f"need at least {_MIN_DWELLS} dwells per state, got "
             f"{down_dwells.size} ground and {up_dwells.size} excited")
     m = _min_run(n_sigma)
     return DwellStats(T_up_hat=_dwell_mle(down_dwells, spacing, m, "ground"),
@@ -241,8 +246,8 @@ class IqClusters:
     log_likelihood: float
 
 
-def iq_cluster(points: np.ndarray, labels: np.ndarray | None = None,
-               max_iter: int = 100, tol: float = 1e-8) -> IqClusters:
+def iq_cluster(points: np.ndarray,
+               labels: np.ndarray | None = None) -> IqClusters:
     """Two-component isotropic Gaussian mixture of the IQ plane via EM.
 
     Without labels the more populated component is called the ground
@@ -269,7 +274,7 @@ def iq_cluster(points: np.ndarray, labels: np.ndarray | None = None,
 
     loglik = -np.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _EM_MAX_ITER + 1):
         d2 = ((xy[:, None, :] - mu[None, :, :]) ** 2).sum(axis=2)
         log_p = np.log(weights)[None, :] - d2 / (2 * var) \
             - math.log(2 * math.pi * var)
@@ -286,7 +291,7 @@ def iq_cluster(points: np.ndarray, labels: np.ndarray | None = None,
         var = max(float((resp * d2).sum() / (2.0 * z.size)), 1e-300)
         weights = nk / z.size
 
-        if abs(new_loglik - loglik) < tol * max(1.0, abs(new_loglik)):
+        if abs(new_loglik - loglik) < _EM_TOL * max(1.0, abs(new_loglik)):
             loglik = new_loglik
             break
         loglik = new_loglik
@@ -320,17 +325,15 @@ def iq_cluster(points: np.ndarray, labels: np.ndarray | None = None,
 # thermal relations
 # ---------------------------------------------------------------------------
 
-def thermal_population(T: float, f_q: float,
-                       consts: PhysicalConstants = CONSTANTS) -> float:
+def thermal_population(T: float, f_q: float) -> float:
     """Boltzmann excited-state population at temperature T (K)."""
     if T <= 0 or f_q <= 0:
         raise InvalidParameterError("temperature and frequency must be positive")
-    boltz = math.exp(-consts.h * f_q / (consts.k_B * T))
+    boltz = math.exp(-CONSTANTS.h * f_q / (CONSTANTS.k_B * T))
     return boltz / (1.0 + boltz)
 
 
-def effective_temperature(P_e: float, f_q: float,
-                          consts: PhysicalConstants = CONSTANTS) -> float:
+def effective_temperature(P_e: float, f_q: float) -> float:
     """Temperature (K) whose Boltzmann factor reproduces P_e; inverse of
     thermal_population."""
     if not (0.0 < P_e):
@@ -343,4 +346,4 @@ def effective_temperature(P_e: float, f_q: float,
         raise InvalidParameterError("frequency must be positive")
     # log1p form stays finite for populations down to the denormal range
     log_ratio = math.log1p(-P_e) - math.log(P_e)
-    return consts.h * f_q / (consts.k_B * log_ratio)
+    return CONSTANTS.h * f_q / (CONSTANTS.k_B * log_ratio)

@@ -44,6 +44,7 @@ _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 # the parameters transition_gradients differentiates by, in column order
 GRADIENT_PARAMS = ("f_r", "g", "gamma", "B0", "f_q0")
+_CHI_CONVERGENCE_HZ = 1e3  # dispersive_shift's stopping change in chi
 
 
 @dataclass(frozen=True)
@@ -275,12 +276,11 @@ def qubit_frequency(params: QrmParams, B: float) -> float:
 
 
 def dispersive_shift(params: QrmParams, B: float,
-                     trunc: HilbertTruncation | None = None,
-                     convergence_hz: float = 1e3) -> float:
+                     trunc: HilbertTruncation | None = None) -> float:
     """Dispersive shift chi = f_r_e - f_r_g (Hz) from exact diagonalization.
 
     With trunc=None the truncation starts at n_fock=60 and doubles until
-    chi changes by less than convergence_hz. Propagates the labeling error
+    chi changes by less than _CHI_CONVERGENCE_HZ. Propagates the labeling error
     near resonance instead of extrapolating.
     """
     if trunc is not None:
@@ -290,7 +290,7 @@ def dispersive_shift(params: QrmParams, B: float,
     while n_fock < 480:
         n_fock *= 2
         chi_next = solve_qrm(params, B, HilbertTruncation(n_fock)).chi
-        if abs(chi_next - chi) < convergence_hz:
+        if abs(chi_next - chi) < _CHI_CONVERGENCE_HZ:
             return chi_next
         chi = chi_next
     return chi

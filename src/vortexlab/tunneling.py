@@ -25,6 +25,9 @@ from .energetics import PinningSite, total_potential, well_detuning
 from .errors import (EigensolverError, InvalidParameterError,
                      ReductionInvalidError)
 
+_ARPACK_SEED = 11  # of the 2D start vector, fixed so results are repeatable
+_MARGIN_SIGMAS = 5.0  # grid clearance around each pinning site, in sigma_i
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -85,13 +88,12 @@ class Grid:
         return self.dx * (self.dy if self.ny is not None else 1.0)
 
 
-def grid_for_sites(sites: Sequence[PinningSite], points: int = 1024,
-                   margin_sigmas: float = 5.0) -> Grid:
-    """1D grid spanning all pinning sites plus a margin of margin_sigmas."""
+def grid_for_sites(sites: Sequence[PinningSite], points: int = 1024) -> Grid:
+    """1D grid spanning all pinning sites plus a margin of _MARGIN_SIGMAS."""
     if not sites:
         raise InvalidParameterError("need at least one pinning site")
-    lo = min(s.x_i - margin_sigmas * s.sigma_i for s in sites)
-    hi = max(s.x_i + margin_sigmas * s.sigma_i for s in sites)
+    lo = min(s.x_i - _MARGIN_SIGMAS * s.sigma_i for s in sites)
+    hi = max(s.x_i + _MARGIN_SIGMAS * s.sigma_i for s in sites)
     return Grid(x_min=lo, x_max=hi, nx=points)
 
 
@@ -164,7 +166,7 @@ def _solve_1d(grid: Grid, V: np.ndarray, K: float, k: int):
     return vals[:k], vecs[:, :k]
 
 
-def _solve_2d(grid: Grid, V: np.ndarray, K: float, k: int, seed: int):
+def _solve_2d(grid: Grid, V: np.ndarray, K: float, k: int):
     """Lowest k pairs of the five-point Hamiltonian by shift-invert ARPACK."""
     from scipy import sparse
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
@@ -175,7 +177,7 @@ def _solve_2d(grid: Grid, V: np.ndarray, K: float, k: int, seed: int):
     # flat index i * ny + j with x along i, as in potential.reshape(-1)
     H = (-K * sparse.kronsum(lap(grid.ny, grid.dy), lap(grid.nx, grid.dx))
          + sparse.diags(V)).tocsc()
-    v0 = np.random.default_rng(seed).standard_normal(grid.size)
+    v0 = np.random.default_rng(_ARPACK_SEED).standard_normal(grid.size)
     try:
         return eigsh(H, k, sigma=float(V.min()), which="LM", v0=v0)
     except ArpackNoConvergence as exc:
@@ -187,12 +189,12 @@ def _solve_2d(grid: Grid, V: np.ndarray, K: float, k: int, seed: int):
 
 
 def solve_schrodinger(grid: Grid, potential: np.ndarray, model: TunnelModel,
-                      k: int = 2, seed: int = 11) -> EigenResult:
+                      k: int = 2) -> EigenResult:
     """Lowest k eigenpairs of the discretized pinned-vortex Hamiltonian.
 
     potential is the energy field (J) sampled on the grid, shape (nx,) or
-    (nx, ny). seed fixes the ARPACK start vector of the 2D solve, so
-    repeated calls return identical bits. Raises EigensolverError with the
+    (nx, ny). _ARPACK_SEED fixes the ARPACK start vector of the 2D solve,
+    so repeated calls return identical bits. Raises EigensolverError with the
     residual norms (inf for pairs not found) if the solver fails.
     """
     if not (1 <= k <= 10):
@@ -205,7 +207,7 @@ def solve_schrodinger(grid: Grid, potential: np.ndarray, model: TunnelModel,
     if grid.dimension == 1:
         vals, vecs = _solve_1d(grid, V, K, k)
     else:
-        vals, vecs = _solve_2d(grid, V, K, k, seed)
+        vals, vecs = _solve_2d(grid, V, K, k)
 
     order = np.argsort(vals)
     vals = vals[order]
@@ -239,28 +241,29 @@ class FieldSweep:
 
 def spectrum_vs_field(sites: Sequence[PinningSite], x_window: tuple[float, float],
                       B_list, model: TunnelModel, scales: DerivedScales,
-                      device: DeviceModel, n: float = 0.0,
+                      device: DeviceModel,
                       grid_points: int = 1024, k: int = 3) -> FieldSweep:
     """Double-well qubit frequency omega_q(B) = (E1 - E0) / hbar.
 
     Requires exactly two pinning sites forming the double well inside
-    x_window; the grid must clear every site by five widths. The sweet
-    spot is reported as the argmin of omega_q over B_list.
+    x_window, and no other vortices; the grid must clear each site by
+    _MARGIN_SIGMAS widths. The sweet spot is the argmin of omega_q(B_list).
     """
     if len(sites) != 2:
         raise InvalidParameterError("spectrum_vs_field expects exactly two sites")
     grid = Grid(x_min=x_window[0], x_max=x_window[1], nx=grid_points)
     for s in sites:
-        if not (grid.x_min <= s.x_i - 5 * s.sigma_i
-                and s.x_i + 5 * s.sigma_i <= grid.x_max):
+        if not (grid.x_min <= s.x_i - _MARGIN_SIGMAS * s.sigma_i
+                and s.x_i + _MARGIN_SIGMAS * s.sigma_i <= grid.x_max):
             raise InvalidParameterError(
-                f"x_window must cover site at {s.x_i} with a 5 sigma margin")
+                f"x_window must cover site at {s.x_i} with a "
+                f"{_MARGIN_SIGMAS:g} sigma margin")
     x = grid.x
     fields = np.atleast_1d(np.asarray(B_list, dtype=float))
     results: list[EigenResult] = []
     omega = np.empty(fields.size)
     for i, B in enumerate(fields):
-        V = total_potential(x, 0.0, float(B), n, sites, scales, device)
+        V = total_potential(x, 0.0, float(B), 0.0, sites, scales, device)
         res = solve_schrodinger(grid, V, model, k=k)
         res.B = float(B)
         results.append(res)
@@ -307,7 +310,6 @@ def two_level_reduction(result_pair: tuple[EigenResult, EigenResult],
 
 def double_well_asymmetry_model(x_bar: float, delta_LR: float,
                                 scales: DerivedScales, device: DeviceModel,
-                                n: float = 0.0,
                                 B_ref: float | None = None):
     """Signed epsilon(B) for a double well, optionally re-zeroed at B_ref.
 
@@ -318,9 +320,9 @@ def double_well_asymmetry_model(x_bar: float, delta_LR: float,
     """
     shift = 0.0
     if B_ref is not None:
-        shift = well_detuning(x_bar, delta_LR, B_ref, scales, device, n)
+        shift = well_detuning(x_bar, delta_LR, B_ref, scales, device)
 
     def epsilon(B: float) -> float:
-        return well_detuning(x_bar, delta_LR, B, scales, device, n) - shift
+        return well_detuning(x_bar, delta_LR, B, scales, device) - shift
 
     return epsilon

@@ -728,6 +728,34 @@ class TestExitCodes:
         assert cli.main(["scales", "-c", str(tmp_path / "missing.ini"),
                          "-o", str(tmp_path / "out")]) == 1
 
+    @pytest.mark.parametrize("command, key", [
+        ("synth-jumps", "T_up_us"), ("tunnel", "y_zpf_nm")])
+    def test_missing_key_is_config_error(self, tmp_path, capsys, command,
+                                         key):
+        conf = tmp_path / "c.ini"
+        conf.write_text("".join(line for line in
+                                CONFIG.read_text().splitlines(keepends=True)
+                                if not line.startswith(key)))
+        assert cli.main([command, "-c", str(conf),
+                         "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("command, option", [
+        ("landscape", "--points"), ("gamma-map", "--n-delta"),
+        ("gamma-map", "--n-xbar"), ("analyze-jumps", "--n-sigma")])
+    def test_non_positive_size_or_band_is_one(self, mini_config, tmp_path,
+                                              capsys, command, option, value):
+        argv = [command, "-c", str(mini_config), "-o", str(tmp_path / "out"),
+                option, value]
+        if command == "analyze-jumps":
+            argv += ["--data", str(tmp_path / "trajectory.csv")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert option in err and "must be positive" in err
+        assert not (tmp_path / "out").exists()
+
     def test_numerical_error_is_two(self, mini_config, tmp_path):
         out = tmp_path / "out"
         code = cli.main(["analyze-jumps", "-c", str(mini_config),

@@ -71,6 +71,21 @@ class TestSimulateTrajectory:
         assert abs(traj.true_states.mean() - p) < 3 * se
 
 
+def latch_by_loop(points, ro, n_sigma):
+    """The latching filter's definition applied one point at a time."""
+    r = n_sigma * ro.sigma_cloud
+    z0 = points[0]
+    state = int(abs(z0 - ro.center_e) < abs(z0 - ro.center_g))
+    out = []
+    for z in points:
+        if abs(z - ro.center_e) <= r:
+            state = 1
+        elif abs(z - ro.center_g) <= r:
+            state = 0
+        out.append(state)
+    return out
+
+
 class TestLatchingFilter:
     def test_noiseless_points_recover_truth(self):
         traj = jumps.simulate_trajectory(
@@ -110,6 +125,29 @@ class TestLatchingFilter:
                                 iq_points=np.zeros(3, dtype=complex))
         with pytest.raises(AmbiguousBandsError):
             jumps.latching_filter(traj, ro)
+
+    @pytest.mark.parametrize("n_sigma", [0.0, -1.5, math.nan])
+    def test_non_positive_band_rejected(self, n_sigma):
+        # the band-overlap check alone passes for any such value
+        traj = jumps.Trajectory(times=np.arange(3.0),
+                                iq_points=np.zeros(3, dtype=complex))
+        with pytest.raises(InvalidParameterError, match="n_sigma"):
+            jumps.latching_filter(traj, RO, n_sigma=n_sigma)
+
+    def test_returns_assignments_and_leaves_trajectory_unchanged(self):
+        traj = jumps.simulate_trajectory(TG, RO, 0.05, seed=3)
+        before = {key: None if value is None else value.copy()
+                  for key, value in vars(traj).items()}
+        assigned = jumps.latching_filter(traj, RO, n_sigma=1.5)
+        after = vars(traj)
+        assert after.keys() == before.keys()
+        for key, value in before.items():
+            if value is None:
+                assert after[key] is None, key
+            else:
+                assert np.array_equal(after[key], value), key
+        assert assigned.dtype == np.int8
+        assert assigned.tolist() == latch_by_loop(traj.iq_points, RO, 1.5)
 
 
 class TestDwellStatistics:
