@@ -71,7 +71,11 @@ def _sha256_file(path: Path) -> str:
 
 
 class Run:
-    """Collects output files and writes the manifest at the end."""
+    """Collects output files and writes the manifest at the end.
+
+    The output directory is made with the first file written into it, so
+    a run that fails before writing anything leaves no directory behind.
+    """
 
     def __init__(self, command: str, out_dir: Path, cfg: RunConfig | None,
                  seed: int | None):
@@ -80,16 +84,20 @@ class Run:
         self.cfg = cfg
         self.seed = seed
         self.outputs: list[Path] = []
-        out_dir.mkdir(parents=True, exist_ok=True)
+
+    def path(self, name: str) -> Path:
+        """out_dir / name, making out_dir first."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.out_dir / name
 
     def csv(self, name: str, header: list[str], columns) -> Path:
-        path = self.out_dir / name
+        path = self.path(name)
         _write_csv(path, header, columns)
         self.outputs.append(path)
         return path
 
     def json(self, name: str, payload: dict) -> Path:
-        path = self.out_dir / name
+        path = self.path(name)
         _write_json(path, payload)
         self.outputs.append(path)
         return path
@@ -117,7 +125,7 @@ class Run:
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "outputs": {p.name: _sha256_file(p) for p in self.outputs},
         }
-        _write_json(self.out_dir / "manifest.json", manifest)
+        _write_json(self.path("manifest.json"), manifest)
 
 
 def _fit_payload(result: fitting.FitResult, scale: dict[str, tuple[str, float]]
@@ -573,7 +581,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (VortexlabError, ValueError, OSError) as exc:
-        _write_json(run.out_dir / "error.json",
+        _write_json(run.path("error.json"),
                     {"error": type(exc).__name__, "message": str(exc)})
         print(f"error: {exc}", file=sys.stderr)
         return 2

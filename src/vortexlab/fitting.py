@@ -2,10 +2,10 @@
 
 The engine is a Levenberg-style damped Gauss-Newton loop with Fletcher
 scaling of the damping term, so parameters with wildly different units
-(Hz next to tesla) stay well-conditioned. The joint spectrum fit supplies
-its exact Jacobian, Hellmann-Feynman derivatives from the eigenvectors of
-its own solves; the other fitters use a forward finite-difference
-Jacobian. Weighted residuals are (model - data) / sigma with a default
+(Hz next to tesla) stay well-conditioned. Every residual function returns
+its exact Jacobian with the residual: closed-form for the model fitters,
+Hellmann-Feynman from the eigenvectors of its own solves for the joint
+spectrum fit. Weighted residuals are (model - data) / sigma with a default
 sigma of 1.
 
 Convergence reporting: the scaled gradient measure is the largest
@@ -31,9 +31,10 @@ from .errors import DegenerateFitError, InvalidParameterError
 _TINY = 1e-300
 _GTOL = 1e-10      # on the scaled gradient measure
 _XTOL = 1e-12      # on two consecutive relative steps
+# on the actual and predicted relative cost reduction (lmder's ftol): 1e-12
+# is below the rounding of the joint fit's residuals, where f/sigma ~ 2,000
+_FTOL = 1e-12
 _MAX_ITER = 200
-_REL_STEP = 1e-6   # times |p_i|, but at least _ABS_FLOOR
-_ABS_FLOOR = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -110,18 +111,6 @@ class SpectrumDataset:
 # generic engine
 # ---------------------------------------------------------------------------
 
-def _fd_jacobian(call, p: np.ndarray, r0: np.ndarray) -> np.ndarray:
-    J = np.empty((r0.size, p.size))
-    for i in range(p.size):
-        h = _REL_STEP * abs(p[i])
-        if h < _ABS_FLOOR:
-            h = _ABS_FLOOR
-        pp = p.copy()
-        pp[i] += h
-        J[:, i] = (call(pp) - r0) / h
-    return J
-
-
 def _std_errors(J: np.ndarray, cost: float, n_points: int) -> np.ndarray:
     """Per-parameter standard errors from the Jacobian at the optimum.
 
@@ -160,30 +149,26 @@ def _std_errors(J: np.ndarray, cost: float, n_points: int) -> np.ndarray:
 def least_squares(residual_fn: Callable, init: dict[str, float]) -> FitResult:
     """Minimize |residual(params)|^2 over the named parameters in init.
 
-    residual_fn(params_dict) returns the residual vector r, or a pair
-    (r, J) with J the exact Jacobian (one row per residual, one column per
-    parameter in init order); the engine then keeps the J of each accepted
-    point. A bare r gets a forward finite-difference Jacobian. Singular
-    Jacobians are handled by damping; if no damped step reduces the cost
-    the result comes back converged=False rather than raising.
+    residual_fn(params_dict) returns (r, J): the residual vector and its
+    exact Jacobian, one column per parameter in init order. Converged
+    stops: "gradient tolerance reached" (gradient measure <= _GTOL), "cost
+    reduction at the rounding floor" (a trial step's actual and predicted
+    relative cost reductions both <= _FTOL; ends a rejected step's damping
+    ladder too) and "step tolerance reached" (two consecutive trial steps,
+    accepted or not, of relative size <= _XTOL). Singular Jacobians are
+    handled by damping; if no damped step reduces the cost the result comes
+    back converged=False rather than raising.
     """
     names = list(init)
     p = np.array([float(init[k]) for k in names])
     if not np.all(np.isfinite(p)):
         raise InvalidParameterError("initial parameters must be finite")
 
-    def call(pvec: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        d = dict(zip(names, pvec))
-        out = residual_fn(d)
-        r, J = out if isinstance(out, tuple) else (out, None)
+    def call(pvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        r, J = residual_fn(dict(zip(names, pvec)))
         return np.atleast_1d(np.asarray(r, dtype=float)).ravel(), J
 
-    def jacobian(pvec: np.ndarray, r: np.ndarray, J) -> np.ndarray:
-        if J is not None:
-            return np.asarray(J, dtype=float)
-        return _fd_jacobian(lambda q: call(q)[0], pvec, r)
-
-    r, J_exact = call(p)
+    r, J = call(p)
     if not np.all(np.isfinite(r)):
         raise InvalidParameterError("residual is not finite at the initial point")
     cost = float(r @ r)
@@ -194,7 +179,6 @@ def least_squares(residual_fn: Callable, init: dict[str, float]) -> FitResult:
     message = "max iterations reached"
     iterations = 0
     small_steps = 0
-    J = jacobian(p, r, J_exact)
 
     def gradient_measure(Jc, rc, costc):
         col = np.sqrt((Jc * Jc).sum(axis=0))
@@ -204,8 +188,7 @@ def least_squares(residual_fn: Callable, init: dict[str, float]) -> FitResult:
 
     for it in range(1, _MAX_ITER + 1):
         g = J.T @ r
-        gmeas = gradient_measure(J, r, cost)
-        if gmeas <= _GTOL and bool(np.any(J != 0.0)):
+        if gradient_measure(J, r, cost) <= _GTOL and bool(np.any(J != 0.0)):
             converged = True
             message = "gradient tolerance reached"
             break
@@ -218,7 +201,7 @@ def least_squares(residual_fn: Callable, init: dict[str, float]) -> FitResult:
         JtJ_n = Jn.T @ Jn
         g_n = g / scale
 
-        accepted = False
+        accepted = at_floor = False
         while lam <= 1e14:
             A = JtJ_n + lam * np.eye(p.size)
             try:
@@ -231,61 +214,37 @@ def least_squares(residual_fn: Callable, init: dict[str, float]) -> FitResult:
                 r_new, J_new = call(p_new)
                 if np.all(np.isfinite(r_new)):
                     cost_new = float(r_new @ r_new)
-                    if cost_new <= cost:
-                        accepted = True
+                    Jd = J @ delta
+                    pred = -(2.0 * float(g @ delta) + float(Jd @ Jd))
+                    at_floor = max(abs(cost - cost_new), pred) <= _FTOL * cost
+                    # relative step in column-scaled (residual-units) and in
+                    # plain parameter space; both must settle, or a direction
+                    # whose column vanishes with its parameter would freeze
+                    step_rel = max(
+                        float(np.linalg.norm(delta_n)
+                              / (np.linalg.norm(p * scale) + _TINY)),
+                        float(np.linalg.norm(delta) / (np.linalg.norm(p) + _TINY)))
+                    # two consecutive sub-tolerance trials, accepted or not:
+                    # settled, not merely slowing
+                    small_steps = small_steps + 1 if step_rel <= _XTOL else 0
+                    accepted = cost_new <= cost
+                    if accepted or at_floor or small_steps >= 2:
                         break
             lam *= 4.0
-        if not accepted:
-            iterations = it
-            converged = False
+        iterations = it
+        if not (accepted or at_floor or small_steps >= 2):
             message = "no damped step reduced the residual"
             break
 
-        # step size in the column-scaled space (every parameter on a
-        # comparable, residual-units footing) and in plain parameter
-        # space; both must settle, or a direction whose Jacobian column
-        # vanishes with the parameter would freeze prematurely
-        step_rel = max(
-            float(np.linalg.norm(delta_n) / (np.linalg.norm(p * scale) + _TINY)),
-            float(np.linalg.norm(delta) / (np.linalg.norm(p) + _TINY)))
-        p, r, cost = p_new, r_new, cost_new
-        history.append(math.sqrt(cost))
-        iterations = it
-        lam = max(lam * 0.3, 1e-14)
-        J = jacobian(p, r, J_new)
-        # demand two consecutive sub-tolerance steps so the iterate is
-        # polished to the fixed point, not merely slowing down
-        small_steps = small_steps + 1 if step_rel <= _XTOL else 0
-        if small_steps >= 2:
-            converged = True
-            message = "step tolerance reached"
-            break
-
-    if converged:
-        # polish: two near-Newton steps pin the iterate to the fixed point
-        # (makes the result independent of the approach path, e.g. of the
-        # ordering of the data points)
-        for _ in range(2):
-            col = np.sqrt((J * J).sum(axis=0))
-            scale = np.where(col > 0.0, col, 1.0)
-            Jn = J / scale
-            A = Jn.T @ Jn + 1e-14 * np.eye(p.size)
-            try:
-                delta = np.linalg.solve(A, -(J.T @ r) / scale) / scale
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(delta)):
-                break
-            p_new = p + delta
-            r_new, J_new = call(p_new)
-            if not np.all(np.isfinite(r_new)):
-                break
-            cost_new = float(r_new @ r_new)
-            if cost_new > cost:
-                break
-            p, r, cost = p_new, r_new, cost_new
+        if accepted:
+            p, r, J, cost = p_new, r_new, J_new, cost_new
             history.append(math.sqrt(cost))
-            J = jacobian(p, r, J_new)
+            lam = max(lam * 0.3, 1e-14)
+        if at_floor or small_steps >= 2:
+            converged = True
+            message = ("cost reduction at the rounding floor" if at_floor
+                       else "step tolerance reached")
+            break
 
     gmeas = gradient_measure(J, r, cost)
     se = _std_errors(J, cost, r.size)
@@ -337,7 +296,13 @@ def fit_hyperbola(points) -> FitResult:
         gamma_init = f_q0_init / max(np.ptp(B), 1e-12)
 
     def resid(p):
-        return (hyperbola(B, p["f_q0"], p["gamma"], p["B0"]) - f) * w
+        dB = B - p["B0"]
+        model = hyperbola(B, p["f_q0"], p["gamma"], p["B0"])
+        # d model / d p; the cone's tip (model = 0) gets a zero row
+        inv = np.divide(w, model, out=np.zeros_like(model), where=model > 0)
+        J = np.column_stack([p["f_q0"] * inv, p["gamma"] * dB**2 * inv,
+                             -p["gamma"] ** 2 * dB * inv])
+        return (model - f) * w, J
 
     result = least_squares(resid, {"f_q0": f_q0_init, "gamma": gamma_init,
                                    "B0": B0_init})
@@ -500,7 +465,10 @@ def fit_exponential(trace: TimeTrace) -> FitResult:
             T0 = max(float(t[below[0]] - t[0]), float(t[1] - t[0]))
 
     def resid(p):
-        return (p["A"] * _safe_exp(-t / p["T"]) + p["c"] - v) * w
+        decay = _safe_exp(-t / p["T"])
+        J = np.column_stack([p["A"] * decay * t / p["T"] ** 2, decay,
+                             np.ones_like(t)]) * w[:, None]
+        return (p["A"] * decay + p["c"] - v) * w, J
 
     result = least_squares(resid, {"T": T0, "A": A0, "c": c0})
     if not math.isfinite(result.std_errors["T"]) or \
@@ -534,7 +502,9 @@ def fit_ramsey_beat(trace: TimeTrace) -> FitResult:
     Model: exp(-t/T2s) [a1 cos(2 pi f1 t + phi1) + a2 cos(2 pi f2 t + phi2)] + c.
     The beat |f1 - f2| is reported as f_beat; when the trace is too short
     to resolve it (|f1 - f2| t_max < 0.5) the beat is flagged
-    unidentifiable with an infinite standard error.
+    unidentifiable with an infinite standard error, as it is when zeroing
+    the weaker tone raises the cost by at most _FTOL of the starting cost
+    (one-tone data, where that tone's f and its error are rounding noise).
     """
     t, v, w = trace.times, trace.values, trace.weights
     if t.size < 10:
@@ -552,23 +522,36 @@ def fit_ramsey_beat(trace: TimeTrace) -> FitResult:
     amp0 = float(np.ptp(v)) / 4.0 or 1.0
 
     def resid(p):
-        envelope = _safe_exp(-t / p["T2s"])
-        model = envelope * (p["a1"] * np.cos(2 * np.pi * p["f1"] * t + p["phi1"])
-                            + p["a2"] * np.cos(2 * np.pi * p["f2"] * t + p["phi2"])) + p["c"]
-        return (model - v) * w
+        envelope = _safe_exp(-t / p["T2s"])[:, None]
+        amps = np.array([p["a1"], p["a2"]])
+        theta = (2 * np.pi * np.outer(t, [p["f1"], p["f2"]])
+                 + [p["phi1"], p["phi2"]])
+        d_amp = envelope * np.cos(theta)  # columns a1, a2
+        d_phi = -envelope * np.sin(theta) * amps  # columns phi1, phi2
+        tones = d_amp @ amps
+        J = np.column_stack([tones * t / p["T2s"] ** 2,
+                             2 * np.pi * t[:, None] * d_phi, d_amp, d_phi,
+                             np.ones_like(t)]) * w[:, None]
+        return (tones + p["c"] - v) * w, J
 
     result = least_squares(resid, {"T2s": t_span / 3.0, "f1": f1_init,
                                    "f2": f2_init, "a1": amp0, "a2": amp0,
                                    "phi1": 0.0, "phi2": 0.0,
                                    "c": float(v.mean())})
+    weak = min(("a1", "a2"), key=lambda k: abs(result.params[k]))
+    r_weak = resid({**result.params, weak: 0.0})[0]
+    one_tone = float(r_weak @ r_weak) - result.residual_norm ** 2 \
+        <= _FTOL * result.residual_history[0] ** 2
     f1, f2 = result.params["f1"], result.params["f2"]
     result.params["f_beat"] = abs(f1 - f2)
     se1, se2 = result.std_errors["f1"], result.std_errors["f2"]
     result.std_errors["f_beat"] = math.hypot(se1, se2) \
         if math.isfinite(se1) and math.isfinite(se2) else math.inf
-    if abs(f1 - f2) * t_span < 0.5:
+    if abs(f1 - f2) * t_span < 0.5 or one_tone:
         result.std_errors["f_beat"] = math.inf
-        result.message += "; beat unidentifiable on this time span"
+        result.message += ("; beat unidentifiable: one tone has no amplitude"
+                           if one_tone else
+                           "; beat unidentifiable on this time span")
     return result
 
 
@@ -582,9 +565,14 @@ def fit_damped_cosine(trace: TimeTrace) -> FitResult:
     f_init = peaks[0] if peaks else 1.0 / t_span
 
     def resid(p):
-        model = (p["c"] + p["A"] * _safe_exp(-t / p["tau"])
-                 * np.cos(2 * np.pi * p["f"] * t + p["phi"]))
-        return (model - v) * w
+        envelope = _safe_exp(-t / p["tau"])
+        theta = 2 * np.pi * p["f"] * t + p["phi"]
+        d_A = envelope * np.cos(theta)
+        d_phi = -p["A"] * envelope * np.sin(theta)
+        J = np.column_stack([d_A, 2 * np.pi * t * d_phi, d_phi,
+                             p["A"] * d_A * t / p["tau"] ** 2,
+                             np.ones_like(t)]) * w[:, None]
+        return (p["c"] + p["A"] * d_A - v) * w, J
 
     return least_squares(resid, {"A": float(np.ptp(v)) / 2.0 or 1.0,
                                  "f": f_init, "phi": 0.0, "tau": t_span,
@@ -673,10 +661,21 @@ def fit_reflection_phase(freqs, phases, init: dict[str, float]) -> FitResult:
     phases = np.asarray(phases, dtype=float)
 
     def resid(p):
-        model = reflection_phase(freqs, p["f_r"], abs(p["kappa_int"]),
-                                 abs(p["kappa_ext"]))
+        k_int, k_ext = abs(p["kappa_int"]), abs(p["kappa_ext"])
+        model = reflection_phase(freqs, p["f_r"], k_int, k_ext)
         d = model - phases
-        return np.arctan2(np.sin(d), np.cos(d))  # wrap-safe phase residual
+        # phase = arg(i delta + a) - arg(i delta + b); where S11 = 0
+        # (a = delta = 0) arg(0) reads 0 and its term gets derivative 0
+        delta = freqs - p["f_r"]
+        a, b = (k_int - k_ext) / 2.0, (k_int + k_ext) / 2.0
+        num2 = a * a + delta * delta
+        inv_num = np.divide(1.0, num2, out=np.zeros_like(num2), where=num2 > 0)
+        inv_den = 1.0 / (b * b + delta * delta)
+        J = np.column_stack([
+            b * inv_den - a * inv_num,
+            -0.5 * delta * (inv_num - inv_den) * np.sign(p["kappa_int"]),
+            0.5 * delta * (inv_num + inv_den) * np.sign(p["kappa_ext"])])
+        return np.arctan2(np.sin(d), np.cos(d)), J  # wrap-safe residual
 
     result = least_squares(resid, {"f_r": init["f_r"],
                                    "kappa_int": init["kappa_int"],

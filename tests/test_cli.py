@@ -741,6 +741,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and key in err
 
+    @pytest.mark.parametrize("command, key", [
+        ("synth-jumps", "T_up_us"), ("tunnel", "y_zpf_nm")])
+    def test_config_error_in_handler_leaves_no_directory(self, tmp_path,
+                                                         command, key):
+        conf = tmp_path / "c.ini"
+        conf.write_text("".join(line for line in
+                                CONFIG.read_text().splitlines(keepends=True)
+                                if not line.startswith(key)))
+        assert cli.main([command, "-c", str(conf),
+                         "-o", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     @pytest.mark.parametrize("command, option", [
         ("landscape", "--points"), ("gamma-map", "--n-delta"),

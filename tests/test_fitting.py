@@ -20,7 +20,8 @@ def hyperbola_points(n=25, span=100e-6, sigma=1e6, noise=0.0, seed=None):
 class TestEngine:
     def test_linear_exact(self):
         x = np.linspace(0, 1, 20)
-        res = fitting.least_squares(lambda p: p["a"] * x - 3.7 * x, {"a": 1.0})
+        res = fitting.least_squares(
+            lambda p: (p["a"] * x - 3.7 * x, x[:, None]), {"a": 1.0})
         assert res.converged
         assert res.params["a"] == pytest.approx(3.7, rel=1e-10)
 
@@ -28,13 +29,15 @@ class TestEngine:
         t = np.linspace(0, 5, 60)
         y = np.exp(-1.37 * t)
         res = fitting.least_squares(
-            lambda p: np.exp(-p["k"] * t) - y, {"k": 1.0})
+            lambda p: (np.exp(-p["k"] * t) - y,
+                       (-t * np.exp(-p["k"] * t))[:, None]), {"k": 1.0})
         assert res.params["k"] == pytest.approx(1.37, rel=1e-8)
 
     def test_dead_parameter_flagged(self):
         x = np.linspace(0, 1, 30)
         res = fitting.least_squares(
-            lambda p: p["a"] * x - 2 * x + 0 * p["b"], {"a": 1.0, "b": 5.0})
+            lambda p: (p["a"] * x - 2 * x + 0 * p["b"],
+                       np.column_stack([x, 0 * x])), {"a": 1.0, "b": 5.0})
         assert res.params["a"] == pytest.approx(2.0, rel=1e-9)
         assert math.isinf(res.std_errors["b"])
 
@@ -42,7 +45,10 @@ class TestEngine:
         t = np.linspace(0, 1, 40)
         y = 2.5 * np.exp(-3 * t) + 0.2
         res = fitting.least_squares(
-            lambda p: p["A"] * np.exp(-p["k"] * t) + p["c"] - y,
+            lambda p: (p["A"] * np.exp(-p["k"] * t) + p["c"] - y,
+                       np.column_stack([np.exp(-p["k"] * t),
+                                        -p["A"] * t * np.exp(-p["k"] * t),
+                                        np.ones_like(t)])),
             {"A": 1.0, "k": 1.0, "c": 0.0})
         hist = np.array(res.residual_history)
         assert np.all(np.diff(hist) <= 0)
@@ -51,7 +57,10 @@ class TestEngine:
         t = np.linspace(0, 1, 40)
         y = 2.5 * np.exp(-3 * t) + 0.2
         res = fitting.least_squares(
-            lambda p: p["A"] * np.exp(-p["k"] * t) + p["c"] - y,
+            lambda p: (p["A"] * np.exp(-p["k"] * t) + p["c"] - y,
+                       np.column_stack([np.exp(-p["k"] * t),
+                                        -p["A"] * t * np.exp(-p["k"] * t),
+                                        np.ones_like(t)])),
             {"A": 1.0, "k": 1.0, "c": 0.0})
         assert res.converged
         assert res.gradient_measure <= 1e-6
@@ -97,8 +106,9 @@ class TestHyperbola:
         assert res2.params["B0"] == pytest.approx(2 * pivot - res1.params["B0"],
                                                   rel=1e-8)
 
-    def test_permutation_invariance(self):
-        pts = hyperbola_points(noise=5e6, sigma=5e6, seed=3)
+    @pytest.mark.parametrize("seed", range(20))
+    def test_permutation_invariance(self, seed):
+        pts = hyperbola_points(noise=5e6, sigma=5e6, seed=seed)
         perm = np.random.default_rng(4).permutation(len(pts))
         res1 = fitting.fit_hyperbola(pts)
         res2 = fitting.fit_hyperbola(pts[perm])
@@ -266,8 +276,15 @@ class TestJointJacobian:
         least_squares = fitting.least_squares
 
         def finite_differences(residual_fn, init, *args, **kwargs):
-            return least_squares(lambda p: residual_fn(p)[0], init,
-                                 *args, **kwargs)
+            # forward differences, step 1e-6 |p_i| but at least 1e-12
+            def resid(p):
+                r = residual_fn(p)[0]
+                J = np.empty((r.size, len(p)))
+                for i, key in enumerate(p):
+                    h = max(1e-6 * abs(p[key]), 1e-12)
+                    J[:, i] = (residual_fn({**p, key: p[key] + h})[0] - r) / h
+                return r, J
+            return least_squares(resid, init, *args, **kwargs)
 
         monkeypatch.setattr(fitting, "least_squares", finite_differences)
         fd = fitting.fit_joint_aqrm(ds, None, self.trunc)
@@ -302,6 +319,31 @@ class TestJointJacobian:
                 assert res.params["g"] == 0.0 and math.isinf(se)
             else:
                 assert math.isfinite(se)
+
+    def test_sweeps_per_fit_independent_of_rounding_in_j(
+            self, monkeypatch, criterion_05_dataset):
+        # J scaled by 1 + 1e-14 N(0, 1): a path that walks the rounding
+        # floor took 21 to 44 sweeps over these draws
+        ds = criterion_05_dataset()
+        gradients, sweep_field = rabi.transition_gradients, rabi.sweep_field
+        counts = []
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            sweeps = [0]
+
+            def noisy_gradients(*args):
+                grad = gradients(*args)
+                return grad * (1.0 + 1e-14 * rng.standard_normal(grad.shape))
+
+            def counting_sweep(*args):
+                sweeps[0] += 1
+                return sweep_field(*args)
+
+            monkeypatch.setattr(rabi, "transition_gradients", noisy_gradients)
+            monkeypatch.setattr(rabi, "sweep_field", counting_sweep)
+            assert fitting.fit_joint_aqrm(ds, None, self.trunc).converged
+            counts.append(sweeps[0])
+        assert max(counts) - min(counts) <= 1
 
     def test_solves_per_fit_under_half_the_finite_difference_count(
             self, monkeypatch, criterion_05_dataset):
@@ -355,6 +397,88 @@ class TestJointJacobian:
         ratio = res.std_errors["g"] / clean.std_errors["g"]
         assert 0.5 < ratio < 2.0
         assert res.residual_norm == pytest.approx(clean.residual_norm, rel=0.1)
+
+
+def _trace(t, clean, noise, seed):
+    rng = np.random.default_rng(seed)
+    return fitting.TimeTrace(times=t, values=clean + rng.normal(0, noise, t.size),
+                             sigma=np.full(t.size, noise))
+
+
+_T1 = np.linspace(0, 1e-3, 120)
+_T2 = np.linspace(0, 2e-6, 300)
+_F_REFL = np.linspace(7.56e9, 7.585e9, 400)
+_PH_REFL = fitting.reflection_phase(_F_REFL, F_R, 0.15e6, 0.6e6) \
+    + np.random.default_rng(5).normal(0, 0.002, _F_REFL.size)
+CLOSED_FORM_FITS = {
+    "hyperbola": lambda: fitting.fit_hyperbola(
+        hyperbola_points(noise=5e6, sigma=5e6, seed=3)),
+    "exponential": lambda: fitting.fit_exponential(_trace(
+        _T1, 0.8 * np.exp(-_T1 / 186e-6) + 0.1, 0.01, 1)),
+    "ramsey": lambda: fitting.fit_ramsey_beat(_trace(
+        _T2, np.exp(-_T2 / 440e-9) * (0.4 * np.cos(2 * np.pi * 5e6 * _T2 + 0.3)
+                                      + 0.4 * np.cos(2 * np.pi * 7e6 * _T2 - 0.2))
+        + 0.5, 0.01, 2)),
+    "damped_cosine": lambda: fitting.fit_damped_cosine(_trace(
+        _T2, 0.5 - 0.5 * np.exp(-_T2 / 1e-6) * np.cos(2 * np.pi * 8e6 * _T2),
+        0.01, 3)),
+    "reflection": lambda: fitting.fit_reflection_phase(
+        _F_REFL, _PH_REFL,
+        {"f_r": 7.5715e9, "kappa_int": 0.2e6, "kappa_ext": 0.5e6}),
+}
+
+
+class TestClosedFormJacobians:
+    @staticmethod
+    def _assert_matches_central_differences(resid, p):
+        r, J = resid(p)
+        J_cd = np.empty_like(J)
+        for i, key in enumerate(p):
+            # a step that moves the residual by about 1e-5 per point
+            h = 1e-5 * math.sqrt(r.size) / np.linalg.norm(J[:, i])
+            up = resid({**p, key: p[key] + h})[0]
+            down = resid({**p, key: p[key] - h})[0]
+            J_cd[:, i] = (up - down) / (2 * h)
+        floor = 1e-3 * np.abs(J_cd).max(axis=0)
+        assert np.all(np.abs(J - J_cd) <= 1e-5 * np.maximum(np.abs(J_cd), floor))
+
+    @pytest.mark.parametrize("fit", CLOSED_FORM_FITS)
+    def test_jacobian_matches_central_differences(self, monkeypatch, fit):
+        # at the start point and at the optimum; the reflection fit also at
+        # negative kappas, where its abs() flips the sign of their columns
+        captured = []
+        least_squares = fitting.least_squares
+
+        def recording(residual_fn, init):
+            result = least_squares(residual_fn, init)
+            captured.append((residual_fn, dict(init), dict(result.params)))
+            return result
+
+        monkeypatch.setattr(fitting, "least_squares", recording)
+        assert CLOSED_FORM_FITS[fit]().converged
+        resid, start, optimum = captured[0]
+        points = [start, optimum]
+        if fit == "reflection":
+            points += [{**p, "kappa_int": -p["kappa_int"],
+                        "kappa_ext": -p["kappa_ext"]} for p in points]
+        for p in points:
+            self._assert_matches_central_differences(resid, p)
+
+    def test_reflection_started_where_s11_vanishes(self):
+        # kappa_int == kappa_ext puts S11 = 0 at the grid point f = f_r,
+        # where arg's derivative is 0/0; the fit must still leave its start
+        off = np.geomspace(1e3, 20e6, 150)
+        f = F_R + np.concatenate([-off[::-1], [0.0], off])
+        ph = fitting.reflection_phase(f, F_R, 0.15e6, 0.6e6) \
+            + np.random.default_rng(5).normal(0, 0.002, f.size)
+        res = fitting.fit_reflection_phase(
+            f, ph, {"f_r": F_R, "kappa_int": 0.4e6, "kappa_ext": 0.4e6})
+        assert res.converged
+        # the optimum the forward-difference engine reached from this start
+        reference = {"f_r": 7572000006.929, "kappa_int": 149124.1315,
+                     "kappa_ext": 599900.4335}
+        for key, value in reference.items():
+            assert abs(res.params[key] - value) < 0.01 * res.std_errors[key]
 
 
 class TestTimeTrace:
