@@ -4,9 +4,10 @@ One subcommand per analysis: derived scales, Rabi spectrum and dispersive
 shift sweeps, the spectrum/coherence fitters, landscape and interaction
 maps, the tunneling solver, telegraph synthesis and analysis, and batch
 fitting over a directory of spectra. Every run writes its outputs plus a
-manifest.json recording the config hash, the seed and a content hash per
-file. Outputs are byte-deterministic for a fixed config and seed; the
-manifest timestamp is the only varying field.
+manifest.<command>.json recording the config hash, the seed and a content
+hash per file, so commands run into one directory keep their own. Outputs
+are byte-deterministic for a fixed config and seed; the manifest timestamp
+is the only varying field.
 
 Exit codes: 0 success, 1 usage or config error, 2 numerical failure (an
 error report is written to the output directory).
@@ -51,14 +52,53 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _quote(cell: str) -> str:
+    """csv QUOTE_MINIMAL for the "\\n" line terminator: quote a cell that
+    holds a comma, a quote or a newline, doubling its quotes."""
+    if "," in cell or '"' in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _encode(col) -> list[str]:
+    """One column's cells, as csv.writer would write _fmt of each value.
+
+    A float array is encoded in one pass (repr, "" at NaN) and an integer
+    or bool array by str, whose cells never need quoting; any other
+    column, such as a list that may hold None or text, goes through _fmt.
+    """
+    if isinstance(col, np.ndarray):
+        if col.dtype.kind == "f":
+            cells = list(map(repr, col.tolist()))
+            for i in np.flatnonzero(np.isnan(col)).tolist():
+                cells[i] = ""
+            return cells
+        if col.dtype.kind in "biu":
+            return list(map(str, col.tolist()))
+        col = col.tolist()
+    return [_quote(_fmt(value)) for value in col]
+
+
+_CHUNK_ROWS = 4096  # rows encoded at a time, which bounds the text in memory
+
+
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write equal-length columns (numpy arrays or lists) under a header."""
-    cells = [map(_fmt, col.tolist() if isinstance(col, np.ndarray) else col)
-             for col in columns]
+    """Write equal-length columns (numpy arrays or lists) under a header.
+
+    The bytes are those of csv.writer(lineterminator="\\n") over _fmt of
+    each value.
+    """
+    columns = list(columns)
+    if len({len(col) for col in columns}) > 1:
+        raise ValueError(f"columns of unequal length under {header}")
+    rows = len(columns[0]) if columns else 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*cells, strict=True))
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for start in range(0, rows, _CHUNK_ROWS):
+            cells = [_encode(col[start:start + _CHUNK_ROWS]) for col in columns]
+            if len(cells) == 1:  # csv quotes a row's only cell when empty
+                cells = [[cell or '""' for cell in cells[0]]]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -125,7 +165,7 @@ class Run:
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "outputs": {p.name: _sha256_file(p) for p in self.outputs},
         }
-        _write_json(self.path("manifest.json"), manifest)
+        _write_json(self.path(f"manifest.{self.command}.json"), manifest)
 
 
 def _fit_payload(result: fitting.FitResult, scale: dict[str, tuple[str, float]]
@@ -155,12 +195,19 @@ def _before_header(line: str) -> bool:
     return not line.replace(",", "").strip() or line.lstrip().startswith("#")
 
 
+_LOADTXT = {"delimiter": ",", "comments": "#", "ndmin": 2, "quotechar": '"'}
+
+
 def _read_csv_columns(path: Path, minimum: int) -> np.ndarray:
     """Numeric rows of a CSV file as a 2D float array.
 
     The header is the first line that is neither blank nor a '#' comment.
     After it, blank lines and text after '#' are skipped, empty cells read
     as NaN and rows whose cells are all empty are dropped.
+
+    numpy's own parser reads the rows first; only if it fails (on an empty
+    cell, say) are they read again with a Python converter per cell, which
+    also gives every error message.
     """
     with open(path, encoding="utf-8") as fh:
         line = fh.readline()
@@ -168,15 +215,18 @@ def _read_csv_columns(path: Path, minimum: int) -> np.ndarray:
             line = fh.readline()
         if not line:
             raise VortexlabError(f"{path}: empty file")
-        try:
-            with warnings.catch_warnings():  # a header-only file is no data
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2,
-                                  converters=_empty_as_nan, quotechar='"')
-        except ValueError as exc:
-            reason = str(exc).partition("; use `usecols`")[0].replace(
-                "the number of columns", "ragged rows: the number of columns")
-            raise VortexlabError(f"{path}: {reason}") from exc
+        lines = fh.readlines()
+    try:
+        with warnings.catch_warnings():  # a header-only file is no data
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                data = np.loadtxt(lines, **_LOADTXT)
+            except ValueError:
+                data = np.loadtxt(lines, converters=_empty_as_nan, **_LOADTXT)
+    except ValueError as exc:
+        reason = str(exc).partition("; use `usecols`")[0].replace(
+            "the number of columns", "ragged rows: the number of columns")
+        raise VortexlabError(f"{path}: {reason}") from exc
     data = data[~np.isnan(data).all(axis=1)]
     if not len(data):
         raise VortexlabError(f"{path}: no data rows")

@@ -556,7 +556,11 @@ def fit_ramsey_beat(trace: TimeTrace) -> FitResult:
 
 
 def fit_damped_cosine(trace: TimeTrace) -> FitResult:
-    """Fit c + A exp(-t/tau) cos(2 pi f t + phi); params A, f, phi, tau, c."""
+    """Fit c + A exp(-rate t) cos(2 pi f t + phi); params A, f, phi, rate, c.
+
+    The decay is a rate (1/tau), so an undamped trace has its optimum at
+    rate = 0 rather than at tau = +-infinity.
+    """
     t, v, w = trace.times, trace.values, trace.weights
     if t.size < 6:
         raise DegenerateFitError("need at least 6 points")
@@ -565,17 +569,17 @@ def fit_damped_cosine(trace: TimeTrace) -> FitResult:
     f_init = peaks[0] if peaks else 1.0 / t_span
 
     def resid(p):
-        envelope = _safe_exp(-t / p["tau"])
+        envelope = _safe_exp(-t * p["rate"])
         theta = 2 * np.pi * p["f"] * t + p["phi"]
         d_A = envelope * np.cos(theta)
         d_phi = -p["A"] * envelope * np.sin(theta)
         J = np.column_stack([d_A, 2 * np.pi * t * d_phi, d_phi,
-                             p["A"] * d_A * t / p["tau"] ** 2,
+                             -p["A"] * d_A * t,
                              np.ones_like(t)]) * w[:, None]
         return (p["c"] + p["A"] * d_A - v) * w, J
 
     return least_squares(resid, {"A": float(np.ptp(v)) / 2.0 or 1.0,
-                                 "f": f_init, "phi": 0.0, "tau": t_span,
+                                 "f": f_init, "phi": 0.0, "rate": 1.0 / t_span,
                                  "c": float(v.mean())})
 
 

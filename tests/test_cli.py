@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vortexlab import cli, config
 from vortexlab.errors import ConfigError, VortexlabError
@@ -159,12 +162,27 @@ class TestScales:
     def test_manifest_lists_outputs_with_hashes(self, mini_config, tmp_path):
         out = tmp_path / "out"
         cli.main(["scales", "-c", str(mini_config), "-o", str(out)])
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest.scales.json").read_text())
         assert "scales.csv" in manifest["outputs"]
         import hashlib
         digest = hashlib.sha256((out / "scales.csv").read_bytes()).hexdigest()
         assert manifest["outputs"]["scales.csv"] == digest
         assert manifest["seed"] == 7
+
+    def test_commands_into_one_directory_keep_their_manifests(
+            self, mini_config, tmp_path):
+        out = tmp_path / "out"
+        for command in ("scales", "synth-jumps"):
+            assert cli.main([command, "-c", str(mini_config),
+                             "-o", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("manifest*")) == [
+            "manifest.scales.json", "manifest.synth-jumps.json"]
+        for command, output in (("scales", "scales.csv"),
+                                ("synth-jumps", "trajectory.csv")):
+            manifest = json.loads(
+                (out / f"manifest.{command}.json").read_text())
+            assert manifest["command"] == command
+            assert list(manifest["outputs"]) == [output]
 
 
 class TestChiSweep:
@@ -677,8 +695,157 @@ class TestReader:
         assert proc.returncode == 2
         assert proc.stderr == f"error: {data}: no data rows\n"
 
+    @staticmethod
+    def _both_paths(path, monkeypatch):
+        """What the reader returns or raises, as read, and with every read
+        forced through the per-cell converter, plus the loadtxt calls made
+        as read (True where a converter was passed)."""
+        loadtxt = np.loadtxt
+        calls = []
+
+        def outcome():
+            try:
+                return cli._read_csv_columns(path, 1)
+            except VortexlabError as exc:
+                return str(exc)
+
+        def spy(*args, **kwargs):
+            calls.append("converters" in kwargs)
+            return loadtxt(*args, **kwargs)
+
+        def converter_only(*args, **kwargs):
+            kwargs.setdefault("converters", cli._empty_as_nan)
+            return loadtxt(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "loadtxt", spy)
+            read = outcome()
+        with monkeypatch.context() as m:
+            m.setattr(np, "loadtxt", converter_only)
+            oracle = outcome()
+        return read, oracle, calls
+
+    @pytest.mark.parametrize("text, fast", [
+        (b"a,b\n1,2\n3,4\n", True),
+        (b"a,b\n1,\n,4\n5,6\n", False),  # empty cells
+        (b"a,b\r\n1.5,2\r\n3,-4e-3\r\n", True),  # CRLF
+        (b"a,b\r\n1,\r\n3,4\r\n", False),  # CRLF and an empty cell
+        (b'a,b\n"1.5",2\n3," -4e-3"\n', True),  # quoted
+        (b'a,b\n"",2\n3,4\n', False),  # a quoted empty cell
+        (b"a\n1\n   \n2\n", False),  # a whitespace-only line, one column
+        (b"a,b\n1,2\n \t \n3,4\n", False),  # ... and as a ragged row
+        (b"a,b\n1_0,2\n", False),  # float() reads it, numpy does not
+        (b"a,b\ninf,-inf\nnan,-0.0\n", True),
+        (b"a,b\n1,2 # tail\n\n# note\n3,4\n", True),
+        (b"a,b\n1,2\n3\n", False),  # ragged
+        (b"a,b\n1,x\n", False),
+        (b"a,b\n", True),  # header only
+    ])
+    def test_fast_path_matches_converter_path(self, tmp_path, monkeypatch,
+                                              text, fast):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text)
+        read, oracle, calls = self._both_paths(path, monkeypatch)
+        if isinstance(oracle, str):
+            assert read == oracle
+        else:
+            np.testing.assert_array_equal(read, oracle)  # NaN equals NaN
+        assert calls == ([False] if fast else [False, True])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.tuples(
+        st.floats(width=64) | st.sampled_from([-0.0, math.inf, -math.inf]),
+        st.sampled_from(["{}", '"{}"', " {} ", "", "{}\r"])),
+        min_size=3, max_size=3), min_size=1, max_size=6))
+    def test_fast_path_matches_converter_path_on_any_cells(
+            self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("read") / "d.csv"
+        path.write_text("a,b,c\n" + "".join(
+            ",".join(form.format(repr(x)) for x, form in row) + "\n"
+            for row in rows), newline="")
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            read, oracle, _ = self._both_paths(path, monkeypatch)
+        if isinstance(oracle, str):
+            assert read == oracle
+        else:
+            np.testing.assert_array_equal(read, oracle)
+
+
+_TEXT = st.text(alphabet=st.sampled_from('a1 .,"\r\n#\'\x0cé-'), max_size=6)
+_NUMPY_SCALARS = st.sampled_from([np.float64(2.5), np.float32(0.1),
+                                  np.float64("nan"), np.float32("-inf"),
+                                  np.int64(-7), np.uint8(255), np.bool_(True)])
+
+
+@st.composite
+def _columns(draw):
+    """One to four equal-length columns of every kind the writer takes."""
+    n = draw(st.integers(0, 7))
+    floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf,
+                                            -0.0])
+    kinds = {
+        "float64": lambda: np.array(draw(st.lists(floats, min_size=n,
+                                                  max_size=n))),
+        "float32": lambda: np.array(draw(st.lists(
+            st.floats(width=32) | st.sampled_from([math.nan, -0.0]),
+            min_size=n, max_size=n)), dtype=np.float32),
+        "int": lambda: np.array(draw(st.lists(
+            st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n)),
+            dtype=np.int64),
+        "bool": lambda: np.array(draw(st.lists(st.booleans(), min_size=n,
+                                               max_size=n)), dtype=bool),
+        "list": lambda: draw(st.lists(
+            st.none() | _TEXT | floats | st.integers() | _NUMPY_SCALARS,
+            min_size=n, max_size=n)),
+    }
+    picked = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1,
+                           max_size=4))
+    return [kinds[kind]() for kind in picked]
+
 
 class TestWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(columns=_columns(), chunk=st.integers(1, 4),
+           header=st.lists(_TEXT, min_size=1, max_size=4))
+    @example(columns=[["a\nb", 'say "hi", then', "x\ry", None, np.int64(7)],
+                      np.array([-0.0, math.inf, -math.inf, math.nan, 1e22],
+                               dtype=np.float32),
+                      np.array([True, False, True, False, True])],
+             chunk=2, header=["a,b", "c", 'd"'])
+    @example(columns=[[None, "x", math.nan]], chunk=4, header=["a"])
+    @example(columns=[np.array([1.0, math.nan])], chunk=4, header=[""])
+    def test_matches_csv_writer_over_fmt(self, tmp_path_factory, columns,
+                                         chunk, header):
+        # the bytes of the writer before its one-pass array encoding
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*[
+            map(cli._fmt, col.tolist() if isinstance(col, np.ndarray) else col)
+            for col in columns]))
+        path = tmp_path_factory.mktemp("write") / "w.csv"
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+            cli._write_csv(path, header, columns)
+        assert path.read_bytes() == expected.getvalue().encode()
+
+    def test_array_cells_skip_fmt(self, mini_config, tmp_path, monkeypatch):
+        calls = []
+        fmt = cli._fmt
+
+        def counting(value):
+            calls.append(value)
+            return fmt(value)
+
+        monkeypatch.setattr(cli, "_fmt", counting)
+        assert cli.main(["synth-jumps", "-c", str(mini_config),
+                         "-o", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "trajectory.csv").stat().st_size > 1e6
+        assert calls == []
+        assert cli.main(["scales", "-c", str(mini_config),
+                         "-o", str(tmp_path / "out")]) == 0
+        assert len(calls) == 5  # list columns still go through _fmt
+
     def test_golden_bytes(self, tmp_path):
         path = tmp_path / "w.csv"
         cli._write_csv(path, ["a", "b", "c", "d"], [

@@ -571,6 +571,16 @@ class TestRabiLinear:
         assert fit.params["slope"] == pytest.approx(1e12, rel=0.01)
         assert omegas[0.0] == 0.0
 
+    @pytest.mark.parametrize("amplitude", [4e-6, 8e-6, 16e-6, 24e-6])
+    def test_undamped_scan_fit_stops_early(self, amplitude):
+        # an undamped trace has its optimum at decay rate 0, a finite point
+        # (with a time constant it lay at tau = +-infinity: 55-73 iterations)
+        _, trace = self._scan(amplitude)
+        res = fitting.fit_damped_cosine(trace)
+        assert res.converged and res.iterations <= 20
+        assert res.params["f"] == pytest.approx(1e12 * amplitude, rel=1e-9)
+        assert abs(res.params["rate"]) * 2e-6 < 1e-9
+
     def test_pi_pulse_consistency(self):
         # a 20 ns inverting pulse corresponds to a 25 MHz oscillation
         amp = 10e-6
