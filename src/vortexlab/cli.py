@@ -16,7 +16,6 @@ error report is written to the output directory).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -53,15 +52,17 @@ def _fmt(value) -> str:
 
 
 def _quote(cell: str) -> str:
-    """csv QUOTE_MINIMAL for the "\\n" line terminator: quote a cell that
-    holds a comma, a quote or a newline, doubling its quotes."""
-    if "," in cell or '"' in cell or "\n" in cell:
+    """csv QUOTE_MINIMAL: quote a cell that holds a comma, a quote, "\\n"
+    or "\\r", doubling its quotes, so no reader takes a cell's "\\r" for
+    a line break."""
+    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
         return '"' + cell.replace('"', '""') + '"'
     return cell
 
 
 def _encode(col) -> list[str]:
-    """One column's cells, as csv.writer would write _fmt of each value.
+    """One column's cells, as csv.writer(lineterminator="\\r\\n") would
+    write _fmt of each value.
 
     A float array is encoded in one pass (repr, "" at NaN) and an integer
     or bool array by str, whose cells never need quoting; any other
@@ -82,23 +83,28 @@ def _encode(col) -> list[str]:
 _CHUNK_ROWS = 4096  # rows encoded at a time, which bounds the text in memory
 
 
+def _lines(cells: list[list[str]]):
+    """The "\\n"-ended lines of equal-length columns of encoded cells."""
+    if len(cells) == 1:  # csv quotes a row's only cell when empty
+        cells = [[cell or '""' for cell in cells[0]]]
+    return (",".join(row) + "\n" for row in zip(*cells))
+
+
 def _write_csv(path: Path, header: list[str], columns) -> None:
     """Write equal-length columns (numpy arrays or lists) under a header.
 
-    The bytes are those of csv.writer(lineterminator="\\n") over _fmt of
-    each value.
+    Each line holds the bytes of csv.writer(lineterminator="\\r\\n") over
+    _fmt of each value, ended by "\\n" in place of "\\r\\n".
     """
     columns = list(columns)
     if len({len(col) for col in columns}) > 1:
         raise ValueError(f"columns of unequal length under {header}")
     rows = len(columns[0]) if columns else 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(_lines([[_quote(name)] for name in header]))
         for start in range(0, rows, _CHUNK_ROWS):
-            cells = [_encode(col[start:start + _CHUNK_ROWS]) for col in columns]
-            if len(cells) == 1:  # csv quotes a row's only cell when empty
-                cells = [[cell or '""' for cell in cells[0]]]
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+            fh.writelines(_lines([_encode(col[start:start + _CHUNK_ROWS])
+                                  for col in columns]))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -115,6 +121,8 @@ class Run:
 
     The output directory is made with the first file written into it, so
     a run that fails before writing anything leaves no directory behind.
+    diagnostics (how a solve went) go into the manifest only, never into a
+    data file, so the outputs stay byte-deterministic.
     """
 
     def __init__(self, command: str, out_dir: Path, cfg: RunConfig | None,
@@ -124,6 +132,7 @@ class Run:
         self.cfg = cfg
         self.seed = seed
         self.outputs: list[Path] = []
+        self.diagnostics: dict[str, object] = {}
 
     def path(self, name: str) -> Path:
         """out_dir / name, making out_dir first."""
@@ -164,6 +173,7 @@ class Run:
             "seed": self.seed,
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "outputs": {p.name: _sha256_file(p) for p in self.outputs},
+            "diagnostics": self.diagnostics,
         }
         _write_json(self.path(f"manifest.{self.command}.json"), manifest)
 
@@ -394,10 +404,10 @@ def _cmd_tunnel(args, cfg: RunConfig, run: Run) -> int:
     t = cfg.section("tunneling")
     model = cfg.tunnel_model()
     fields = cfg.sweep_fields()
+    grid_points = int(t.get("grid_points", 1024))
     sweep = tunneling.spectrum_vs_field(
         sites, (t["x_min_nm"], t["x_max_nm"]), fields, model, scales, device,
-        grid_points=int(t.get("grid_points", 1024)),
-        k=max(2, int(t.get("k_levels", 3))))
+        grid_points=grid_points, k=max(2, int(t.get("k_levels", 3))))
     energies = np.array([res.energies[:2] for res in sweep.results])
     run.csv("tunnel.csv", ["B_uT", "f_q_GHz", "E0_GHz", "E1_GHz"],
             [sweep.fields * 1e6, sweep.omega_q / (2 * math.pi) / 1e9,
@@ -406,6 +416,9 @@ def _cmd_tunnel(args, cfg: RunConfig, run: Run) -> int:
         "sweet_spot_B_uT": sweep.sweet_spot_B * 1e6,
         "min_f_q_GHz": float(sweep.omega_q.min() / (2 * math.pi) / 1e9),
     })
+    run.diagnostics.update(solver=sweep.solver,
+                           max_residual_GHz=sweep.max_residual / _H / 1e9,
+                           fields=int(fields.size), grid_points=grid_points)
     return 0
 
 

@@ -73,8 +73,9 @@ _SCHEMA: dict[str, dict[str, tuple[str, float]]] = {
     },
 }
 
-# inclusive (low, high) bounds checked on load; the dense 1D tunneling
-# solve holds about 2 grid_points^2 doubles
+# inclusive (low, high) bounds checked on load; a dense 1D tunneling solve
+# (short or coarse sweeps) holds about 2 grid_points^2 doubles, the
+# tridiagonal one a few grid_points x k_levels
 _LIMITS: dict[tuple[str, str], tuple[int, int]] = {
     ("tunneling", "grid_points"): (64, 4096),
     ("tunneling", "k_levels"): (1, 10),

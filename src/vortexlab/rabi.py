@@ -175,9 +175,22 @@ def build_hamiltonian(params: QrmParams, B: float,
     """
     if not math.isfinite(B):
         raise InvalidParameterError(f"field must be finite, got {B}")
-    number, coupling = _oscillator_factors(trunc)
-    H = (params.f_r * np.kron(*number) + params.g * np.kron(*coupling)
-         + np.kron(np.eye(trunc.n_fock + 1), _spin_term_hz(params, B)))
+    # entries are filled in place; each has the bits of the Kronecker sum
+    # f_r (n + 1/2) (x) 1 + g x (x) sigma_x + 1 (x) spin, whose other terms
+    # add +0.0 there (so 0.0 + turns a -0.0 into +0.0 as that sum does)
+    spin = _spin_term_hz(params, B)
+    nosc = trunc.n_fock + 1
+    i = 2 * np.arange(nosc)  # index of (n, s = 0); (n, 1) is i + 1
+    H = np.zeros((trunc.dim, trunc.dim))
+    resonator = params.f_r * (np.arange(nosc) + 0.5)
+    H[i, i] = resonator + spin[0, 0]
+    H[i + 1, i + 1] = resonator + spin[1, 1]
+    H[i, i + 1] = H[i + 1, i] = 0.0 + spin[0, 1]
+    # g sqrt(n) between (n - 1, s) and (n, 1 - s)
+    coupling = 0.0 + params.g * np.sqrt(np.arange(1, nosc, dtype=float))
+    for s in (0, 1):
+        lower, upper = i[:-1] + s, i[1:] + 1 - s
+        H[lower, upper] = H[upper, lower] = coupling
     return CONSTANTS.h * H
 
 
@@ -199,36 +212,34 @@ def solve_qrm(params: QrmParams, B: float,
     nosc, dim = trunc.n_fock + 1, trunc.dim
     overlaps = ((chi.T @ vecs.reshape(nosc, 2, dim)) ** 2).reshape(dim, dim)
     bare_labels = [(branch, n) for n in range(nosc) for branch in "ge"]
-    assigned: dict[tuple[str, int], int] = {}
-    labels: list[tuple[str, int]] = []
-    for j in range(vecs.shape[1]):
-        i = int(np.argmax(overlaps[:, j]))
-        label = bare_labels[i]
-        if label in assigned:
-            raise AmbiguousLabelingError(
-                f"eigenstates {assigned[label]} and {j} both claim bare state "
-                f"{label} at B={B}", overlaps=overlaps)
-        assigned[label] = j
-        labels.append(label)
+    claimed = overlaps.argmax(axis=0)  # the bare state of each eigenstate
+    if np.bincount(claimed, minlength=dim).max() > 1:
+        first: dict[int, int] = {}
+        for j, i in enumerate(claimed.tolist()):
+            if i in first:
+                raise AmbiguousLabelingError(
+                    f"eigenstates {first[i]} and {j} both claim bare state "
+                    f"{bare_labels[i]} at B={B}", overlaps=overlaps)
+            first[i] = j
+    labels = [bare_labels[i] for i in claimed.tolist()]
+    state_of = np.empty(dim, dtype=int)  # eigenstate of each bare state
+    state_of[claimed] = np.arange(dim)
 
     # the transition states must carry a clear majority of one bare state,
     # otherwise the branch assignment is meaningless (near resonance)
-    transition_states = [assigned[key] for key in _TRANSITION_STATES]
+    transition_states = state_of[[bare_labels.index(key)
+                                  for key in _TRANSITION_STATES]]
     for key, j in zip(_TRANSITION_STATES, transition_states):
         if overlaps[:, j].max() < 2.0 / 3.0:
             raise AmbiguousLabelingError(
                 f"state assigned to {key} at B={B} is strongly mixed "
                 f"(overlap {overlaps[:, j].max():.3f})", overlaps=overlaps)
 
-    def level(branch: str, n: int) -> float:
-        return float(energies[assigned[(branch, n)]])
-
+    E_g0, E_e0, E_g1, E_e1 = (float(E) for E in energies[transition_states])
     h = CONSTANTS.h
-    f_q_dressed = (level("e", 0) - level("g", 0)) / h
-    f_r_g = (level("g", 1) - level("g", 0)) / h
-    f_r_e = (level("e", 1) - level("e", 0)) / h
     return LabeledSpectrum(B=B, energies=energies, labels=labels,
-                           f_q_dressed=f_q_dressed, f_r_g=f_r_g, f_r_e=f_r_e,
+                           f_q_dressed=(E_e0 - E_g0) / h,
+                           f_r_g=(E_g1 - E_g0) / h, f_r_e=(E_e1 - E_e0) / h,
                            vectors=vecs[:, transition_states])
 
 

@@ -2,10 +2,13 @@
 
 Discretizes  H = hbar Omega [ -y_zpf^2 laplacian + V / (hbar Omega) ]  on a
 uniform grid with Dirichlet boundaries and a second-order central-difference
-Laplacian, then extracts the lowest eigenpairs with library solvers: dense
-numpy eigh of the tridiagonal matrix in 1D, and shift-invert ARPACK
-(scipy.sparse.linalg.eigsh about the potential minimum) on the sparse
-Kronecker-sum operator in 2D. scipy is imported by the 2D path only. The
+Laplacian, then extracts the lowest eigenpairs with library solvers. In 1D
+the matrix is tridiagonal: scipy.linalg.eigh_tridiagonal (bisection, then
+inverse iteration) finds the lowest pairs when the solves ahead cost more
+in dense numpy eigh than importing scipy.linalg does, and dense eigh solves
+the rest (see spectrum_vs_field). In 2D, shift-invert ARPACK
+(scipy.sparse.linalg.eigsh about the potential minimum) solves the sparse
+Kronecker-sum operator. scipy is imported by those two paths only. The
 kinetic coefficient hbar Omega y_zpf^2 equals hbar^2 / 2 m for the
 effective mass implied by y_zpf = sqrt(hbar / 2 m Omega), so the mass never
 has to be specified directly.
@@ -27,6 +30,10 @@ from .errors import (EigensolverError, InvalidParameterError,
 
 _ARPACK_SEED = 11  # of the 2D start vector, fixed so results are repeatable
 _MARGIN_SIGMAS = 5.0  # grid clearance around each pinning site, in sigma_i
+# the 1D solver rule's costs (s): one dense eigh of 1024 points (it grows as
+# the cube of the size), and importing scipy.linalg after vortexlab.cli
+_DENSE_1024_S = 0.2
+_SCIPY_IMPORT_S = 0.3
 
 
 @dataclass(frozen=True)
@@ -148,20 +155,37 @@ class EigenResult:
         return float(self.energies[1] - self.energies[0])
 
 
-def _solve_1d(grid: Grid, V: np.ndarray, K: float, k: int):
-    """Lowest k pairs of the tridiagonal Hamiltonian by dense eigh.
+def _solver_1d(n_solves: int, points: int) -> str:
+    """"tridiagonal" when n_solves dense eighs of a points-point matrix
+    cost more than importing scipy.linalg, else "dense"."""
+    dense_s = n_solves * (points / 1024) ** 3 * _DENSE_1024_S
+    return "tridiagonal" if dense_s > _SCIPY_IMPORT_S else "dense"
 
-    Dense eigh on a few thousand points costs less than importing scipy
-    for a tridiagonal solver, and the CLI imports the 1D path.
+
+def _tridiagonal_1d(grid: Grid, V: np.ndarray, K: float):
+    """Diagonal and (constant) off-diagonal of the 1D Hamiltonian (J)."""
+    return 2.0 * K / grid.dx**2 + V, -K / grid.dx**2
+
+
+def _solve_1d(grid: Grid, V: np.ndarray, K: float, k: int, solver: str):
+    """Lowest k pairs of the tridiagonal Hamiltonian.
+
+    "dense" runs numpy eigh over all pairs, which below the rule of
+    _solver_1d costs less than importing scipy; "tridiagonal" finds only
+    the lowest k with scipy's eigh_tridiagonal.
     """
-    n = grid.nx
-    H = np.diag(2.0 * K / grid.dx**2 + V)
-    i = np.arange(n - 1)
-    H[i, i + 1] = H[i + 1, i] = -K / grid.dx**2
+    d, off = _tridiagonal_1d(grid, V, K)
     try:
+        if solver == "tridiagonal":
+            from scipy.linalg import eigh_tridiagonal
+            return eigh_tridiagonal(d, np.full(grid.nx - 1, off),
+                                    select="i", select_range=(0, k - 1))
+        H = np.diag(d)
+        i = np.arange(grid.nx - 1)
+        H[i, i + 1] = H[i + 1, i] = off
         vals, vecs = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"dense eigh failed: {exc}",
+        raise EigensolverError(f"{solver} eigensolver failed: {exc}",
                                residuals=np.full(k, np.inf)) from exc
     return vals[:k], vecs[:, :k]
 
@@ -189,13 +213,16 @@ def _solve_2d(grid: Grid, V: np.ndarray, K: float, k: int):
 
 
 def solve_schrodinger(grid: Grid, potential: np.ndarray, model: TunnelModel,
-                      k: int = 2) -> EigenResult:
+                      k: int = 2, *, _solver: str | None = None
+                      ) -> EigenResult:
     """Lowest k eigenpairs of the discretized pinned-vortex Hamiltonian.
 
     potential is the energy field (J) sampled on the grid, shape (nx,) or
-    (nx, ny). _ARPACK_SEED fixes the ARPACK start vector of the 2D solve,
-    so repeated calls return identical bits. Raises EigensolverError with the
-    residual norms (inf for pairs not found) if the solver fails.
+    (nx, ny). A 1D solve takes the solver that _solver_1d picks for one
+    solve, unless spectrum_vs_field passes the one it picked for its sweep.
+    _ARPACK_SEED fixes the ARPACK start vector of the 2D solve, so repeated
+    calls return identical bits. Raises EigensolverError with the residual
+    norms (inf for pairs not found) if the solver fails.
     """
     if not (1 <= k <= 10):
         raise InvalidParameterError("k must be between 1 and 10")
@@ -205,7 +232,8 @@ def solve_schrodinger(grid: Grid, potential: np.ndarray, model: TunnelModel,
             f"potential has {V.size} samples, grid has {grid.size}")
     K = model.kinetic_coefficient
     if grid.dimension == 1:
-        vals, vecs = _solve_1d(grid, V, K, k)
+        vals, vecs = _solve_1d(grid, V, K, k,
+                               _solver or _solver_1d(1, grid.nx))
     else:
         vals, vecs = _solve_2d(grid, V, K, k)
 
@@ -233,6 +261,8 @@ class FieldSweep:
     omega_q: np.ndarray           # rad/s
     results: list[EigenResult]
     sweet_spot_index: int
+    solver: str                   # "dense" or "tridiagonal", see _solver_1d
+    max_residual: float           # J, largest ||H v - E v|| for unit-norm v
 
     @property
     def sweet_spot_B(self) -> float:
@@ -248,6 +278,13 @@ def spectrum_vs_field(sites: Sequence[PinningSite], x_window: tuple[float, float
     Requires exactly two pinning sites forming the double well inside
     x_window, and no other vortices; the grid must clear each site by
     _MARGIN_SIGMAS widths. The sweet spot is the argmin of omega_q(B_list).
+
+    The solver is chosen once for the whole sweep: scipy's eigh_tridiagonal
+    when fields x (grid_points / 1024)^3 x _DENSE_1024_S (0.2 s, one dense
+    1024-point eigh) exceeds _SCIPY_IMPORT_S (0.3 s, importing
+    scipy.linalg), dense numpy eigh otherwise, so a short or coarse sweep
+    stays free of scipy. The sweep records the solver and the largest
+    residual norm over its fields and levels.
     """
     if len(sites) != 2:
         raise InvalidParameterError("spectrum_vs_field expects exactly two sites")
@@ -260,16 +297,31 @@ def spectrum_vs_field(sites: Sequence[PinningSite], x_window: tuple[float, float
                 f"{_MARGIN_SIGMAS:g} sigma margin")
     x = grid.x
     fields = np.atleast_1d(np.asarray(B_list, dtype=float))
+    solver = _solver_1d(fields.size, grid_points)
     results: list[EigenResult] = []
     omega = np.empty(fields.size)
+    residual = 0.0
     for i, B in enumerate(fields):
         V = total_potential(x, 0.0, float(B), 0.0, sites, scales, device)
-        res = solve_schrodinger(grid, V, model, k=k)
+        res = solve_schrodinger(grid, V, model, k=k, _solver=solver)
         res.B = float(B)
         results.append(res)
         omega[i] = res.splitting / CONSTANTS.hbar
+        residual = max(residual, _max_residual_1d(grid, V, model, res))
     return FieldSweep(fields=fields, omega_q=omega, results=results,
-                      sweet_spot_index=int(np.argmin(omega)))
+                      sweet_spot_index=int(np.argmin(omega)), solver=solver,
+                      max_residual=residual)
+
+
+def _max_residual_1d(grid: Grid, V: np.ndarray, model: TunnelModel,
+                     res: EigenResult) -> float:
+    """Largest ||H v - E v|| (J) over the levels of a 1D solve, v unit-norm."""
+    d, off = _tridiagonal_1d(grid, V, model.kinetic_coefficient)
+    v = res.wavefunctions.T * math.sqrt(grid.cell)
+    Hv = d[:, None] * v
+    Hv[1:] += off * v[:-1]
+    Hv[:-1] += off * v[1:]
+    return float(np.linalg.norm(Hv - v * res.energies, axis=0).max())
 
 
 @dataclass(frozen=True)

@@ -517,6 +517,49 @@ k_levels = 3
         assert header == ["B_uT", "f_q_GHz", "E0_GHz", "E1_GHz"]
         assert len(rows) == 3
 
+    @pytest.mark.parametrize("n_points,grid_points,solver", [
+        (2, 1024, "tridiagonal"), (1, 256, "dense")])
+    def test_tunnel_manifest_reports_solver(self, tmp_path, monkeypatch,
+                                            n_points, grid_points, solver):
+        conf = tmp_path / "c.ini"
+        conf.write_text(MINI_CONFIG.replace("n_points = 9",
+                                            f"n_points = {n_points}") + f"""
+[pinning]
+site1_x_nm = 985.0
+site1_V_GHz = 150.0
+site1_sigma_nm = 8.0
+site2_x_nm = 1015.0
+site2_V_GHz = 150.0
+site2_sigma_nm = 8.0
+
+[tunneling]
+grid_points = {grid_points}
+x_min_nm = 880.0
+x_max_nm = 1120.0
+y_zpf_nm = 4.0
+""")
+        out = tmp_path / "out"
+        assert cli.main(["tunnel", "-c", str(conf), "-o", str(out)]) == 0
+        manifest = json.loads((out / "manifest.tunnel.json").read_text())
+        diagnostics = manifest["diagnostics"]
+        assert diagnostics["solver"] == solver
+        assert diagnostics["fields"] == n_points
+        assert diagnostics["grid_points"] == grid_points
+        _, rows = read_csv(out / "tunnel.csv")
+        min_f_q = min(float(row[1]) for row in rows)
+        assert 0.0 <= diagnostics["max_residual_GHz"] < 1e-6 * min_f_q
+
+        # a Run that drops its diagnostics writes the same data bytes
+        monkeypatch.setattr(cli.Run, "diagnostics",
+                            property(lambda run: {}, lambda run, value: None),
+                            raising=False)
+        bare = tmp_path / "bare"
+        assert cli.main(["tunnel", "-c", str(conf), "-o", str(bare)]) == 0
+        assert json.loads((bare / "manifest.tunnel.json").read_text())[
+            "diagnostics"] == {}
+        assert ((bare / "tunnel.csv").read_bytes()
+                == (out / "tunnel.csv").read_bytes())
+
     def test_fit_echo(self, tmp_path):
         t = np.linspace(0, 6.0, 60)  # us
         v = 0.5 * np.exp(-t / 1.2) + 0.05
@@ -816,18 +859,29 @@ class TestWriter:
     @example(columns=[np.array([1.0, math.nan])], chunk=4, header=[""])
     def test_matches_csv_writer_over_fmt(self, tmp_path_factory, columns,
                                          chunk, header):
-        # the bytes of the writer before its one-pass array encoding
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*[
+        # csv's minimal quoting for a "\r\n" terminator quotes cells that
+        # hold "\r" or "\n"; each row then ends in "\n" instead
+        expected = []
+        rows = zip(*[
             map(cli._fmt, col.tolist() if isinstance(col, np.ndarray) else col)
-            for col in columns]))
+            for col in columns])
+        for row in [header, *rows]:
+            line = io.StringIO(newline="")
+            csv.writer(line, lineterminator="\r\n").writerow(row)
+            assert line.getvalue().endswith("\r\n")
+            expected.append(line.getvalue()[:-2] + "\n")
         path = tmp_path_factory.mktemp("write") / "w.csv"
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
             cli._write_csv(path, header, columns)
-        assert path.read_bytes() == expected.getvalue().encode()
+        assert path.read_bytes() == "".join(expected).encode()
+
+    def test_carriage_return_cell_round_trips(self, tmp_path):
+        path = tmp_path / "w.csv"
+        cli._write_csv(path, ["error", "n"], [["x\ry", "z"], [1, 2]])
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == [["error", "n"], ["x\ry", "1"],
+                                            ["z", "2"]]
 
     def test_array_cells_skip_fmt(self, mini_config, tmp_path, monkeypatch):
         calls = []

@@ -382,6 +382,88 @@ class TestRealSymmetricPath:
         assert "labeled" in outcomes
 
 
+def _kron_hamiltonian(params, B, trunc):
+    """H as the sum of Kronecker products that build_hamiltonian fills in."""
+    number, coupling = rabi._oscillator_factors(trunc)
+    H = (params.f_r * np.kron(*number) + params.g * np.kron(*coupling)
+         + np.kron(np.eye(trunc.n_fock + 1), rabi._spin_term_hz(params, B)))
+    return CONSTANTS.h * H
+
+
+def _loop_solve(params, B, trunc):
+    """solve_qrm's labeling as one Python loop over the eigenstates."""
+    energies, vecs = np.linalg.eigh(rabi.build_hamiltonian(params, B, trunc))
+    _, chi = np.linalg.eigh(rabi._spin_term_hz(params, B))
+    nosc, dim = trunc.n_fock + 1, trunc.dim
+    overlaps = ((chi.T @ vecs.reshape(nosc, 2, dim)) ** 2).reshape(dim, dim)
+    bare_labels = [(branch, n) for n in range(nosc) for branch in "ge"]
+    assigned, labels = {}, []
+    for j in range(dim):
+        label = bare_labels[int(np.argmax(overlaps[:, j]))]
+        if label in assigned:
+            raise AmbiguousLabelingError(
+                f"eigenstates {assigned[label]} and {j} both claim bare state "
+                f"{label} at B={B}")
+        assigned[label] = j
+        labels.append(label)
+    states = [assigned[key] for key in rabi._TRANSITION_STATES]
+    for key, j in zip(rabi._TRANSITION_STATES, states):
+        if overlaps[:, j].max() < 2.0 / 3.0:
+            raise AmbiguousLabelingError(
+                f"state assigned to {key} at B={B} is strongly mixed "
+                f"(overlap {overlaps[:, j].max():.3f})")
+    g0, e0, g1, e1 = (float(energies[j]) for j in states)
+    h = CONSTANTS.h
+    return labels, ((e0 - g0) / h, (g1 - g0) / h, (e1 - e0) / h), vecs[:, states]
+
+
+class TestEntrywisePath:
+    """build_hamiltonian and solve_qrm against their Kronecker and loop forms."""
+
+    @pytest.mark.parametrize("theta,phi", _admissible_orientations(8, 11))
+    @pytest.mark.parametrize("n_fock", [2, 24, 60])
+    def test_hamiltonian_equals_kron_sum(self, theta, phi, n_fock):
+        p = rabi.QrmParams(F_R, G, GAMMA, B0, F_Q0, theta=theta, phi=phi)
+        tr = rabi.HilbertTruncation(n_fock)
+        for B in TestRealSymmetricPath.FIELDS:
+            assert np.array_equal(rabi.build_hamiltonian(p, B, tr),
+                                  _kron_hamiltonian(p, B, tr))
+
+    @staticmethod
+    def solve_both(p, fields, tr) -> list[str]:
+        """Compare solve_qrm with _loop_solve at each field; the errors."""
+        errors = []
+        for B in fields:
+            try:
+                labels, transitions, vectors = _loop_solve(p, B, tr)
+            except AmbiguousLabelingError as exc:
+                with pytest.raises(AmbiguousLabelingError) as info:
+                    rabi.solve_qrm(p, B, tr)
+                assert str(info.value) == str(exc)
+                errors.append(str(exc))
+                continue
+            spec = rabi.solve_qrm(p, B, tr)
+            assert spec.labels == labels
+            assert (spec.f_q_dressed, spec.f_r_g, spec.f_r_e) == transitions
+            assert np.array_equal(spec.vectors, vectors)
+        return errors
+
+    @pytest.mark.parametrize("theta,phi", _admissible_orientations(8, 11))
+    def test_labels_match_loop(self, theta, phi):
+        p = rabi.QrmParams(F_R, G, GAMMA, B0, F_Q0, theta=theta, phi=phi)
+        fields = TestRealSymmetricPath.FIELDS
+        errors = self.solve_both(p, fields, rabi.HilbertTruncation(30))
+        assert len(errors) < len(fields)
+
+    def test_double_claim_names_first_two_claimants(self):
+        # a 500 MHz coupling at 30 photons: top states claim one bare state
+        p = rabi.QrmParams.asymmetric(F_R, 500e6, GAMMA, B0, F_Q0)
+        fields = [-237.5e-6, 537.5e-6, 925e-6]
+        errors = self.solve_both(p, fields, rabi.HilbertTruncation(30))
+        assert len(errors) == 3
+        assert all("both claim bare state" in e for e in errors)
+
+
 class TestTransitionGradients:
     def test_vectors_are_the_transition_eigenstates(self, aqrm, trunc):
         spec = rabi.solve_qrm(aqrm, B0 + 50e-6, trunc)

@@ -213,6 +213,58 @@ class TestSolveSchrodinger2D:
         assert np.array_equal(a.wavefunctions, b.wavefunctions)
 
 
+def double_well_1d(grid):
+    V0 = H * 30e9
+    return -V0 / (1 + (grid.x - 15e-9) ** 2 / (6e-9) ** 2) \
+        - V0 / (1 + (grid.x + 15e-9) ** 2 / (6e-9) ** 2)
+
+
+@pytest.mark.parametrize("solver", ["dense", "tridiagonal"])
+class TestSolverPaths1D:
+    """The analytic and oracle checks on each 1D path, chosen directly."""
+
+    def test_matches_dense_oracle(self, model, solver):
+        grid = tunneling.Grid(-60e-9, 60e-9, 256)
+        V = double_well_1d(grid)
+        res = tunneling.solve_schrodinger(grid, V, model, k=4, _solver=solver)
+        ora, _ = dense_oracle(grid, V, model, 4)
+        assert np.allclose(res.energies, ora, rtol=1e-9)
+
+    def test_harmonic_oscillator(self, model, solver):
+        k_spring = model.mass * OMEGA**2
+        grid = tunneling.Grid(-50e-9, 50e-9, 1024)
+        res = tunneling.solve_schrodinger(grid, 0.5 * k_spring * grid.x**2,
+                                          model, k=5, _solver=solver)
+        expected = (np.arange(5) + 0.5) * HBAR * OMEGA
+        assert np.all(np.abs(res.energies - expected) / expected < 1e-4)
+
+    def test_parity_of_degenerate_double_well(self, model, solver):
+        grid = tunneling.Grid(-60e-9, 60e-9, 1024)
+        res = tunneling.solve_schrodinger(grid, double_well_1d(grid), model,
+                                          k=2, _solver=solver)
+        psi0, psi1 = res.wavefunctions
+        assert abs((psi0 * psi0[::-1]).sum() * grid.cell - 1.0) < 1e-6
+        assert abs((psi1 * psi1[::-1]).sum() * grid.cell + 1.0) < 1e-6
+
+    def test_orthonormal_wavefunctions(self, model, solver):
+        k_spring = model.mass * OMEGA**2
+        grid = tunneling.Grid(-50e-9, 50e-9, 512)
+        res = tunneling.solve_schrodinger(grid, 0.5 * k_spring * grid.x**2,
+                                          model, k=6, _solver=solver)
+        gram = res.wavefunctions @ res.wavefunctions.T * grid.cell
+        assert np.abs(gram - np.eye(6)).max() < 1e-8
+
+
+@pytest.mark.parametrize("n_solves,points,solver", [
+    (2, 1024, "tridiagonal"),   # the benchmark's landscape-tunnel sweep
+    (1, 256, "dense"),          # the benchmark's light sweep
+    (41, 1024, "tridiagonal"),  # configs/example.ini
+    (1, 1024, "dense"),         # a lone solve
+    (1, 128, "dense")])
+def test_solver_rule(n_solves, points, solver):
+    assert tunneling._solver_1d(n_solves, points) == solver
+
+
 class TestSolverErrors:
     def test_arpack_no_convergence_maps_to_eigensolver_error(
             self, model, monkeypatch):
@@ -246,9 +298,24 @@ class TestSolverErrors:
         assert info.value.residuals.shape == (2,)
         assert np.all(np.isinf(info.value.residuals))
 
+    def test_tridiagonal_failure_maps_to_eigensolver_error(self, model,
+                                                           monkeypatch):
+        import scipy.linalg
+
+        def fail(d, e, **kwargs):
+            raise np.linalg.LinAlgError("stein did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+        grid = tunneling.Grid(0.0, 100e-9, 128)
+        with pytest.raises(EigensolverError) as info:
+            tunneling.solve_schrodinger(grid, np.zeros(128), model, k=3,
+                                        _solver="tridiagonal")
+        assert info.value.residuals.shape == (3,)
+        assert np.all(np.isinf(info.value.residuals))
+
 
 def test_cli_and_1d_solve_do_not_import_scipy():
-    # scipy costs a quarter second per process; only the 2D path needs it
+    # scipy costs a quarter second per process; a lone 1D solve stays dense
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -267,18 +334,45 @@ def test_cli_and_1d_solve_do_not_import_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.fixture(scope="module")
-def sweep_setup(scales, device):
-    x_bar, delta, sigma = 1.0e-6, 30e-9, 8e-9
-    V1 = H * 40e9
+def test_light_sweep_does_not_import_scipy():
+    # one field at 256 points, the benchmark's light tunnel sweep
+    code = (
+        "import sys\n"
+        "from vortexlab import config, core, tunneling\n"
+        "cfg = config.load_config(sys.argv[1])\n"
+        "device = cfg.device()\n"
+        "sweep = tunneling.spectrum_vs_field(\n"
+        "    cfg.sites(), (880e-9, 1120e-9), [195e-6], cfg.tunnel_model(),\n"
+        "    core.derive_scales(device), device, grid_points=256)\n"
+        "assert sweep.solver == 'dense', sweep.solver\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "configs" / "example.ini")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def sweep_args(x_bar, delta):
+    """(sites, x_window) of the sweep's double well."""
+    V1, sigma = H * 40e9, 8e-9
     sites = [energetics.PinningSite(x_bar - delta / 2, 0.0, V1, sigma),
              energetics.PinningSite(x_bar + delta / 2, 0.0, V1, sigma)]
+    return sites, (x_bar - 120e-9, x_bar + 120e-9)
+
+
+@pytest.fixture(scope="module")
+def sweep_setup(scales, device):
+    x_bar, delta = 1.0e-6, 30e-9
+    sites, window = sweep_args(x_bar, delta)
     model = tunneling.TunnelModel(y_zpf=Y_ZPF, Omega=OMEGA)
     B_star = energetics.degeneracy_field(x_bar, delta, scales, device)
     fields = B_star + np.linspace(-60e-6, 60e-6, 13)
     sweep = tunneling.spectrum_vs_field(
-        sites, (x_bar - 120e-9, x_bar + 120e-9), fields, model, scales,
-        device, grid_points=1024, k=3)
+        sites, window, fields, model, scales, device, grid_points=1024, k=3)
     return x_bar, delta, B_star, sweep
 
 
@@ -316,6 +410,33 @@ class TestSpectrumVsField:
             grid_points=1024, k=2)
         omega = res.omega_q[0]
         assert omega == pytest.approx(abs(eps_fn(B_far)) / HBAR, rel=0.05)
+
+    def test_tridiagonal_sweep_matches_dense(self, sweep_setup, model, scales,
+                                             device, monkeypatch):
+        x_bar, delta, B_star, sweep = sweep_setup
+        assert sweep.solver == "tridiagonal"
+        monkeypatch.setattr(tunneling, "_solver_1d", lambda n, points: "dense")
+        dense = tunneling.spectrum_vs_field(
+            *sweep_args(x_bar, delta), sweep.fields, model, scales, device,
+            grid_points=1024, k=3)
+        assert dense.solver == "dense"
+        assert np.abs(sweep.omega_q / dense.omega_q - 1).max() < 1e-10
+        for a, b in zip(sweep.results, dense.results):
+            scale = np.abs(b.wavefunctions).max()
+            assert np.abs(a.wavefunctions - b.wavefunctions).max() < 1e-8 * scale
+        for s in (sweep, dense):
+            assert 0.0 <= s.max_residual < 1e-6 * HBAR * s.omega_q.min()
+
+    def test_tridiagonal_sweeps_are_bit_identical(self, sweep_setup, model,
+                                                  scales, device):
+        x_bar, delta, B_star, sweep = sweep_setup
+        a, b = (tunneling.spectrum_vs_field(
+            *sweep_args(x_bar, delta), sweep.fields[:2], model, scales,
+            device, grid_points=1024, k=3) for _ in range(2))
+        assert a.solver == "tridiagonal"
+        assert np.array_equal(a.omega_q, b.omega_q)
+        for ra, rb in zip(a.results, b.results):
+            assert np.array_equal(ra.wavefunctions, rb.wavefunctions)
 
     def test_splitting_even_in_detuning(self, sweep_setup):
         x_bar, delta, B_star, sweep = sweep_setup
