@@ -280,6 +280,8 @@ def _cmd_spectrum(args, cfg: RunConfig, run: Run) -> int:
     run.csv(name, ["B_uT", "f_q_GHz", "f_r_g_GHz", "f_r_e_GHz", "chi_MHz"],
             [fields * 1e6, column("f_q_dressed", 1e9), column("f_r_g", 1e9),
              column("f_r_e", 1e9), column("chi", 1e6)])
+    run.diagnostics.update(gaps=sum(s is None for s in specs),
+                           n_fock=trunc.n_fock)
     return 0
 
 
@@ -305,6 +307,10 @@ def _cmd_fit_spectrum(args, cfg: RunConfig, run: Run) -> int:
                 "B0": params.B0, "f_q0": params.f_q0}
     result = fitting.fit_joint_aqrm(dataset, init, trunc)
     run.table("fit_spectrum", args.format, _fit_payload(result, _QRM_UNITS))
+    run.diagnostics.update(
+        iterations=result.iterations, message=result.message,
+        gradient_measure=result.gradient_measure,
+        n_penalized=result.n_penalized)
     return 0 if result.converged else 2
 
 
@@ -407,7 +413,7 @@ def _cmd_tunnel(args, cfg: RunConfig, run: Run) -> int:
     grid_points = int(t.get("grid_points", 1024))
     sweep = tunneling.spectrum_vs_field(
         sites, (t["x_min_nm"], t["x_max_nm"]), fields, model, scales, device,
-        grid_points=grid_points, k=max(2, int(t.get("k_levels", 3))))
+        grid_points=grid_points, k=int(t.get("k_levels", 3)))
     energies = np.array([res.energies[:2] for res in sweep.results])
     run.csv("tunnel.csv", ["B_uT", "f_q_GHz", "E0_GHz", "E1_GHz"],
             [sweep.fields * 1e6, sweep.omega_q / (2 * math.pi) / 1e9,

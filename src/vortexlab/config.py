@@ -75,10 +75,12 @@ _SCHEMA: dict[str, dict[str, tuple[str, float]]] = {
 
 # inclusive (low, high) bounds checked on load; a dense 1D tunneling solve
 # (short or coarse sweeps) holds about 2 grid_points^2 doubles, the
-# tridiagonal one a few grid_points x k_levels
+# tridiagonal one a few grid_points x k_levels; the Rabi solve is dense in
+# 2 (n_fock + 1) rows, held to the same 4096; tunnel reports two levels
 _LIMITS: dict[tuple[str, str], tuple[int, int]] = {
+    ("qrm", "n_fock"): (2, 2047),
     ("tunneling", "grid_points"): (64, 4096),
-    ("tunneling", "k_levels"): (1, 10),
+    ("tunneling", "k_levels"): (2, 10),
 }
 
 _SITE_KEY = re.compile(r"^site(\d+)_(x_nm|y_nm|V_GHz|sigma_nm)$")
@@ -166,16 +168,22 @@ class RunConfig:
                             spacing=j["spacing_us"])
 
     def seed(self, env_override: str | None = None) -> int:
+        """The run's seed: env_override (VORTEXLAB_SEED), else [jumps]
+        seed, else 0; a negative one is a ConfigError naming its source."""
         if env_override is not None:
+            source = "VORTEXLAB_SEED"
             try:
-                return int(env_override)
+                seed = int(env_override)
             except ValueError as exc:
                 raise ConfigError(
-                    f"VORTEXLAB_SEED must be an integer, got {env_override!r}"
+                    f"{source} must be an integer, got {env_override!r}"
                 ) from exc
-        if "jumps" in self.sections and "seed" in self.sections["jumps"]:
-            return int(self.sections["jumps"]["seed"])
-        return 0
+        else:
+            source = "[jumps] seed"
+            seed = int(self.sections.get("jumps", {}).get("seed", 0))
+        if seed < 0:
+            raise ConfigError(f"{source} must be non-negative, got {seed}")
+        return seed
 
     def sweep_fields(self) -> np.ndarray:
         s = self.section("sweep")

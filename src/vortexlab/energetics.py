@@ -41,20 +41,11 @@ class PinningSite:
 
 @dataclass(frozen=True)
 class VortexPair:
-    """Two pinned vortices with their tunneling geometry coefficients.
-
-    alpha1/beta1 and alpha2/beta2 are the (x, y)-axis projections of each
-    vortex position operator onto the transverse and longitudinal qubit
-    axes; order unity, default 1.
-    """
+    """Two pinned vortices at R1 and R2 with tunneling length delta_LR."""
 
     R1: tuple[float, float]
     R2: tuple[float, float]
     delta_LR: float
-    alpha1: tuple[float, float] = (1.0, 1.0)
-    beta1: tuple[float, float] = (1.0, 1.0)
-    alpha2: tuple[float, float] = (1.0, 1.0)
-    beta2: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
         if self.delta_LR <= 0:
@@ -226,13 +217,12 @@ class PairCoupling:
     """Linearized qubit-qubit interaction of two pinned vortices.
 
     hessian[i, j] = d^2 G2 / dR1_i dR2_j with i, j in (x, y) (J/m^2);
-    pauli_coefficients[a, b] multiplies sigma_a (x) sigma_b for a, b in
-    (x, z) after substituting the position operators; energy_scale is the
-    largest coefficient magnitude (J).
+    energy_scale = delta_LR^2 |sum_ij hessian[i, j]| (J) is the magnitude
+    of each sigma_a (x) sigma_b coefficient, a, b in (x, z), once every
+    position operator projects with unit weight onto both qubit axes.
     """
 
     hessian: np.ndarray
-    pauli_coefficients: np.ndarray
     energy_scale: float
 
 
@@ -261,12 +251,10 @@ def pair_coupling(pair: VortexPair, scales: DerivedScales, device: DeviceModel,
                              - g2(R1 - h * e[i], R2 + h * e[j])
                              + g2(R1 - h * e[i], R2 - h * e[j])) / (4.0 * h * h)
 
-    # rows: pauli axis (x, z); columns: spatial axis (x, y)
-    A1 = np.array([pair.alpha1, pair.beta1])
-    A2 = np.array([pair.alpha2, pair.beta2])
-    coeff = pair.delta_LR**2 * (A1 @ hessian @ A2.T)
-    return PairCoupling(hessian=hessian, pauli_coefficients=coeff,
-                        energy_scale=float(np.max(np.abs(coeff))))
+    # column sums first: the summation order fixes energy_scale's last bit
+    total = hessian.sum(axis=0).sum()
+    return PairCoupling(hessian=hessian,
+                        energy_scale=float(abs(pair.delta_LR**2 * total)))
 
 
 # ---------------------------------------------------------------------------

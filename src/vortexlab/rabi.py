@@ -37,11 +37,6 @@ from .constants import CONSTANTS
 from .errors import AmbiguousLabelingError, DivergenceError, InvalidOrientationError, InvalidParameterError
 
 _ORIENTATION_TOL = 1e-9
-# the bare states entering the reported transitions, in LabeledSpectrum.vectors
-# column order
-_TRANSITION_STATES = (("g", 0), ("e", 0), ("g", 1), ("e", 1))
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 # the parameters transition_gradients differentiates by, in column order
 GRADIENT_PARAMS = ("f_r", "g", "gamma", "B0", "f_q0")
 _CHI_CONVERGENCE_HZ = 1e3  # dispersive_shift's stopping change in chi
@@ -153,16 +148,6 @@ def _spin_term_hz(params: QrmParams, B: float) -> np.ndarray:
     return 0.5 * np.array([[vz, vx], [vx, -vz]])
 
 
-def _oscillator_factors(trunc: HilbertTruncation):
-    """(oscillator, spin) factors of the resonator and coupling terms per Hz
-    of f_r and of g: (n + 1/2, 1) and (x, sigma_x) with x = a + a^dag."""
-    nosc = trunc.n_fock + 1
-    idx = np.arange(nosc)
-    a = np.diag(np.sqrt(idx[1:].astype(float)), k=1)
-    n_osc = np.diag(idx.astype(float))
-    return (n_osc + 0.5 * np.eye(nosc), np.eye(2)), (a + a.T, _SX)
-
-
 def build_hamiltonian(params: QrmParams, B: float,
                       trunc: HilbertTruncation) -> np.ndarray:
     """Dense real symmetric Hamiltonian (J) in the Fock (x) spin product basis.
@@ -213,27 +198,26 @@ def solve_qrm(params: QrmParams, B: float,
     overlaps = ((chi.T @ vecs.reshape(nosc, 2, dim)) ** 2).reshape(dim, dim)
     bare_labels = [(branch, n) for n in range(nosc) for branch in "ge"]
     claimed = overlaps.argmax(axis=0)  # the bare state of each eigenstate
-    if np.bincount(claimed, minlength=dim).max() > 1:
-        first: dict[int, int] = {}
-        for j, i in enumerate(claimed.tolist()):
-            if i in first:
-                raise AmbiguousLabelingError(
-                    f"eigenstates {first[i]} and {j} both claim bare state "
-                    f"{bare_labels[i]} at B={B}", overlaps=overlaps)
-            first[i] = j
+    _, first = np.unique(claimed, return_index=True)  # first claimants
+    if first.size < dim:
+        # the first eigenstate to claim a bare state an earlier one holds
+        j = int(np.setdiff1d(np.arange(dim), first)[0])
+        i = int(claimed[j])
+        raise AmbiguousLabelingError(
+            f"eigenstates {int((claimed == i).argmax())} and {j} both claim "
+            f"bare state {bare_labels[i]} at B={B}", overlaps=overlaps)
     labels = [bare_labels[i] for i in claimed.tolist()]
-    state_of = np.empty(dim, dtype=int)  # eigenstate of each bare state
-    state_of[claimed] = np.arange(dim)
-
-    # the transition states must carry a clear majority of one bare state,
-    # otherwise the branch assignment is meaningless (near resonance)
-    transition_states = state_of[[bare_labels.index(key)
-                                  for key in _TRANSITION_STATES]]
-    for key, j in zip(_TRANSITION_STATES, transition_states):
-        if overlaps[:, j].max() < 2.0 / 3.0:
-            raise AmbiguousLabelingError(
-                f"state assigned to {key} at B={B} is strongly mixed "
-                f"(overlap {overlaps[:, j].max():.3f})", overlaps=overlaps)
+    # claimed is a permutation, so argsort gives the eigenstates of bare
+    # states 0-3, (g,0), (e,0), (g,1) and (e,1); each must carry a clear
+    # majority of one bare state, or its branch is meaningless (resonance)
+    transition_states = np.argsort(claimed)[:4]
+    majority = overlaps[:, transition_states].max(axis=0)
+    weak = np.flatnonzero(majority < 2.0 / 3.0)
+    if weak.size:
+        k = int(weak[0])
+        raise AmbiguousLabelingError(
+            f"state assigned to {bare_labels[k]} at B={B} is strongly mixed "
+            f"(overlap {majority[k]:.3f})", overlaps=overlaps)
 
     E_g0, E_e0, E_g1, E_e1 = (float(E) for E in energies[transition_states])
     h = CONSTANTS.h
@@ -250,10 +234,13 @@ def transition_gradients(params: QrmParams, spectra: list[LabeledSpectrum],
     In the asymmetric orientation the spin term of build_hamiltonian is
     [f_q0 sz - gamma (B - B0) sx] / 2, so H/h is linear in each parameter
     and a level moves as dE_i/dp = <i| dH/dp |i> (Feynman 1939), with dH/dp
-    equal to the resonator and coupling terms of _oscillator_factors for
-    f_r and g, and to -(B - B0) sx / 2, gamma sx / 2 and sz / 2 for gamma,
-    B0 and f_q0. The expectations take the eigenvectors each spectrum
-    keeps (solve_qrm computes nothing for this). Returns shape
+    equal to n + 1/2 for f_r, (a + a^dag) sx for g, and -(B - B0) sx / 2,
+    gamma sx / 2 and sz / 2 for gamma, B0 and f_q0. Over the blocks v[n, s]
+    of an eigenvector (basis order n * 2 + s) these expectations are sums:
+    <n + 1/2> = sum (n + 1/2) (v[n,0]^2 + v[n,1]^2), <(a + a^dag) sx> =
+    2 sum sqrt(n) (v[n-1,0] v[n,1] + v[n-1,1] v[n,0]), <sx> = 2 sum v[n,0]
+    v[n,1] and <sz> = sum (v[n,0]^2 - v[n,1]^2). They take the eigenvectors
+    each spectrum keeps (solve_qrm computes nothing for this). Returns shape
     (len(spectra), 2, 5): the gradients of f_q_dressed and of f_r_g over
     GRADIENT_PARAMS. Other orientations raise InvalidOrientationError.
     """
@@ -262,20 +249,19 @@ def transition_gradients(params: QrmParams, spectra: list[LabeledSpectrum],
         raise InvalidOrientationError(
             "transition gradients need the asymmetric orientation "
             f"(theta = phi = pi/2), got ({params.theta}, {params.phi})")
-    # (g,0), (e,0), (g,1): the first three columns of _TRANSITION_STATES
-    vecs = np.stack([spec.vectors[:, :3] for spec in spectra])
-    dB = np.array([spec.B for spec in spectra])[:, None] - params.B0
     nosc = trunc.n_fock + 1
-    number, coupling = _oscillator_factors(trunc)
-
-    def expect(osc: np.ndarray, spin: np.ndarray) -> np.ndarray:
-        """<v| osc (x) spin |v> for every vector."""
-        return np.einsum("fdi,fdi->fi", vecs, np.kron(osc, spin) @ vecs)
-
-    sx = expect(np.eye(nosc), _SX)
-    level = np.stack([expect(*number), expect(*coupling), -0.5 * dB * sx,
-                      0.5 * params.gamma * sx, 0.5 * expect(np.eye(nosc), _SZ)],
-                     axis=-1)
+    # spin blocks v0, v1[spectrum, n, state] of (g,0), (e,0) and (g,1)
+    v = np.stack([spec.vectors[:, :3] for spec in spectra])
+    v0, v1 = v.reshape(len(spectra), nosc, 2, 3).transpose(2, 0, 1, 3)
+    n = np.arange(nosc, dtype=float)[:, None]
+    dB = np.array([spec.B for spec in spectra])[:, None] - params.B0
+    sx = 2.0 * (v0 * v1).sum(axis=1)
+    level = np.stack([
+        ((n + 0.5) * (v0**2 + v1**2)).sum(axis=1),
+        2.0 * (np.sqrt(n[1:]) * (v0[:, :-1] * v1[:, 1:]
+                                 + v1[:, :-1] * v0[:, 1:])).sum(axis=1),
+        -0.5 * dB * sx, 0.5 * params.gamma * sx,
+        0.5 * (v0**2 - v1**2).sum(axis=1)], axis=-1)
     # f_q_dressed = E(e,0) - E(g,0), f_r_g = E(g,1) - E(g,0)
     return np.stack([level[:, 1] - level[:, 0], level[:, 2] - level[:, 0]],
                     axis=1)

@@ -115,9 +115,29 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg.seed("not-a-number")
 
+    def test_negative_seed_names_its_source(self, mini_config, tmp_path):
+        with pytest.raises(ConfigError, match="VORTEXLAB_SEED"):
+            config.load_config(mini_config).seed("-1")
+        bad = tmp_path / "bad.ini"
+        bad.write_text(MINI_CONFIG.replace("seed = 7", "seed = -7"))
+        with pytest.raises(ConfigError, match=r"\[jumps\] seed"):
+            config.load_config(bad).seed(None)
+        assert config.load_config(mini_config).seed("0") == 0
+
+    @pytest.mark.parametrize("value, ok", [
+        (1, False), (2, True), (2047, True), (2048, False)])
+    def test_n_fock_bounds(self, tmp_path, value, ok):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[qrm]\nn_fock = {value}\n")
+        if ok:
+            assert config.load_config(path).section("qrm")["n_fock"] == value
+        else:
+            with pytest.raises(ConfigError, match="n_fock"):
+                config.load_config(path)
+
     @pytest.mark.parametrize("key, value", [
         ("grid_points", 63), ("grid_points", 4097),
-        ("k_levels", 0), ("k_levels", 11)])
+        ("k_levels", 0), ("k_levels", 1), ("k_levels", 11)])
     def test_tunneling_bounds_rejected(self, tmp_path, key, value):
         bad = tmp_path / "bad.ini"
         bad.write_text(f"[tunneling]\n{key} = {value}\n")
@@ -126,7 +146,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("grid_points", 64), ("grid_points", 4096),
-        ("k_levels", 1), ("k_levels", 10)])
+        ("k_levels", 2), ("k_levels", 10)])
     def test_tunneling_bounds_accepted(self, tmp_path, key, value):
         ok = tmp_path / "ok.ini"
         ok.write_text(f"[tunneling]\n{key} = {value}\n")
@@ -219,6 +239,8 @@ class TestChiSweep:
         assert len(rows) == 27
         assert [row[1:] == [""] * 4 for row in rows] == expected
         assert all(row[0] for row in rows)
+        manifest = json.loads((out / "manifest.chi.json").read_text())
+        assert manifest["diagnostics"] == {"gaps": sum(expected), "n_fock": 20}
 
 
 class TestDeterminism:
@@ -330,6 +352,14 @@ class TestFitCommands:
         result = json.loads((out / "fit_spectrum.json").read_text())
         assert result["params"]["g_MHz"] == pytest.approx(92.5, rel=1e-3)
         assert result["params"]["B0_uT"] == pytest.approx(128.0, rel=1e-3)
+        diagnostics = json.loads(
+            (out / "manifest.fit-spectrum.json").read_text())["diagnostics"]
+        assert set(diagnostics) == {"iterations", "message",
+                                    "gradient_measure", "n_penalized"}
+        assert diagnostics["iterations"] == result["iterations"]
+        assert diagnostics["message"] == result["message"]
+        assert diagnostics["n_penalized"] == 0
+        assert diagnostics["gradient_measure"] >= 0.0
 
     def test_fit_spectrum_g_verdict_exits_zero(self, tmp_path,
                                                criterion_05_dataset):
@@ -972,6 +1002,21 @@ class TestExitCodes:
                                 if not line.startswith(key)))
         assert cli.main([command, "-c", str(conf),
                          "-o", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, old, new, env", [
+        ("synth-jumps", "seed = 7", "seed = -7", None),
+        ("synth-jumps", "seed = 7", "seed = 7", "-7"),
+        ("chi", "n_fock = 20", "n_fock = 1", None)])
+    def test_config_bound_is_one(self, tmp_path, capsys, monkeypatch,
+                                 command, old, new, env):
+        conf = tmp_path / "c.ini"
+        conf.write_text(MINI_CONFIG.replace(old, new))
+        if env is not None:
+            monkeypatch.setenv("VORTEXLAB_SEED", env)
+        assert cli.main([command, "-c", str(conf),
+                         "-o", str(tmp_path / "out")]) == 1
+        assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["0", "-3"])

@@ -382,9 +382,26 @@ class TestRealSymmetricPath:
         assert "labeled" in outcomes
 
 
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
+# the bare states entering the reported transitions, in LabeledSpectrum.vectors
+# column order
+_TRANSITION_STATES = (("g", 0), ("e", 0), ("g", 1), ("e", 1))
+
+
+def _oscillator_factors(trunc):
+    """(oscillator, spin) factors of the resonator and coupling terms per Hz
+    of f_r and of g: (n + 1/2, 1) and (x, sigma_x) with x = a + a^dag."""
+    nosc = trunc.n_fock + 1
+    idx = np.arange(nosc)
+    a = np.diag(np.sqrt(idx[1:].astype(float)), k=1)
+    n_osc = np.diag(idx.astype(float))
+    return (n_osc + 0.5 * np.eye(nosc), np.eye(2)), (a + a.T, _SX)
+
+
 def _kron_hamiltonian(params, B, trunc):
     """H as the sum of Kronecker products that build_hamiltonian fills in."""
-    number, coupling = rabi._oscillator_factors(trunc)
+    number, coupling = _oscillator_factors(trunc)
     H = (params.f_r * np.kron(*number) + params.g * np.kron(*coupling)
          + np.kron(np.eye(trunc.n_fock + 1), rabi._spin_term_hz(params, B)))
     return CONSTANTS.h * H
@@ -406,8 +423,8 @@ def _loop_solve(params, B, trunc):
                 f"{label} at B={B}")
         assigned[label] = j
         labels.append(label)
-    states = [assigned[key] for key in rabi._TRANSITION_STATES]
-    for key, j in zip(rabi._TRANSITION_STATES, states):
+    states = [assigned[key] for key in _TRANSITION_STATES]
+    for key, j in zip(_TRANSITION_STATES, states):
         if overlaps[:, j].max() < 2.0 / 3.0:
             raise AmbiguousLabelingError(
                 f"state assigned to {key} at B={B} is strongly mixed "
@@ -463,8 +480,48 @@ class TestEntrywisePath:
         assert len(errors) == 3
         assert all("both claim bare state" in e for e in errors)
 
+    def test_double_claim_first_claimant_not_adjacent(self):
+        # at 1.2 GHz the first claimant sits several eigenstates below
+        p = rabi.QrmParams.asymmetric(F_R, 1.2e9, GAMMA, B0, F_Q0)
+        errors = self.solve_both(p, [-975e-6, -900e-6],
+                                 rabi.HilbertTruncation(30))
+        assert [e.split(" both")[0] for e in errors] == [
+            "eigenstates 36 and 38", "eigenstates 40 and 44"]
+
+
+def _kron_gradients(params, spectra, trunc):
+    """transition_gradients as expectations of dense Kronecker operators."""
+    vecs = np.stack([spec.vectors[:, :3] for spec in spectra])
+    dB = np.array([spec.B for spec in spectra])[:, None] - params.B0
+    nosc = trunc.n_fock + 1
+    number, coupling = _oscillator_factors(trunc)
+
+    def expect(osc, spin):
+        return np.einsum("fdi,fdi->fi", vecs, np.kron(osc, spin) @ vecs)
+
+    sx = expect(np.eye(nosc), _SX)
+    level = np.stack([expect(*number), expect(*coupling), -0.5 * dB * sx,
+                      0.5 * params.gamma * sx, 0.5 * expect(np.eye(nosc), _SZ)],
+                     axis=-1)
+    return np.stack([level[:, 1] - level[:, 0], level[:, 2] - level[:, 0]],
+                    axis=1)
+
 
 class TestTransitionGradients:
+    @pytest.mark.parametrize("n_fock", [2, 24, 60])
+    def test_block_sums_match_kron_oracle(self, aqrm, n_fock):
+        tr = rabi.HilbertTruncation(n_fock)
+        # fields on both sides of B0, short of the resonance at _B_CROSS
+        fields = B0 + np.linspace(-450e-6, 450e-6, 24)
+        spectra = [s for s in rabi.sweep_field(aqrm, fields, tr) if s is not None]
+        assert {s.B < B0 for s in spectra} == {True, False}
+        got = rabi.transition_gradients(aqrm, spectra, tr)
+        want = _kron_gradients(aqrm, spectra, tr)
+        assert got.shape == (len(spectra), 2, len(rabi.GRADIENT_PARAMS))
+        # relative to each parameter's largest gradient
+        scale = np.abs(want).max(axis=(0, 1))
+        assert np.all(np.abs(got - want).max(axis=(0, 1)) <= 1e-12 * scale)
+
     def test_vectors_are_the_transition_eigenstates(self, aqrm, trunc):
         spec = rabi.solve_qrm(aqrm, B0 + 50e-6, trunc)
         assert spec.vectors.shape == (trunc.dim, 4)

@@ -314,24 +314,40 @@ class TestSolverErrors:
         assert np.all(np.isinf(info.value.residuals))
 
 
-def test_cli_and_1d_solve_do_not_import_scipy():
-    # scipy costs a quarter second per process; a lone 1D solve stays dense
+def test_cli_and_1d_solve_do_not_import_scipy(tmp_path):
+    # scipy costs a quarter second per process; a lone 1D solve stays
+    # dense, and the Rabi solves of chi and fit-spectrum need none
     code = (
         "import sys\n"
         "import numpy as np\n"
         "import vortexlab.cli\n"
-        "from vortexlab import tunneling\n"
+        "from vortexlab import rabi, tunneling\n"
         "grid = tunneling.Grid(0.0, 100e-9, 128)\n"
         "model = tunneling.TunnelModel(y_zpf=4e-9, Omega=1e11)\n"
         "tunneling.solve_schrodinger(grid, np.zeros(128), model, k=2)\n"
+        "config, out = sys.argv[1:]\n"
+        "assert vortexlab.cli.main(['chi', '-c', config, '-o', out]) == 0\n"
+        "p = rabi.QrmParams.asymmetric(7.572e9, 92.5e6, 20e12, 128e-6, 2e9)\n"
+        "fields = np.linspace(-22e-6, 278e-6, 7)\n"
+        "specs = rabi.sweep_field(p, fields, rabi.HilbertTruncation(24))\n"
+        "for name in ('f_q_dressed', 'f_r_g'):\n"
+        "    rows = [(B * 1e6, getattr(s, name) / 1e9, 1e-3)\n"
+        "            for B, s in zip(fields, specs)]\n"
+        "    np.savetxt(f'{out}/{name}.csv', rows, delimiter=',',\n"
+        "               header='B_uT,f_GHz,sigma_GHz', comments='')\n"
+        "assert vortexlab.cli.main([\n"
+        "    'fit-spectrum', '--qubit', f'{out}/f_q_dressed.csv',\n"
+        "    '--resonator', f'{out}/f_r_g.csv', '-o', out]) == 0\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "configs" / "example.ini"),
+         str(tmp_path)], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert {"chi.csv", "fit_spectrum.json"} <= {p.name for p in tmp_path.iterdir()}
 
 
 def test_light_sweep_does_not_import_scipy():
