@@ -215,9 +215,10 @@ def _read_csv_columns(path: Path, minimum: int) -> np.ndarray:
     After it, blank lines and text after '#' are skipped, empty cells read
     as NaN and rows whose cells are all empty are dropped.
 
-    numpy's own parser reads the rows first; only if it fails (on an empty
-    cell, say) are they read again with a Python converter per cell, which
-    also gives every error message.
+    numpy's own parser reads the rows from the open file, straight after
+    the header; only if it fails (on an empty cell, say) does the file seek
+    back to the first data line and the rows are read again with a Python
+    converter per cell, which also gives every error message.
     """
     with open(path, encoding="utf-8") as fh:
         line = fh.readline()
@@ -225,18 +226,20 @@ def _read_csv_columns(path: Path, minimum: int) -> np.ndarray:
             line = fh.readline()
         if not line:
             raise VortexlabError(f"{path}: empty file")
-        lines = fh.readlines()
-    try:
-        with warnings.catch_warnings():  # a header-only file is no data
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            try:
-                data = np.loadtxt(lines, **_LOADTXT)
-            except ValueError:
-                data = np.loadtxt(lines, converters=_empty_as_nan, **_LOADTXT)
-    except ValueError as exc:
-        reason = str(exc).partition("; use `usecols`")[0].replace(
-            "the number of columns", "ragged rows: the number of columns")
-        raise VortexlabError(f"{path}: {reason}") from exc
+        first_row = fh.tell()
+        try:
+            with warnings.catch_warnings():  # a header-only file is no data
+                warnings.filterwarnings("ignore",
+                                        "loadtxt: input contained no data")
+                try:
+                    data = np.loadtxt(fh, **_LOADTXT)
+                except ValueError:
+                    fh.seek(first_row)
+                    data = np.loadtxt(fh, converters=_empty_as_nan, **_LOADTXT)
+        except ValueError as exc:
+            reason = str(exc).partition("; use `usecols`")[0].replace(
+                "the number of columns", "ragged rows: the number of columns")
+            raise VortexlabError(f"{path}: {reason}") from exc
     data = data[~np.isnan(data).all(axis=1)]
     if not len(data):
         raise VortexlabError(f"{path}: no data rows")
@@ -441,16 +444,16 @@ def _cmd_synth_jumps(args, cfg: RunConfig, run: Run) -> int:
 
 def _cmd_analyze_jumps(args, cfg: RunConfig, run: Run) -> int:
     data = _read_csv_columns(Path(args.data), 3)
-    times = data[:, 0] * 1e-6
-    points = data[:, 1] + 1j * data[:, 2]
-    spacing = float(np.median(np.diff(times)))
+    # validates the record (finite, ascending times; finite IQ) up front
+    traj = jumps.Trajectory(times=data[:, 0] * 1e-6,
+                            iq_points=data[:, 1] + 1j * data[:, 2])
+    spacing = float(np.median(np.diff(traj.times)))
 
-    clusters = jumps.iq_cluster(points)
+    clusters = jumps.iq_cluster(traj.iq_points)
     ro = jumps.ReadoutModel(center_g=clusters.center_g,
                             center_e=clusters.center_e,
                             sigma_cloud=clusters.sigma_cloud,
                             tau_m=spacing, spacing=spacing)
-    traj = jumps.Trajectory(times=times, iq_points=points)
     assigned = jumps.latching_filter(traj, ro, n_sigma=args.n_sigma)
     stats = jumps.dwell_statistics(assigned, spacing, n_sigma=args.n_sigma)
     p_e = float(assigned.mean())
@@ -473,6 +476,12 @@ def _cmd_analyze_jumps(args, cfg: RunConfig, run: Run) -> int:
     else:
         payload["T_eff_mK"] = None
     run.table("jumps_analysis", args.format, payload)
+    run.diagnostics.update(em_iterations=clusters.iterations,
+                           log_likelihood=clusters.log_likelihood,
+                           min_run=stats.min_run, n_dwells_up=stats.n_up,
+                           n_dwells_down=stats.n_down,
+                           samples=int(traj.times.size),
+                           spacing_us=spacing * 1e6)
     return 0
 
 

@@ -79,17 +79,25 @@ class Trajectory:
     def __post_init__(self):
         if self.times.shape != self.iq_points.shape:
             raise InvalidParameterError("times and iq_points must have equal length")
+        if not np.all(np.isfinite(self.times)):
+            raise InvalidParameterError("times must be finite")
+        if not np.all(np.diff(self.times) > 0):
+            raise InvalidParameterError("times must be strictly ascending")
+        if not np.all(np.isfinite(self.iq_points)):
+            raise InvalidParameterError("IQ points must be finite")
 
 
 @dataclass
 class DwellStats:
     """Maximum-likelihood mean dwell times (dwell_statistics) and their
-    harmonic combination; n_up and n_down count the complete intervals."""
+    harmonic combination; n_up and n_down count the complete intervals,
+    min_run is the run cut m (in samples) the estimates used."""
 
     T_up_hat: float
     T_down_hat: float
     n_up: int
     n_down: int
+    min_run: int
 
     @property
     def T1_hat(self) -> float:
@@ -229,7 +237,8 @@ def dwell_statistics(states: np.ndarray, spacing: float,
     m = _min_run(n_sigma)
     return DwellStats(T_up_hat=_dwell_mle(down_dwells, spacing, m, "ground"),
                       T_down_hat=_dwell_mle(up_dwells, spacing, m, "excited"),
-                      n_up=int(down_dwells.size), n_down=int(up_dwells.size))
+                      n_up=int(down_dwells.size), n_down=int(up_dwells.size),
+                      min_run=m)
 
 
 # ---------------------------------------------------------------------------
@@ -254,42 +263,53 @@ def iq_cluster(points: np.ndarray,
     state; with per-point labels (0 ground, 1 excited) the components are
     matched to the labels by majority vote. P_e is the weight of the
     excited component.
+
+    The iterations work on I and Q as two 1D arrays: one squared-distance
+    array per component, the log-sum-exp of the two by np.logaddexp, and
+    the M-step as dot products with the responsibilities.
     """
     z = np.asarray(points).astype(complex)
     if z.size < 1000:
         raise InvalidParameterError("need at least 1000 points for clustering")
-    xy = np.column_stack([z.real, z.imag])
+    if not np.all(np.isfinite(z)):
+        raise InvalidParameterError("IQ points must be finite")
+    n = z.size
+    x, y = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
 
     # two-seed start: most separated pair among the first 1000 points
-    head = xy[:1000]
-    d0 = np.linalg.norm(head - head[0], axis=1)
-    seed1 = head[int(np.argmax(d0))]
-    d1 = np.linalg.norm(head - seed1, axis=1)
-    seed2 = head[int(np.argmax(d1))]
+    head = np.column_stack([x[:1000], y[:1000]])
+    dist = np.linalg.norm(head - head[0], axis=1)
+    seed1 = head[int(np.argmax(dist))]
+    dist = np.linalg.norm(head - seed1, axis=1)
+    seed2 = head[int(np.argmax(dist))]
     mu = np.array([seed1, seed2])
     if not np.any(mu[0] != mu[1]):
         raise ClusteringError("could not find two distinct cluster seeds")
-    var = max(xy.var(axis=0).sum() / 2.0, 1e-30)
+    var = max((x.var() + y.var()) / 2.0, 1e-30)
     weights = np.array([0.5, 0.5])
 
+    def sq_dist(center):
+        return (x - center[0]) ** 2 + (y - center[1]) ** 2
+
+    d0, d1 = sq_dist(mu[0]), sq_dist(mu[1])
     loglik = -np.inf
     iterations = 0
     for iterations in range(1, _EM_MAX_ITER + 1):
-        d2 = ((xy[:, None, :] - mu[None, :, :]) ** 2).sum(axis=2)
-        log_p = np.log(weights)[None, :] - d2 / (2 * var) \
-            - math.log(2 * math.pi * var)
-        mx = log_p.max(axis=1, keepdims=True)
-        lse = mx[:, 0] + np.log(np.exp(log_p - mx).sum(axis=1))
-        resp = np.exp(log_p - lse[:, None])
+        norm = math.log(2 * math.pi * var)
+        scale = 1.0 / (2 * var)
+        log_p0 = (math.log(weights[0]) - norm) - d0 * scale
+        log_p1 = (math.log(weights[1]) - norm) - d1 * scale
+        lse = np.logaddexp(log_p0, log_p1)
         new_loglik = float(lse.sum())
+        r0, r1 = np.exp(log_p0 - lse), np.exp(log_p1 - lse)
 
-        nk = resp.sum(axis=0)
+        nk = np.array([r0.sum(), r1.sum()])
         if np.any(nk < 1e-9):
             raise ClusteringError("a mixture component collapsed to zero weight")
-        mu = (resp.T @ xy) / nk[:, None]
-        d2 = ((xy[:, None, :] - mu[None, :, :]) ** 2).sum(axis=2)
-        var = max(float((resp * d2).sum() / (2.0 * z.size)), 1e-300)
-        weights = nk / z.size
+        mu = np.array([[r0 @ x, r0 @ y], [r1 @ x, r1 @ y]]) / nk[:, None]
+        d0, d1 = sq_dist(mu[0]), sq_dist(mu[1])
+        var = max(float((r0 @ d0 + r1 @ d1) / (2.0 * n)), 1e-300)
+        weights = nk / n
 
         if abs(new_loglik - loglik) < _EM_TOL * max(1.0, abs(new_loglik)):
             loglik = new_loglik
@@ -305,10 +325,10 @@ def iq_cluster(points: np.ndarray,
 
     if labels is not None:
         labels = np.asarray(labels)
-        d2 = ((xy[:, None, :] - mu[None, :, :]) ** 2).sum(axis=2)
-        hard = np.argmax(-d2, axis=1)
+        # d0, d1 are the distances to the final centers; a tie goes to 0
+        nearer0 = d0 <= d1
         # component 0 is ground if it captures the majority of label-0 points
-        match0 = (hard[labels == 0] == 0).mean() if np.any(labels == 0) else 0.5
+        match0 = nearer0[labels == 0].mean() if np.any(labels == 0) else 0.5
         ground_idx = 0 if match0 >= 0.5 else 1
     else:
         ground_idx = int(np.argmax(weights))

@@ -293,6 +293,82 @@ class TestJumpsPipeline:
                          "--data", str(out / "trajectory.csv")]) == 0
         assert bands == [1.0]
 
+    @staticmethod
+    def _short_record(tmp_path):
+        """A seeded 20k-shot record (0.1 s) of the mini config."""
+        conf = tmp_path / "short.ini"
+        conf.write_text(MINI_CONFIG.replace("duration_s = 0.25",
+                                            "duration_s = 0.1"))
+        out = tmp_path / "out"
+        assert cli.main(["synth-jumps", "-c", str(conf), "-o", str(out)]) == 0
+        return conf, out
+
+    def test_golden_bytes(self, tmp_path):
+        # the bytes the broadcast EM gave on this seeded record
+        conf, out = self._short_record(tmp_path)
+        assert cli.main(["analyze-jumps", "-c", str(conf), "-o", str(out),
+                         "--data", str(out / "trajectory.csv")]) == 0
+        expected = (
+            '{\n'
+            '  "P_e": 0.1866,\n'
+            '  "T1_us": 110.1317713685278,\n'
+            '  "T_down_us": 133.03055829388916,\n'
+            '  "T_eff_mK": 65.19578164135588,\n'
+            '  "T_up_us": 639.8107934190926,\n'
+            '  "n_dwells_down": 129,\n'
+            '  "n_dwells_up": 128\n'
+            '}\n')
+        assert (out / "jumps_analysis.json").read_text() == expected
+
+    def test_manifest_diagnostics(self, tmp_path):
+        conf, out = self._short_record(tmp_path)
+        assert cli.main(["analyze-jumps", "-c", str(conf), "-o", str(out),
+                         "--data", str(out / "trajectory.csv")]) == 0
+        result = json.loads((out / "jumps_analysis.json").read_text())
+        diagnostics = json.loads(
+            (out / "manifest.analyze-jumps.json").read_text())["diagnostics"]
+        assert sorted(diagnostics) == [
+            "em_iterations", "log_likelihood", "min_run", "n_dwells_down",
+            "n_dwells_up", "samples", "spacing_us"]
+        assert diagnostics["em_iterations"] >= 1
+        assert math.isfinite(diagnostics["log_likelihood"])
+        assert diagnostics["min_run"] == 5  # the default band, 1.5 sigma
+        assert diagnostics["n_dwells_up"] == result["n_dwells_up"]
+        assert diagnostics["n_dwells_down"] == result["n_dwells_down"]
+        assert diagnostics["samples"] == 20000
+        assert diagnostics["spacing_us"] == pytest.approx(5.0, rel=1e-9)
+        # diagnostics stay out of the data file
+        assert set(result) == {"P_e", "T1_us", "T_down_us", "T_eff_mK",
+                               "T_up_us", "n_dwells_down", "n_dwells_up"}
+
+    @pytest.mark.parametrize("damage, message", [
+        ("reversed", "times must be strictly ascending"),
+        ("constant_t", "times must be strictly ascending"),
+        ("blank_I", "IQ points must be finite"),
+    ])
+    def test_invalid_record_exits_two(self, tmp_path, damage, message):
+        conf, out = self._short_record(tmp_path)
+        header, *rows = (out / "trajectory.csv").read_text().splitlines(
+            keepends=True)
+        if damage == "reversed":
+            rows.reverse()
+        elif damage == "constant_t":
+            rows = ["0.0," + row.partition(",")[2] for row in rows]
+        else:
+            cells = rows[10000].split(",")
+            cells[header.split(",").index("I")] = ""
+            rows[10000] = ",".join(cells)
+        data = tmp_path / "damaged.csv"
+        data.write_text(header + "".join(rows))
+        bad = tmp_path / "bad"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may leak
+            assert cli.main(["analyze-jumps", "-c", str(conf), "-o", str(bad),
+                             "--data", str(data)]) == 2
+        report = json.loads((bad / "error.json").read_text())
+        assert report == {"error": "InvalidParameterError", "message": message}
+        assert not (bad / "jumps_analysis.json").exists()
+
 
 class TestFitCommands:
     def test_fit_decay_json(self, tmp_path):
@@ -813,6 +889,9 @@ class TestReader:
         (b"a,b\n1,2\n3\n", False),  # ragged
         (b"a,b\n1,x\n", False),
         (b"a,b\n", True),  # header only
+        # lines before the header and an empty cell in the last row: the
+        # retry seeks back to the first data line
+        (b"# note\n\n  \n# more\na,b\n1,2\n3,4\n5,\n", False),
     ])
     def test_fast_path_matches_converter_path(self, tmp_path, monkeypatch,
                                               text, fast):

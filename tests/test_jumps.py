@@ -86,6 +86,22 @@ def latch_by_loop(points, ro, n_sigma):
     return out
 
 
+class TestTrajectory:
+    @pytest.mark.parametrize("times, points, match", [
+        ([0.0, math.nan, 2.0], [0j, 0j, 0j], "times must be finite"),
+        ([0.0, 1.0, math.inf], [0j, 0j, 0j], "times must be finite"),
+        ([2.0, 1.0, 0.0], [0j, 0j, 0j], "times must be strictly ascending"),
+        ([0.0, 0.0, 0.0], [0j, 0j, 0j], "times must be strictly ascending"),
+        ([0.0, 1.0, 2.0], [0j, complex(math.nan, 0), 0j],
+         "IQ points must be finite"),
+        ([0.0, 1.0, 2.0], [0j, 0j, complex(0, -math.inf)],
+         "IQ points must be finite"),
+    ])
+    def test_rejects_invalid_record(self, times, points, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            jumps.Trajectory(times=np.array(times), iq_points=np.array(points))
+
+
 class TestLatchingFilter:
     def test_noiseless_points_recover_truth(self):
         traj = jumps.simulate_trajectory(
@@ -216,7 +232,83 @@ class TestDwellStatistics:
         assert stats.n_down == 59  # the last run is censored
 
 
+def broadcast_em(points, labels=None):
+    """iq_cluster's EM in broadcast form, on an (N, 2) coordinate array
+    with (N, 2, 2) distance temporaries twice per iteration: the oracle for
+    the two-array form. Returns (center_g, center_e, sigma, P_e, iterations,
+    log_likelihood)."""
+    z = np.asarray(points).astype(complex)
+    xy = np.column_stack([z.real, z.imag])
+    head = xy[:1000]
+    d0 = np.linalg.norm(head - head[0], axis=1)
+    seed1 = head[int(np.argmax(d0))]
+    d1 = np.linalg.norm(head - seed1, axis=1)
+    seed2 = head[int(np.argmax(d1))]
+    mu = np.array([seed1, seed2])
+    var = max(xy.var(axis=0).sum() / 2.0, 1e-30)
+    weights = np.array([0.5, 0.5])
+    loglik = -np.inf
+    for iterations in range(1, jumps._EM_MAX_ITER + 1):
+        d2 = ((xy[:, None, :] - mu[None, :, :]) ** 2).sum(axis=2)
+        log_p = np.log(weights)[None, :] - d2 / (2 * var) \
+            - math.log(2 * math.pi * var)
+        mx = log_p.max(axis=1, keepdims=True)
+        lse = mx[:, 0] + np.log(np.exp(log_p - mx).sum(axis=1))
+        resp = np.exp(log_p - lse[:, None])
+        new_loglik = float(lse.sum())
+        nk = resp.sum(axis=0)
+        mu = (resp.T @ xy) / nk[:, None]
+        d2 = ((xy[:, None, :] - mu[None, :, :]) ** 2).sum(axis=2)
+        var = max(float((resp * d2).sum() / (2.0 * z.size)), 1e-300)
+        weights = nk / z.size
+        if abs(new_loglik - loglik) < jumps._EM_TOL * max(1.0, abs(new_loglik)):
+            loglik = new_loglik
+            break
+        loglik = new_loglik
+    if labels is not None:
+        d2 = ((xy[:, None, :] - mu[None, :, :]) ** 2).sum(axis=2)
+        hard = np.argmax(-d2, axis=1)
+        match0 = (hard[labels == 0] == 0).mean() if np.any(labels == 0) else 0.5
+        g = 0 if match0 >= 0.5 else 1
+    else:
+        g = int(np.argmax(weights))
+    e = 1 - g
+    return (complex(*mu[g]), complex(*mu[e]), math.sqrt(var),
+            float(weights[e]), iterations, loglik)
+
+
 class TestIqCluster:
+    @pytest.mark.parametrize("seed, tg, ro", [
+        (0, TG, RO),
+        (1, TG, RO),
+        (2, jumps.TelegraphParams(T_up=200e-6, T_down=300e-6),
+         jumps.ReadoutModel(center_g=2 - 1j, center_e=-1.5 + 3j,
+                            sigma_cloud=0.8, tau_m=1.2e-6, spacing=5e-6)),
+    ])
+    @pytest.mark.parametrize("with_labels", [False, True])
+    def test_matches_broadcast_oracle(self, seed, tg, ro, with_labels):
+        traj = jumps.simulate_trajectory(tg, ro, 0.1, seed)  # 20k shots
+        labels = traj.true_states if with_labels else None
+        cl = jumps.iq_cluster(traj.iq_points, labels=labels)
+        g, e, sigma, p_e, iterations, loglik = broadcast_em(
+            traj.iq_points, labels)
+        # the centers to 1e-12 of the cloud separation: a center at the
+        # origin has no relative error of its own
+        scale = abs(e - g)
+        assert abs(cl.center_g - g) <= 1e-12 * scale
+        assert abs(cl.center_e - e) <= 1e-12 * scale
+        assert cl.sigma_cloud == pytest.approx(sigma, rel=1e-12)
+        assert cl.P_e == pytest.approx(p_e, rel=1e-12)
+        assert cl.log_likelihood == pytest.approx(loglik, rel=1e-12)
+        assert cl.iterations == iterations
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
+    def test_non_finite_points_rejected(self, bad):
+        pts = jumps.simulate_trajectory(TG, RO, 0.01, seed=1).iq_points.copy()
+        pts[500] = bad
+        with pytest.raises(InvalidParameterError, match="IQ points must be finite"):
+            jumps.iq_cluster(pts)
+
     def test_weight_recovery(self):
         rng = np.random.default_rng(3)
         n = 20000
@@ -295,7 +387,7 @@ class TestThermal:
     @settings(max_examples=100, deadline=None)
     def test_harmonic_mean_inequality(self, ratio):
         stats = jumps.DwellStats(T_up_hat=1e-4, T_down_hat=ratio * 1e-4,
-                                 n_up=100, n_down=100)
+                                 n_up=100, n_down=100, min_run=5)
         assert stats.T1_hat <= min(stats.T_up_hat, stats.T_down_hat)
 
     def test_inversion_rejected(self):
