@@ -4,13 +4,13 @@ One subcommand per analysis: derived scales, Rabi spectrum and dispersive
 shift sweeps, the spectrum/coherence fitters, landscape and interaction
 maps, the tunneling solver, telegraph synthesis and analysis, and batch
 fitting over a directory of spectra. Every run writes its outputs plus a
-manifest.<command>.json recording the config hash, the seed and a content
-hash per file, so commands run into one directory keep their own. Outputs
-are byte-deterministic for a fixed config and seed; the manifest timestamp
-is the only varying field.
+manifest.<command>.json recording the config hash, the seed, the
+environment and a content hash per file, so commands run into one directory
+keep their own. Outputs are byte-deterministic for a fixed config and seed;
+the manifest timestamp is the only varying field.
 
 Exit codes: 0 success, 1 usage or config error, 2 numerical failure (an
-error report is written to the output directory).
+error report and the manifest are written to the output directory).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import sys
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,7 +33,12 @@ from .config import RunConfig, load_config
 from .constants import CONSTANTS
 from .core import derive_scales
 from .errors import ConfigError, InvalidParameterError, VortexlabError
-from . import energetics, fitting, jumps, rabi, tunneling
+from . import energetics
+
+# each handler imports the modules it runs (fitting, rabi, jumps,
+# tunneling), so a process pays only for those of its command
+if TYPE_CHECKING:
+    from .fitting import FitResult, TimeTrace
 
 _H = CONSTANTS.h
 
@@ -116,13 +122,31 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _environment() -> dict:
+    """What the run ran on. scipy's version only when the command imported
+    scipy, which this does not do itself."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no mode="dicts"
+        blas = {}
+    scipy = sys.modules.get("scipy")
+    return {
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "scipy": getattr(scipy, "__version__", None),
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 class Run:
     """Collects output files and writes the manifest at the end.
 
     The output directory is made with the first file written into it, so
     a run that fails before writing anything leaves no directory behind.
-    diagnostics (how a solve went) go into the manifest only, never into a
-    data file, so the outputs stay byte-deterministic.
+    diagnostics (how a solve went) and the environment go into the
+    manifest only, never into a data file, so the outputs stay
+    byte-deterministic.
     """
 
     def __init__(self, command: str, out_dir: Path, cfg: RunConfig | None,
@@ -174,11 +198,12 @@ class Run:
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "outputs": {p.name: _sha256_file(p) for p in self.outputs},
             "diagnostics": self.diagnostics,
+            "environment": _environment(),
         }
         _write_json(self.path(f"manifest.{self.command}.json"), manifest)
 
 
-def _fit_payload(result: fitting.FitResult, scale: dict[str, tuple[str, float]]
+def _fit_payload(result: FitResult, scale: dict[str, tuple[str, float]]
                  ) -> dict:
     """FitResult as a JSON-ready dict with display units."""
     params = {}
@@ -249,8 +274,9 @@ def _read_csv_columns(path: Path, minimum: int) -> np.ndarray:
     return data
 
 
-def _load_trace(path: Path) -> fitting.TimeTrace:
+def _load_trace(path: Path) -> TimeTrace:
     """CSV with columns t_us, value[, sigma]."""
+    from . import fitting
     data = _read_csv_columns(path, 2)
     return fitting.TimeTrace(times=data[:, 0] * 1e-6, values=data[:, 1],
                              sigma=data[:, 2] if data.shape[1] > 2 else None)
@@ -271,6 +297,7 @@ def _cmd_scales(args, cfg: RunConfig, run: Run) -> int:
 
 
 def _cmd_spectrum(args, cfg: RunConfig, run: Run) -> int:
+    from . import rabi
     params, trunc = cfg.qrm()
     fields = cfg.sweep_fields()
     specs = rabi.sweep_field(params, fields, trunc)
@@ -294,6 +321,7 @@ _QRM_UNITS = {"f_r": ("f_r_GHz", 1e9), "g": ("g_MHz", 1e6),
 
 
 def _cmd_fit_spectrum(args, cfg: RunConfig, run: Run) -> int:
+    from . import fitting, rabi
     qubit = _read_csv_columns(Path(args.qubit), 3)
     resonator = _read_csv_columns(Path(args.resonator), 3)
     dataset = fitting.SpectrumDataset(
@@ -318,6 +346,7 @@ def _cmd_fit_spectrum(args, cfg: RunConfig, run: Run) -> int:
 
 
 def _cmd_fit_decay(args, cfg: RunConfig, run: Run) -> int:
+    from . import fitting
     trace = _load_trace(Path(args.data))
     result = fitting.fit_exponential(trace)
     stem = "fit_echo" if args.command == "fit-echo" else "fit_decay"
@@ -327,6 +356,7 @@ def _cmd_fit_decay(args, cfg: RunConfig, run: Run) -> int:
 
 
 def _cmd_fit_ramsey(args, cfg: RunConfig, run: Run) -> int:
+    from . import fitting
     trace = _load_trace(Path(args.data))
     result = fitting.fit_ramsey_beat(trace)
     units = {"T2s": ("T2s_us", 1e-6), "f1": ("f1_MHz", 1e6),
@@ -338,6 +368,7 @@ def _cmd_fit_ramsey(args, cfg: RunConfig, run: Run) -> int:
 
 
 def _cmd_fit_rabi(args, cfg: RunConfig, run: Run) -> int:
+    from . import fitting
     data = _read_csv_columns(Path(args.data), 3)  # amplitude_uV, t_us, value
     if not np.all(np.isfinite(data[:, 0])):
         raise InvalidParameterError(
@@ -407,6 +438,7 @@ def _cmd_pair(args, cfg: RunConfig, run: Run) -> int:
 
 
 def _cmd_tunnel(args, cfg: RunConfig, run: Run) -> int:
+    from . import tunneling
     device = cfg.device()
     scales = derive_scales(device)
     sites = cfg.sites()
@@ -432,6 +464,7 @@ def _cmd_tunnel(args, cfg: RunConfig, run: Run) -> int:
 
 
 def _cmd_synth_jumps(args, cfg: RunConfig, run: Run) -> int:
+    from . import jumps
     tg = cfg.telegraph()
     ro = cfg.readout()
     duration = cfg.section("jumps")["duration_s"]
@@ -443,6 +476,7 @@ def _cmd_synth_jumps(args, cfg: RunConfig, run: Run) -> int:
 
 
 def _cmd_analyze_jumps(args, cfg: RunConfig, run: Run) -> int:
+    from . import jumps
     data = _read_csv_columns(Path(args.data), 3)
     # validates the record (finite, ascending times; finite IQ) up front
     traj = jumps.Trajectory(times=data[:, 0] * 1e-6,
@@ -486,6 +520,7 @@ def _cmd_analyze_jumps(args, cfg: RunConfig, run: Run) -> int:
 
 
 def _cmd_batch_fit(args, cfg: RunConfig, run: Run) -> int:
+    from . import fitting
     directory = Path(args.data_dir)
     files = sorted(p for p in directory.glob("*.csv"))
     if not files:
@@ -659,8 +694,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (VortexlabError, ValueError, OSError) as exc:
-        _write_json(run.path("error.json"),
-                    {"error": type(exc).__name__, "message": str(exc)})
+        # the manifest of a failed run lists error.json and the diagnostics
+        # filled before the failure
+        run.json("error.json", {"error": type(exc).__name__, "message": str(exc)})
+        run.finish()
         print(f"error: {exc}", file=sys.stderr)
         return 2
     run.finish()

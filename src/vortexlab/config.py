@@ -14,6 +14,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -21,9 +22,13 @@ from .constants import CONSTANTS
 from .core import DeviceModel
 from .energetics import PinningSite
 from .errors import ConfigError
-from .rabi import HilbertTruncation, QrmParams
-from .jumps import ReadoutModel, TelegraphParams
-from .tunneling import TunnelModel
+
+# the typed accessors import the model they build, so loading a config
+# loads none of rabi, jumps and tunneling
+if TYPE_CHECKING:
+    from .jumps import ReadoutModel, TelegraphParams
+    from .rabi import HilbertTruncation, QrmParams
+    from .tunneling import TunnelModel
 
 _DEG = math.pi / 180.0
 
@@ -126,6 +131,7 @@ class RunConfig:
                            f_r=d["f_r_GHz"], Z_r=d["Z_r_ohm"])
 
     def qrm(self) -> tuple[QrmParams, HilbertTruncation]:
+        from .rabi import HilbertTruncation, QrmParams
         q = self.section("qrm")
         params = QrmParams(f_r=q["f_r_GHz"], g=q["g_MHz"],
                            gamma=q["gamma_GHz_per_mT"], B0=q["B0_uT"],
@@ -146,6 +152,7 @@ class RunConfig:
         2 V / sigma^2, so Omega = 4 V y_zpf^2 / (hbar sigma^2) once y_zpf
         fixes the mass.
         """
+        from .tunneling import TunnelModel
         t = self.section("tunneling")
         sites = self.sites()
         if not sites:
@@ -156,10 +163,12 @@ class RunConfig:
         return TunnelModel(y_zpf=y_zpf, Omega=Omega)
 
     def telegraph(self) -> TelegraphParams:
+        from .jumps import TelegraphParams
         j = self.section("jumps")
         return TelegraphParams(T_up=j["T_up_us"], T_down=j["T_down_us"])
 
     def readout(self) -> ReadoutModel:
+        from .jumps import ReadoutModel
         j = self.section("jumps")
         sigma = j["sigma_cloud"]
         sep = j["separation_sigma"] * sigma
@@ -232,6 +241,13 @@ def _collect_sites(pinning: dict[str, float]) -> list[PinningSite]:
         missing = {"x_nm", "V_GHz", "sigma_nm"} - set(g)
         if missing:
             raise ConfigError(f"[pinning] site{idx} is missing {sorted(missing)}")
+        for key in ("x_nm", "y_nm"):
+            if not math.isfinite(g.get(key, 0.0)):
+                raise ConfigError(f"[pinning] site{idx}: {key} must be finite")
+        for key in ("V_GHz", "sigma_nm"):
+            if not 0.0 < g[key] < math.inf:  # also rejects nan
+                raise ConfigError(
+                    f"[pinning] site{idx}: {key} must be positive and finite")
         sites.append(PinningSite(x_i=g["x_nm"], y_i=g.get("y_nm", 0.0),
                                  V_i=g["V_GHz"], sigma_i=g["sigma_nm"]))
     return sites

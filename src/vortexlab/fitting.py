@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from . import rabi
 from .errors import DegenerateFitError, InvalidParameterError
+
+if TYPE_CHECKING:
+    from . import rabi
 
 _TINY = 1e-300
 _GTOL = 1e-10      # on the scaled gradient measure
@@ -351,6 +353,8 @@ def fit_joint_aqrm(dataset: SpectrumDataset, init: dict[str, float] | None,
     and 0.20 to 4.3 where g is resolved, so the fixed 1e-9 margin
     separates the two by orders of magnitude.
     """
+    from . import rabi  # only this fitter solves the Rabi model
+
     init = dict(init or {})
     qp, rp = dataset.qubit_points, dataset.resonator_points
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vortexlab import cli, config
+from vortexlab import cli, config, fitting, jumps
 from vortexlab.errors import ConfigError, VortexlabError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -108,6 +109,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config.load_config(bad)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("site1_sigma_nm", "-5", "site1: sigma_nm must be positive and finite"),
+        ("site2_V_GHz", "0", "site2: V_GHz must be positive and finite"),
+        ("site1_V_GHz", "inf", "site1: V_GHz must be positive and finite"),
+        ("site2_sigma_nm", "nan", "site2: sigma_nm must be positive and finite"),
+        ("site2_x_nm", "nan", "site2: x_nm must be finite"),
+        ("site1_y_nm", "-inf", "site1: y_nm must be finite")])
+    def test_bad_site_is_config_error(self, key, value, message):
+        text = CONFIG.read_text().replace(
+            f"{key} = ", f"{key} = {value}  # was ")
+        with pytest.raises(ConfigError, match=rf"^\[pinning\] {message}$"):
+            config.parse_config(text)
+
     def test_seed_env_override(self, mini_config):
         cfg = config.load_config(mini_config)
         assert cfg.seed(None) == 7
@@ -184,7 +198,6 @@ class TestScales:
         cli.main(["scales", "-c", str(mini_config), "-o", str(out)])
         manifest = json.loads((out / "manifest.scales.json").read_text())
         assert "scales.csv" in manifest["outputs"]
-        import hashlib
         digest = hashlib.sha256((out / "scales.csv").read_bytes()).hexdigest()
         assert manifest["outputs"]["scales.csv"] == digest
         assert manifest["seed"] == 7
@@ -203,6 +216,28 @@ class TestScales:
                 (out / f"manifest.{command}.json").read_text())
             assert manifest["command"] == command
             assert list(manifest["outputs"]) == [output]
+            environment = manifest["environment"]
+            assert sorted(environment) == [
+                "blas", "cpu_count", "numpy", "python", "scipy"]
+            assert environment["numpy"] == np.__version__
+            assert environment["cpu_count"] == os.cpu_count()
+            assert environment["python"] == ".".join(
+                map(str, sys.version_info[:3]))
+            assert sorted(environment["blas"]) == ["name", "version"]
+
+    def test_environment_names_scipy_only_once_imported(self, mini_config,
+                                                         tmp_path):
+        out = tmp_path / "fresh"
+        proc = run_cli("scales", "-c", str(mini_config), "-o", str(out))
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((out / "manifest.scales.json").read_text())
+        assert manifest["environment"]["scipy"] is None
+        import scipy
+        out = tmp_path / "warm"
+        assert cli.main(["scales", "-c", str(mini_config),
+                         "-o", str(out)]) == 0
+        manifest = json.loads((out / "manifest.scales.json").read_text())
+        assert manifest["environment"]["scipy"] == scipy.__version__
 
 
 class TestChiSweep:
@@ -278,13 +313,13 @@ class TestJumpsPipeline:
     def test_n_sigma_reaches_dwell_statistics(self, mini_config, tmp_path,
                                               monkeypatch):
         bands = []
-        real = cli.jumps.dwell_statistics
+        real = jumps.dwell_statistics
 
         def spy(states, spacing, **kwargs):
             bands.append(kwargs.get("n_sigma"))
             return real(states, spacing, **kwargs)
 
-        monkeypatch.setattr(cli.jumps, "dwell_statistics", spy)
+        monkeypatch.setattr(jumps, "dwell_statistics", spy)
         out = tmp_path / "out"
         assert cli.main(["synth-jumps", "-c", str(mini_config),
                          "-o", str(out)]) == 0
@@ -534,7 +569,7 @@ class TestBatchFit:
         def broken(points):
             raise TypeError("bug in the fitter")
 
-        monkeypatch.setattr(cli.fitting, "fit_hyperbola", broken)
+        monkeypatch.setattr(fitting, "fit_hyperbola", broken)
         with pytest.raises(TypeError):
             cli.main(["batch-fit", "--data-dir", str(data_dir),
                       "-o", str(tmp_path / "out")])
@@ -1098,6 +1133,19 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["scales", "chi"])
+    @pytest.mark.parametrize("key, value", [
+        ("site1_sigma_nm", "-5"), ("site2_V_GHz", "0")])
+    def test_bad_site_is_one(self, tmp_path, capsys, command, key, value):
+        conf = tmp_path / "c.ini"
+        conf.write_text(CONFIG.read_text().replace(
+            f"{key} = ", f"{key} = {value}  # was "))
+        assert cli.main([command, "-c", str(conf),
+                         "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [pinning] site")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     @pytest.mark.parametrize("command, option", [
         ("landscape", "--points"), ("gamma-map", "--n-delta"),
@@ -1121,6 +1169,27 @@ class TestExitCodes:
         assert code == 2
         report = json.loads((out / "error.json").read_text())
         assert "error" in report
+        manifest = json.loads((out / "manifest.analyze-jumps.json").read_text())
+        assert manifest["outputs"] == {
+            "error.json": hashlib.sha256(
+                (out / "error.json").read_bytes()).hexdigest()}
+        assert "environment" in manifest
+
+    def test_failure_manifest_keeps_diagnostics(self, mini_config, tmp_path,
+                                                monkeypatch):
+        def fails_midway(args, cfg, run):
+            run.csv("partial.csv", ["x"], [[1.0]])
+            run.diagnostics["stage"] = "solve"
+            raise VortexlabError("solve failed")
+
+        monkeypatch.setattr(cli, "_cmd_scales", fails_midway)
+        out = tmp_path / "out"
+        assert cli.main(["scales", "-c", str(mini_config),
+                         "-o", str(out)]) == 2
+        manifest = json.loads((out / "manifest.scales.json").read_text())
+        assert manifest["diagnostics"] == {"stage": "solve"}
+        assert sorted(manifest["outputs"]) == ["error.json", "partial.csv"]
+        assert manifest["seed"] == 7
 
 
 def test_console_entry_point(tmp_path):

@@ -350,6 +350,42 @@ def test_cli_and_1d_solve_do_not_import_scipy(tmp_path):
     assert {"chi.csv", "fit_spectrum.json"} <= {p.name for p in tmp_path.iterdir()}
 
 
+def test_commands_import_only_the_modules_they_run(tmp_path):
+    # a fresh process compiles every module it imports; loading a config
+    # needs none of these four, gamma-map none and batch-fit only fitting
+    code = (
+        "import sys\n"
+        "import vortexlab.cli as cli\n"
+        "config, data_dir, out = sys.argv[1:]\n"
+        "def loaded():\n"
+        "    return sorted(m for m in ('fitting', 'rabi', 'jumps', 'tunneling')\n"
+        "                  if 'vortexlab.' + m in sys.modules)\n"
+        "cli.load_config(config)\n"
+        "assert loaded() == [], loaded()\n"
+        "assert cli.main(['gamma-map', '-c', config, '-o', out,\n"
+        "                 '--n-delta', '5', '--n-xbar', '5']) == 0\n"
+        "assert loaded() == [], loaded()\n"
+        "assert cli.main(['batch-fit', '--data-dir', data_dir, '-o', out]) == 0\n"
+        "assert loaded() == ['fitting'], loaded()\n")
+    data_dir = tmp_path / "sets"
+    data_dir.mkdir()
+    B = np.linspace(28.0, 228.0, 15)
+    f = np.sqrt(2.0**2 + (20e-3 * (B - 128.0)) ** 2)
+    np.savetxt(data_dir / "run0.csv", np.column_stack([B, f]), delimiter=",",
+               header="B_uT,f_GHz", comments="")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "configs" / "example.ini"),
+         str(data_dir), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert {"gamma_map.csv", "batch_fit.csv"} <= {
+        p.name for p in (tmp_path / "out").iterdir()}
+
+
 def test_light_sweep_does_not_import_scipy():
     # one field at 256 points, the benchmark's light tunnel sweep
     code = (
