@@ -643,7 +643,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y1-um", type=float, required=True)
     p.add_argument("--x2-um", type=float, required=True)
     p.add_argument("--y2-um", type=float, required=True)
-    p.add_argument("--delta-nm", type=float, default=10.0,
+    p.add_argument("--delta-nm", type=_positive(float), default=10.0,
                    help="tunneling length for the coupling scale")
 
     add("tunnel", _cmd_tunnel, "double-well eigenfrequencies versus field")
@@ -672,6 +672,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; the contract is 1
         return 0 if exc.code in (0, None) else 1
+    out = Path(args.out)
+    if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
+        print(f"error: output path {out} is not a directory", file=sys.stderr)
+        return 1
 
     cfg = None
     seed = None
@@ -687,7 +691,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    run = Run(args.command, Path(args.out), cfg, seed)
+    run = Run(args.command, out, cfg, seed)
     try:
         code = args.handler(args, cfg, run)
     except ConfigError as exc:
@@ -700,7 +704,8 @@ def main(argv=None) -> int:
         run.finish()
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    run.finish()
+    if code != 1:  # a handler's usage error, like a config error, writes nothing
+        run.finish()
     return code
 
 

@@ -72,19 +72,10 @@ def example_device() -> DeviceModel:
                        lambda_L=4e-6, f_r=7.572e9, Z_r=3e3)
 
 
-def derive_scales(device: DeviceModel,
-                  eps0_override: float | None = None) -> DerivedScales:
-    """Compute the screening length, vortex energy scale and thresholds.
-
-    eps0_override substitutes an externally calibrated single-vortex energy
-    (J) for the closed-form value; Lambda, phi_S and B_S are unaffected.
-    """
+def derive_scales(device: DeviceModel) -> DerivedScales:
+    """Compute the screening length, vortex energy scale and thresholds."""
     Lambda = 2.0 * device.lambda_L**2 / device.t
     eps0 = CONSTANTS.Phi0**2 / (2.0 * math.pi * CONSTANTS.mu0 * Lambda)
-    if eps0_override is not None:
-        if not (math.isfinite(eps0_override) and eps0_override > 0):
-            raise InvalidParameterError("eps0 override must be positive and finite")
-        eps0 = eps0_override
     phi_S = (2.0 / math.pi) * math.log(2.0 * device.w / (math.pi * device.xi))
     B_S = phi_S * CONSTANTS.Phi0 / device.w**2
     return DerivedScales(Lambda=Lambda, eps0=eps0, phi_S=phi_S, B_S=B_S)

@@ -156,12 +156,6 @@ def well_detuning(x_bar: float, delta_LR: float, B: float,
     return float(g_left - g_right)
 
 
-def well_asymmetry(x_bar: float, delta_LR: float, B: float,
-                   scales: DerivedScales, device: DeviceModel) -> float:
-    """Magnitude |C - h gamma B| of the well offset (J)."""
-    return abs(well_detuning(x_bar, delta_LR, B, scales, device))
-
-
 def degeneracy_field(x_bar: float, delta_LR: float, scales: DerivedScales,
                      device: DeviceModel) -> float:
     """Field (T) at which the two wells align, i.e. the detuning vanishes."""
@@ -174,19 +168,25 @@ def degeneracy_field(x_bar: float, delta_LR: float, scales: DerivedScales,
     return -d0 / slope
 
 
-def aligned_depth(V1: float, x_bar: float, delta_LR: float, B0: float,
-                  scales: DerivedScales, device: DeviceModel) -> float:
-    """Depth V2 (J) aligning the second well with the first at field B0.
-
-    For equal well curvatures the alignment constraint reads
-    V2 = V1 + (G1(left) - G1(right)) evaluated at B0.
-    """
-    return V1 + well_detuning(x_bar, delta_LR, B0, scales, device)
-
-
 # ---------------------------------------------------------------------------
 # vortex pair interaction
 # ---------------------------------------------------------------------------
+
+def _pair_geometry(r1: tuple[float, float], r2: tuple[float, float],
+                   w: float) -> tuple[float, float, float]:
+    """u = pi / w, c = cosh(u (y1 - y2)) and den = c - cos(u (x1 - x2)) of
+    two vortices strictly inside the strip; den vanishes only where they
+    coincide."""
+    (x1, y1), (x2, y2) = r1, r2
+    if not (0.0 < x1 < w and 0.0 < x2 < w):
+        raise DomainError(f"vortex x positions must lie strictly inside (0, {w})")
+    u = math.pi / w
+    c = math.cosh(u * (y1 - y2))
+    den = c - math.cos(u * (x1 - x2))
+    if den <= 0.0:
+        raise DivergenceError("pair energy diverges for coincident vortices")
+    return u, c, den
+
 
 def gibbs_pair(r1: tuple[float, float], r2: tuple[float, float],
                scales: DerivedScales, device: DeviceModel):
@@ -195,21 +195,13 @@ def gibbs_pair(r1: tuple[float, float], r2: tuple[float, float],
     eps0 ln[(cosh(pi dy / w) - cos(pi (x1 + x2) / w)) /
             (cosh(pi dy / w) - cos(pi (x1 - x2) / w))];
     decays exponentially on the scale of the width and diverges as the
-    positions coincide.
+    positions coincide. Evaluated as eps0 log1p(2 sin(u x1) sin(u x2) / den),
+    u = pi / w, which keeps its relative precision far apart, where the
+    ratio of the logarithm tends to 1.
     """
-    x1, y1 = r1
-    x2, y2 = r2
-    w = device.w
-    if not (0.0 < x1 < w and 0.0 < x2 < w):
-        raise DomainError(f"vortex x positions must lie strictly inside (0, {w})")
-    if x1 == x2 and y1 == y2:
-        raise DivergenceError("pair energy diverges for coincident vortices")
-    c = math.cosh(math.pi * (y1 - y2) / w)
-    num = c - math.cos(math.pi * (x1 + x2) / w)
-    den = c - math.cos(math.pi * (x1 - x2) / w)
-    if den <= 0.0:
-        raise DivergenceError("pair energy diverges for coincident vortices")
-    return scales.eps0 * math.log(num / den)
+    u, _, den = _pair_geometry(r1, r2, device.w)
+    return scales.eps0 * math.log1p(
+        2.0 * math.sin(u * r1[0]) * math.sin(u * r2[0]) / den)
 
 
 @dataclass(frozen=True)
@@ -226,31 +218,33 @@ class PairCoupling:
     energy_scale: float
 
 
-def pair_coupling(pair: VortexPair, scales: DerivedScales, device: DeviceModel,
-                  fd_step: float | None = None) -> PairCoupling:
+def pair_coupling(pair: VortexPair, scales: DerivedScales,
+                  device: DeviceModel) -> PairCoupling:
     """Mixed Hessian of gibbs_pair and the qubit-qubit energy scale.
 
-    Central finite differences with step fd_step (default 1e-4 w). On the
-    central axis of the strip only the yy component survives, up to an
-    exponentially small xx admixture of order sech(pi |y1 - y2| / w).
+    Closed form: with u = pi / w, c = cosh(u dy), S = sinh(u dy),
+    dy = y1 - y2 and D(a) = c - cos(u a) for a in {s = x1 + x2,
+    d = x1 - x2},
+        A(a) = u^2 (c cos(u a) - 1) / D^2,  B(a) = -u^2 sin(u a) S / D^2,
+        hessian / eps0 = [[A(s) + A(d), B(d) - B(s)],
+                          [B(s) + B(d), A(s) - A(d)]].
+    A's numerator is written c cos - 1; the equal c D - S^2 cancels far
+    apart. On the central axis of the strip this is
+    eps0 (2 u^2 / S^2) [[1, 0], [0, -c]]: xx / yy = -sech(pi |dy| / w).
     """
-    h = fd_step if fd_step is not None else 1e-4 * device.w
-    if h <= 0:
-        raise InvalidParameterError("finite-difference step must be positive")
-    R1, R2 = np.asarray(pair.R1, float), np.asarray(pair.R2, float)
+    u, c, _ = _pair_geometry(pair.R1, pair.R2, device.w)
+    (x1, y1), (x2, y2) = pair.R1, pair.R2
+    S = math.sinh(u * (y1 - y2))
 
-    def g2(a, b):
-        return gibbs_pair(tuple(a), tuple(b), scales, device)
+    def terms(a: float) -> tuple[float, float]:
+        cos, sin = math.cos(u * a), math.sin(u * a)
+        D2 = (c - cos) ** 2
+        return u * u * (c * cos - 1.0) / D2, -u * u * sin * S / D2
 
-    e = np.eye(2)
-    hessian = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            hessian[i, j] = (g2(R1 + h * e[i], R2 + h * e[j])
-                             - g2(R1 + h * e[i], R2 - h * e[j])
-                             - g2(R1 - h * e[i], R2 + h * e[j])
-                             + g2(R1 - h * e[i], R2 - h * e[j])) / (4.0 * h * h)
-
+    A_s, B_s = terms(x1 + x2)
+    A_d, B_d = terms(x1 - x2)
+    hessian = scales.eps0 * np.array([[A_s + A_d, B_d - B_s],
+                                      [B_s + B_d, A_s - A_d]])
     # column sums first: the summation order fixes energy_scale's last bit
     total = hessian.sum(axis=0).sum()
     return PairCoupling(hessian=hessian,

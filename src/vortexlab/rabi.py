@@ -39,7 +39,6 @@ from .errors import AmbiguousLabelingError, DivergenceError, InvalidOrientationE
 _ORIENTATION_TOL = 1e-9
 # the parameters transition_gradients differentiates by, in column order
 GRADIENT_PARAMS = ("f_r", "g", "gamma", "B0", "f_q0")
-_CHI_CONVERGENCE_HZ = 1e3  # dispersive_shift's stopping change in chi
 
 
 @dataclass(frozen=True)
@@ -273,24 +272,12 @@ def qubit_frequency(params: QrmParams, B: float) -> float:
 
 
 def dispersive_shift(params: QrmParams, B: float,
-                     trunc: HilbertTruncation | None = None) -> float:
+                     trunc: HilbertTruncation) -> float:
     """Dispersive shift chi = f_r_e - f_r_g (Hz) from exact diagonalization.
 
-    With trunc=None the truncation starts at n_fock=60 and doubles until
-    chi changes by less than _CHI_CONVERGENCE_HZ. Propagates the labeling error
-    near resonance instead of extrapolating.
+    Propagates the labeling error near resonance instead of extrapolating.
     """
-    if trunc is not None:
-        return solve_qrm(params, B, trunc).chi
-    n_fock = 60
-    chi = solve_qrm(params, B, HilbertTruncation(n_fock)).chi
-    while n_fock < 480:
-        n_fock *= 2
-        chi_next = solve_qrm(params, B, HilbertTruncation(n_fock)).chi
-        if abs(chi_next - chi) < _CHI_CONVERGENCE_HZ:
-            return chi_next
-        chi = chi_next
-    return chi
+    return solve_qrm(params, B, trunc).chi
 
 
 def transverse_coupling(params: QrmParams, B: float) -> float:

@@ -95,43 +95,24 @@ class Grid:
         return self.dx * (self.dy if self.ny is not None else 1.0)
 
 
-def grid_for_sites(sites: Sequence[PinningSite], points: int = 1024) -> Grid:
-    """1D grid spanning all pinning sites plus a margin of _MARGIN_SIGMAS."""
-    if not sites:
-        raise InvalidParameterError("need at least one pinning site")
-    lo = min(s.x_i - _MARGIN_SIGMAS * s.sigma_i for s in sites)
-    hi = max(s.x_i + _MARGIN_SIGMAS * s.sigma_i for s in sites)
-    return Grid(x_min=lo, x_max=hi, nx=points)
-
-
 @dataclass(frozen=True)
 class TunnelModel:
     """Kinetic scale of the pinned vortex.
 
     y_zpf is the zero-point length, Omega the well curvature frequency
-    (rad/s). An optional explicit mass must agree with
-    y_zpf = sqrt(hbar / 2 m_v Omega) to a part in 1e6.
+    (rad/s).
     """
 
     y_zpf: float
     Omega: float
-    m_v: float | None = None
 
     def __post_init__(self):
         if not (self.y_zpf > 0 and self.Omega > 0):
             raise InvalidParameterError("y_zpf and Omega must be positive")
-        if self.m_v is not None:
-            implied = math.sqrt(CONSTANTS.hbar / (2.0 * self.m_v * self.Omega))
-            if abs(implied - self.y_zpf) > 1e-6 * self.y_zpf:
-                raise InvalidParameterError(
-                    f"m_v implies y_zpf = {implied}, inconsistent with "
-                    f"{self.y_zpf}")
 
     @property
     def mass(self) -> float:
         """Effective mass implied by the zero-point length (kg)."""
-        if self.m_v is not None:
-            return self.m_v
         return CONSTANTS.hbar / (2.0 * self.y_zpf**2 * self.Omega)
 
     @property

@@ -250,7 +250,7 @@ def test_criterion_08_pair_interaction(device, scales):
 
     far = energetics.pair_coupling(
         energetics.VortexPair((w / 2, 0.0), (w / 2, 8 * w), 10e-9),
-        scales, device, fd_step=1e-3 * w)
+        scales, device)
     hess = far.hessian
     only_yy = all(abs(hess[i, j]) < 1e-10 * abs(hess[1, 1])
                   for i, j in ((0, 0), (0, 1), (1, 0)))

@@ -592,6 +592,7 @@ class TestBatchFit:
         out = tmp_path / "out"
         assert cli.main(["batch-fit", "--data-dir", str(data_dir),
                          "-o", str(out)]) == 1
+        assert not out.exists()
 
 
 class TestOtherSubcommands:
@@ -1160,6 +1161,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert option in err and "must be positive" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3", "nan"])
+    def test_non_positive_pair_delta_is_one(self, mini_config, tmp_path,
+                                            capsys, value):
+        out = tmp_path / "out"
+        assert cli.main(["pair", "-c", str(mini_config), "-o", str(out),
+                         "--x1-um", "1.5", "--y1-um", "0.0", "--x2-um", "1.5",
+                         "--y2-um", "3.0", f"--delta-nm={value}"]) == 1
+        err = capsys.readouterr().err
+        assert "--delta-nm" in err and "must be positive" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_output_path_through_a_file_is_one(self, mini_config, tmp_path,
+                                               capsys, out):
+        (tmp_path / "afile").write_text("kept\n")
+        assert cli.main(["scales", "-c", str(mini_config),
+                         "-o", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "not a directory" in err
+        assert (tmp_path / "afile").read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile",
+                                                               "mini.ini"]
 
     def test_numerical_error_is_two(self, mini_config, tmp_path):
         out = tmp_path / "out"

@@ -63,12 +63,6 @@ class TestDerivedScales:
         lhs = scales.eps0 * 2 * math.pi * CONSTANTS.mu0 * scales.Lambda
         assert lhs == pytest.approx(CONSTANTS.Phi0**2, rel=1e-10)
 
-    def test_eps0_override(self, device):
-        target = CONSTANTS.h * 2e12
-        sc = core.derive_scales(device, eps0_override=target)
-        assert sc.eps0 == target
-        assert sc.phi_S == core.derive_scales(device).phi_S
-
     def test_homogeneous_in_geometry(self, device):
         # scaling w and xi together leaves phi_S unchanged
         sc1 = core.derive_scales(device)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -104,10 +105,10 @@ class TestGammaFromGeometry:
         assert energetics.gamma_from_geometry(10e-9, device.w / 2, scales,
                                               device) == 0.0
 
-    def test_paper_scale_inversion(self, device):
+    def test_paper_scale_inversion(self, scales, device):
         # gamma = 20 GHz/mT with delta = 10 nm and eps0 = h x 2 THz needs
         # |2 x_bar - w| = 0.33 um (inverted by hand)
-        sc = core.derive_scales(device, eps0_override=H * 2e12)
+        sc = dataclasses.replace(scales, eps0=H * 2e12)
         offset = 20e12 * H * CONSTANTS.Phi0 / (2 * math.pi * sc.eps0 * 10e-9)
         assert offset == pytest.approx(0.329e-6, abs=0.002e-6)
         x_bar = (offset + device.w) / 2
@@ -154,8 +155,8 @@ class TestGammaFromGeometry:
 class TestWellAsymmetry:
     def test_zero_separation_limit(self, scales, device):
         # delta -> 0 kills the asymmetry at every field
-        val = energetics.well_asymmetry(1e-6, 1e-12, 3e-4, scales, device)
-        assert val < 1e-6 * scales.eps0
+        val = energetics.well_detuning(1e-6, 1e-12, 3e-4, scales, device)
+        assert abs(val) < 1e-6 * scales.eps0
 
     def test_field_slope_matches_gamma(self, scales, device):
         x_bar, delta = 1e-6, 30e-9
@@ -172,14 +173,6 @@ class TestWellAsymmetry:
         B_star = energetics.degeneracy_field(x_bar, delta, scales, device)
         assert abs(energetics.well_detuning(x_bar, delta, B_star, scales,
                                             device)) < 1e-12 * scales.eps0
-
-    def test_aligned_depth_constraint(self, scales, device):
-        x_bar, delta, B = 1e-6, 30e-9, 2e-4
-        V1 = H * 40e9
-        V2 = energetics.aligned_depth(V1, x_bar, delta, B, scales, device)
-        assert V2 - V1 == pytest.approx(
-            energetics.well_detuning(x_bar, delta, B, scales, device),
-            rel=1e-12)
 
     def test_centered_well_has_no_degeneracy_field(self, scales, device):
         with pytest.raises(DivergenceError):
@@ -200,6 +193,16 @@ class TestGibbsPair:
         g2 = energetics.gibbs_pair((w / 2, 0.0), (w / 2, 3 * w), scales, device)
         assert g2 < g1
         assert g2 / g1 == pytest.approx(math.exp(-math.pi), rel=0.01)
+
+    @pytest.mark.parametrize("widths", [8, 10])
+    def test_far_on_axis_matches_atanh_form(self, scales, device, widths):
+        # on the axis G2 = eps0 ln((c + 1) / (c - 1)) = 4 eps0 atanh(e^-u dy),
+        # whose ratio of the logarithm tends to 1 far apart
+        w = device.w
+        g = energetics.gibbs_pair((w / 2, 0.0), (w / 2, widths * w), scales,
+                                  device)
+        exact = 4 * scales.eps0 * math.atanh(math.exp(-math.pi * widths))
+        assert abs(g - exact) <= 1e-13 * exact
 
     def test_edge_cancellation(self, scales, device):
         g = energetics.gibbs_pair((1e-12, 0.0), (1.5e-6, 1e-6), scales, device)
@@ -232,7 +235,7 @@ class TestGibbsPair:
         r2 = (fx2 * device.w, (fy1 + dy) * device.w)
         g12 = energetics.gibbs_pair(r1, r2, scales, device)
         g21 = energetics.gibbs_pair(r2, r1, scales, device)
-        assert g12 == pytest.approx(g21, rel=1e-12)
+        assert g12 == pytest.approx(g21, rel=1e-12, abs=0)
 
 
 class TestPairCoupling:
@@ -248,12 +251,42 @@ class TestPairCoupling:
             1 / math.cosh(math.pi), rel=1e-3)
 
     def test_far_separation_only_yy(self, scales, device):
+        # on the axis the Hessian is eps0 (2 u^2 / S^2) [[1, 0], [0, -c]]:
+        # xx / yy = -sech(u dy) is all that is left of the other entries
         w = device.w
-        pair = energetics.VortexPair((w / 2, 0.0), (w / 2, 8 * w), 10e-9)
-        pc = energetics.pair_coupling(pair, scales, device, fd_step=1e-3 * w)
-        hess = pc.hessian
-        for i, j in ((0, 0), (0, 1), (1, 0)):
-            assert abs(hess[i, j]) < 1e-10 * abs(hess[1, 1])
+        u = math.pi / w
+        for widths in (1, 2, 8):
+            pair = energetics.VortexPair((w / 2, 0.0), (w / 2, widths * w),
+                                         10e-9)
+            hess = energetics.pair_coupling(pair, scales, device).hessian
+            c, S = math.cosh(math.pi * widths), math.sinh(math.pi * widths)
+            exact = scales.eps0 * 2 * u**2 / S**2 * np.array([[1.0, 0.0],
+                                                              [0.0, -c]])
+            assert np.all(np.abs(hess - exact) <= 1e-12 * abs(exact[1, 1]))
+
+    @pytest.mark.parametrize("r1, r2", [
+        ((0.5, 0.0), (0.5, 1.0)), ((0.35, 0.0), (0.65, 0.9)),
+        ((0.3, 0.0), (0.6, 1.7))])
+    def test_matches_central_difference_stencil(self, scales, device, r1, r2):
+        # the former implementation: central differences of gibbs_pair, step
+        # 1e-4 w, as an oracle (positions in widths)
+        w = device.w
+        R1, R2 = np.array(r1) * w, np.array(r2) * w
+        h = 1e-4 * w
+
+        def g2(a, b):
+            return energetics.gibbs_pair(tuple(a), tuple(b), scales, device)
+
+        e = np.eye(2)
+        stencil = np.array([[
+            (g2(R1 + h * e[i], R2 + h * e[j]) - g2(R1 + h * e[i], R2 - h * e[j])
+             - g2(R1 - h * e[i], R2 + h * e[j])
+             + g2(R1 - h * e[i], R2 - h * e[j])) / (4 * h * h)
+            for j in range(2)] for i in range(2)])
+        hess = energetics.pair_coupling(
+            energetics.VortexPair(tuple(R1), tuple(R2), 10e-9), scales,
+            device).hessian
+        assert np.all(np.abs(hess - stencil) <= 1e-6 * np.abs(hess).max())
 
     def test_exchange_symmetry_of_scale(self, scales, device):
         w = device.w
@@ -263,7 +296,8 @@ class TestPairCoupling:
         b = energetics.pair_coupling(
             energetics.VortexPair((0.7 * w, 1.3 * w), (0.4 * w, 0.0), 10e-9),
             scales, device)
-        assert a.energy_scale == pytest.approx(b.energy_scale, rel=1e-6)
+        assert a.energy_scale == pytest.approx(b.energy_scale, rel=1e-6,
+                                               abs=0)
 
     def test_mixed_partials_match_on_mirror_configs(self, scales, device):
         # with x1 + x2 = w the two mixed partials coincide analytically
@@ -272,7 +306,7 @@ class TestPairCoupling:
                                      10e-9)
         pc = energetics.pair_coupling(pair, scales, device)
         hess = pc.hessian
-        assert hess[0, 1] == pytest.approx(hess[1, 0], rel=1e-6)
+        assert hess[0, 1] == pytest.approx(hess[1, 0], rel=1e-6, abs=0)
         assert hess[0, 1] != 0.0
 
     def test_coupling_much_below_qubit_frequency(self, scales, device):

@@ -187,11 +187,6 @@ class TestDispersiveShift:
         assert abs(chi60 - chi30) < 1e3
         assert abs(chi120 - chi60) < 1e3
 
-    def test_adaptive_matches_fixed(self, aqrm):
-        assert rabi.dispersive_shift(aqrm, B0) == pytest.approx(
-            rabi.dispersive_shift(aqrm, B0, rabi.HilbertTruncation(120)),
-            abs=1e3)
-
     def test_direction_discrimination_within_150uT(self, aqrm, sqrm, trunc):
         # over |B - B0| <= 150 uT the exact AQRM chi shrinks in magnitude
         # away from the sweet spot while the SQRM chi deepens

@@ -45,24 +45,11 @@ class TestGrid:
         with pytest.raises(InvalidParameterError):
             tunneling.Grid(0.0, 1e-7, 32)
 
-    def test_grid_for_sites_margin(self):
-        sites = [energetics.PinningSite(1e-6, 0.0, 1e-24, 8e-9),
-                 energetics.PinningSite(1.1e-6, 0.0, 1e-24, 10e-9)]
-        g = tunneling.grid_for_sites(sites, points=256)
-        assert g.x_min <= 1e-6 - 5 * 8e-9
-        assert g.x_max >= 1.1e-6 + 5 * 10e-9
-
 
 class TestTunnelModel:
     def test_kinetic_coefficient(self, model):
         assert model.kinetic_coefficient == pytest.approx(
             HBAR**2 / (2 * model.mass), rel=1e-12)
-
-    def test_mass_consistency_check(self):
-        m_ok = HBAR / (2 * Y_ZPF**2 * OMEGA)
-        tunneling.TunnelModel(y_zpf=Y_ZPF, Omega=OMEGA, m_v=m_ok)
-        with pytest.raises(InvalidParameterError):
-            tunneling.TunnelModel(y_zpf=Y_ZPF, Omega=OMEGA, m_v=1.1 * m_ok)
 
 
 class TestSolveSchrodinger:
