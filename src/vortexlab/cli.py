@@ -220,6 +220,13 @@ def _fit_payload(result: FitResult, scale: dict[str, tuple[str, float]]
             "message": result.message}
 
 
+def _fit_diagnostics(result: FitResult) -> dict:
+    """How a fit went, for the manifest: iterations, stopping message and
+    gradient measure."""
+    return {"iterations": result.iterations, "message": result.message,
+            "gradient_measure": result.gradient_measure}
+
+
 def _empty_as_nan(cell: str) -> float:
     """loadtxt converter: an empty cell reads as NaN (loadtxt rejects it)."""
     return float(cell) if cell.strip() else math.nan
@@ -338,10 +345,8 @@ def _cmd_fit_spectrum(args, cfg: RunConfig, run: Run) -> int:
                 "B0": params.B0, "f_q0": params.f_q0}
     result = fitting.fit_joint_aqrm(dataset, init, trunc)
     run.table("fit_spectrum", args.format, _fit_payload(result, _QRM_UNITS))
-    run.diagnostics.update(
-        iterations=result.iterations, message=result.message,
-        gradient_measure=result.gradient_measure,
-        n_penalized=result.n_penalized)
+    run.diagnostics.update(_fit_diagnostics(result),
+                           n_penalized=result.n_penalized)
     return 0 if result.converged else 2
 
 
@@ -352,6 +357,7 @@ def _cmd_fit_decay(args, cfg: RunConfig, run: Run) -> int:
     stem = "fit_echo" if args.command == "fit-echo" else "fit_decay"
     run.table(stem, args.format, _fit_payload(
         result, {"T": ("T_us", 1e-6), "A": ("A", 1.0), "c": ("c", 1.0)}))
+    run.diagnostics.update(_fit_diagnostics(result))
     return 0 if result.converged else 2
 
 
@@ -364,6 +370,7 @@ def _cmd_fit_ramsey(args, cfg: RunConfig, run: Run) -> int:
              "a1": ("a1", 1.0), "a2": ("a2", 1.0), "phi1": ("phi1_rad", 1.0),
              "phi2": ("phi2_rad", 1.0), "c": ("c", 1.0)}
     run.table("fit_ramsey", args.format, _fit_payload(result, units))
+    run.diagnostics.update(_fit_diagnostics(result))
     return 0 if result.converged else 2
 
 
@@ -390,6 +397,7 @@ def _cmd_fit_rabi(args, cfg: RunConfig, run: Run) -> int:
         amps = sorted(omegas)
         run.csv("fit_rabi.csv", ["amplitude_uV", "Omega_MHz"],
                 [[a * 1e6 for a in amps], [omegas[a] / 1e6 for a in amps]])
+    run.diagnostics.update(_fit_diagnostics(fit))
     return 0 if fit.converged else 2
 
 
@@ -448,7 +456,7 @@ def _cmd_tunnel(args, cfg: RunConfig, run: Run) -> int:
     grid_points = int(t.get("grid_points", 1024))
     sweep = tunneling.spectrum_vs_field(
         sites, (t["x_min_nm"], t["x_max_nm"]), fields, model, scales, device,
-        grid_points=grid_points, k=int(t.get("k_levels", 3)))
+        grid_points=grid_points)
     energies = np.array([res.energies[:2] for res in sweep.results])
     run.csv("tunnel.csv", ["B_uT", "f_q_GHz", "E0_GHz", "E1_GHz"],
             [sweep.fields * 1e6, sweep.omega_q / (2 * math.pi) / 1e9,
@@ -487,7 +495,7 @@ def _cmd_analyze_jumps(args, cfg: RunConfig, run: Run) -> int:
     ro = jumps.ReadoutModel(center_g=clusters.center_g,
                             center_e=clusters.center_e,
                             sigma_cloud=clusters.sigma_cloud,
-                            tau_m=spacing, spacing=spacing)
+                            spacing=spacing)
     assigned = jumps.latching_filter(traj, ro, n_sigma=args.n_sigma)
     stats = jumps.dwell_statistics(assigned, spacing, n_sigma=args.n_sigma)
     p_e = float(assigned.mean())
@@ -547,6 +555,11 @@ def _cmd_batch_fit(args, cfg: RunConfig, run: Run) -> int:
             ["dataset", "phi_over_phi_S", "f_q0_GHz", "B0_uT",
              "gamma_GHz_per_mT", "g_MHz", "converged", "error"],
             zip(*rows))
+    # a failed file's row is unconverged and holds the error message
+    errors = sum(bool(row[7]) for row in rows)
+    run.diagnostics.update(
+        files=len(rows), errors=errors,
+        unconverged=sum(not row[6] for row in rows) - errors)
     return 0
 
 

@@ -37,11 +37,8 @@ _SCHEMA: dict[str, dict[str, tuple[str, float]]] = {
     "device": {
         "w_um": ("float", 1e-6),
         "t_nm": ("float", 1e-9),
-        "length_um": ("float", 1e-6),
         "xi_nm": ("float", 1e-9),
         "lambda_L_um": ("float", 1e-6),
-        "f_r_GHz": ("float", 1e9),
-        "Z_r_ohm": ("float", 1.0),
     },
     "qrm": {
         "f_r_GHz": ("float", 1e9),
@@ -59,7 +56,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, float]]] = {
         "x_min_nm": ("float", 1e-9),
         "x_max_nm": ("float", 1e-9),
         "y_zpf_nm": ("float", 1e-9),
-        "k_levels": ("int", 1.0),
     },
     "jumps": {
         "T_up_us": ("float", 1e-6),
@@ -67,7 +63,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, float]]] = {
         "sigma_cloud": ("float", 1.0),
         "separation_sigma": ("float", 1.0),
         "spacing_us": ("float", 1e-6),
-        "tau_m_us": ("float", 1e-6),
         "duration_s": ("float", 1.0),
         "seed": ("int", 1.0),
     },
@@ -80,12 +75,11 @@ _SCHEMA: dict[str, dict[str, tuple[str, float]]] = {
 
 # inclusive (low, high) bounds checked on load; a dense 1D tunneling solve
 # (short or coarse sweeps) holds about 2 grid_points^2 doubles, the
-# tridiagonal one a few grid_points x k_levels; the Rabi solve is dense in
-# 2 (n_fock + 1) rows, held to the same 4096; tunnel reports two levels
+# tridiagonal one a few grid_points x 3 levels; the Rabi solve is dense in
+# 2 (n_fock + 1) rows, held to the same 4096
 _LIMITS: dict[tuple[str, str], tuple[int, int]] = {
     ("qrm", "n_fock"): (2, 2047),
     ("tunneling", "grid_points"): (64, 4096),
-    ("tunneling", "k_levels"): (2, 10),
 }
 
 _SITE_KEY = re.compile(r"^site(\d+)_(x_nm|y_nm|V_GHz|sigma_nm)$")
@@ -110,7 +104,6 @@ class RunConfig:
     """Parsed configuration: section -> key -> SI value."""
 
     sections: dict[str, dict[str, float | int]]
-    path: Path | None = None
     sha256: str = ""
     site_list: list[PinningSite] = field(default_factory=list)
 
@@ -126,9 +119,8 @@ class RunConfig:
 
     def device(self) -> DeviceModel:
         d = self.section("device")
-        return DeviceModel(w=d["w_um"], t=d["t_nm"], length=d["length_um"],
-                           xi=d["xi_nm"], lambda_L=d["lambda_L_um"],
-                           f_r=d["f_r_GHz"], Z_r=d["Z_r_ohm"])
+        return DeviceModel(w=d["w_um"], t=d["t_nm"], xi=d["xi_nm"],
+                           lambda_L=d["lambda_L_um"])
 
     def qrm(self) -> tuple[QrmParams, HilbertTruncation]:
         from .rabi import HilbertTruncation, QrmParams
@@ -173,8 +165,7 @@ class RunConfig:
         sigma = j["sigma_cloud"]
         sep = j["separation_sigma"] * sigma
         return ReadoutModel(center_g=0.0 + 0.0j, center_e=complex(sep, 0.0),
-                            sigma_cloud=sigma, tau_m=j["tau_m_us"],
-                            spacing=j["spacing_us"])
+                            sigma_cloud=sigma, spacing=j["spacing_us"])
 
     def seed(self, env_override: str | None = None) -> int:
         """The run's seed: env_override (VORTEXLAB_SEED), else [jumps]
@@ -260,10 +251,10 @@ def load_config(path: str | Path) -> RunConfig:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config(text, path=path)
+    return parse_config(text)
 
 
-def parse_config(text: str, path: Path | None = None) -> RunConfig:
+def parse_config(text: str) -> RunConfig:
     parser = configparser.ConfigParser(
         comment_prefixes=("#",), inline_comment_prefixes=("#",),
         interpolation=None, strict=True)
@@ -283,5 +274,4 @@ def parse_config(text: str, path: Path | None = None) -> RunConfig:
 
     sites = _collect_sites(sections.get("pinning", {}))
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return RunConfig(sections=sections, path=path, sha256=digest,
-                     site_list=sites)
+    return RunConfig(sections=sections, sha256=digest, site_list=sites)

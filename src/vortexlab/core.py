@@ -28,15 +28,11 @@ class DeviceModel:
 
     w: float          # strip width (m)
     t: float          # film thickness (m)
-    length: float     # strip length (m)
     xi: float         # coherence length (m)
     lambda_L: float   # London penetration depth (m)
-    f_r: float        # bare resonator frequency (Hz)
-    Z_r: float        # resonator impedance (ohm)
 
     def __post_init__(self):
-        values = (self.w, self.t, self.length, self.xi, self.lambda_L,
-                  self.f_r, self.Z_r)
+        values = (self.w, self.t, self.xi, self.lambda_L)
         if not all(math.isfinite(v) and v > 0 for v in values):
             raise InvalidDeviceError(
                 "all device parameters must be positive and finite")
@@ -68,8 +64,7 @@ class DerivedScales:
 
 def example_device() -> DeviceModel:
     """Device used by the bundled example configuration and the test suite."""
-    return DeviceModel(w=3e-6, t=24e-9, length=400e-6, xi=7e-9,
-                       lambda_L=4e-6, f_r=7.572e9, Z_r=3e3)
+    return DeviceModel(w=3e-6, t=24e-9, xi=7e-9, lambda_L=4e-6)
 
 
 def derive_scales(device: DeviceModel) -> DerivedScales:

@@ -59,7 +59,6 @@ class VortexPair:
 
 @dataclass(frozen=True)
 class CouplingEstimateInput:
-    f_r: float       # Hz
     Z_r: float       # ohm
     w: float         # m
     t: float         # m
@@ -67,7 +66,7 @@ class CouplingEstimateInput:
     y_zpf: float     # m
 
     def __post_init__(self):
-        values = (self.f_r, self.Z_r, self.w, self.t, self.lambda_L, self.y_zpf)
+        values = (self.Z_r, self.w, self.t, self.lambda_L, self.y_zpf)
         if not all(math.isfinite(v) and v > 0 for v in values):
             raise InvalidParameterError("all inputs must be positive and finite")
         if not (0.1e-9 <= self.y_zpf <= 1e-6):

@@ -58,14 +58,14 @@ class ReadoutModel:
     center_g: complex
     center_e: complex
     sigma_cloud: float
-    tau_m: float      # integration time (s)
     spacing: float    # inter-measurement period (s)
 
     def __post_init__(self):
         if self.sigma_cloud <= 0:
             raise InvalidParameterError("sigma_cloud must be positive")
-        if self.spacing < self.tau_m:
-            raise InvalidParameterError("spacing must be at least tau_m")
+        if not 0.0 < self.spacing < math.inf:  # also rejects nan
+            raise InvalidParameterError(
+                f"spacing must be positive and finite, got {self.spacing}")
 
 
 @dataclass
@@ -255,14 +255,11 @@ class IqClusters:
     log_likelihood: float
 
 
-def iq_cluster(points: np.ndarray,
-               labels: np.ndarray | None = None) -> IqClusters:
+def iq_cluster(points: np.ndarray) -> IqClusters:
     """Two-component isotropic Gaussian mixture of the IQ plane via EM.
 
-    Without labels the more populated component is called the ground
-    state; with per-point labels (0 ground, 1 excited) the components are
-    matched to the labels by majority vote. P_e is the weight of the
-    excited component.
+    The more populated component is called the ground state; P_e is the
+    weight of the excited component.
 
     The iterations work on I and Q as two 1D arrays: one squared-distance
     array per component, the log-sum-exp of the two by np.logaddexp, and
@@ -323,15 +320,7 @@ def iq_cluster(points: np.ndarray,
             f"cluster centers separated by {sep:.3g} < sigma/2 = "
             f"{0.5 * sigma:.3g}; data look like a single cloud")
 
-    if labels is not None:
-        labels = np.asarray(labels)
-        # d0, d1 are the distances to the final centers; a tie goes to 0
-        nearer0 = d0 <= d1
-        # component 0 is ground if it captures the majority of label-0 points
-        match0 = nearer0[labels == 0].mean() if np.any(labels == 0) else 0.5
-        ground_idx = 0 if match0 >= 0.5 else 1
-    else:
-        ground_idx = int(np.argmax(weights))
+    ground_idx = int(np.argmax(weights))
     excited_idx = 1 - ground_idx
 
     return IqClusters(

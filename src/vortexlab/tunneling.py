@@ -127,8 +127,6 @@ class EigenResult:
 
     energies: np.ndarray
     wavefunctions: np.ndarray
-    grid: Grid
-    B: float | None = None
 
     @property
     def splitting(self) -> float:
@@ -227,7 +225,7 @@ def solve_schrodinger(grid: Grid, potential: np.ndarray, model: TunnelModel,
         jmax = int(np.argmax(np.abs(psi[i])))
         if psi[i, jmax] < 0:
             psi[i] = -psi[i]
-    return EigenResult(energies=vals.copy(), wavefunctions=psi, grid=grid)
+    return EigenResult(energies=vals.copy(), wavefunctions=psi)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +283,6 @@ def spectrum_vs_field(sites: Sequence[PinningSite], x_window: tuple[float, float
     for i, B in enumerate(fields):
         V = total_potential(x, 0.0, float(B), 0.0, sites, scales, device)
         res = solve_schrodinger(grid, V, model, k=k, _solver=solver)
-        res.B = float(B)
         results.append(res)
         omega[i] = res.splitting / CONSTANTS.hbar
         residual = max(residual, _max_residual_1d(grid, V, model, res))

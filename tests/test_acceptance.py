@@ -275,8 +275,8 @@ def test_criterion_09_coupling_estimate():
     ok = True
     for y_nm in np.linspace(1.0, 10.0, 10):
         ratio = energetics.coupling_estimate(
-            energetics.CouplingEstimateInput(f_r=F_R, Z_r=3e3, w=3e-6,
-                                             t=24e-9, lambda_L=4e-6,
+            energetics.CouplingEstimateInput(Z_r=3e3, w=3e-6, t=24e-9,
+                                             lambda_L=4e-6,
                                              y_zpf=y_nm * 1e-9))
         values[y_nm] = ratio
         # within a factor 2 of the 0.1-1% band
@@ -291,7 +291,7 @@ def test_criterion_10_quantum_jump_round_trip():
     t0 = time.time()
     tg = jumps.TelegraphParams(T_up=570e-6, T_down=135e-6)
     ro = jumps.ReadoutModel(center_g=0j, center_e=6 + 0j, sigma_cloud=1.0,
-                            tau_m=1.2e-6, spacing=5e-6)
+                            spacing=5e-6)
     traj = jumps.simulate_trajectory(tg, ro, duration=2.5, seed=42)
     n_shots = traj.times.size
     assigned = jumps.latching_filter(traj, ro, n_sigma=1.5)

@@ -33,11 +33,8 @@ MINI_CONFIG = """\
 [device]
 w_um = 3.0
 t_nm = 24.0
-length_um = 400.0
 xi_nm = 7.0
 lambda_L_um = 4.0
-f_r_GHz = 7.572
-Z_r_ohm = 3000.0
 
 [qrm]
 f_r_GHz = 7.572
@@ -53,7 +50,6 @@ T_down_us = 135.0
 sigma_cloud = 1.0
 separation_sigma = 6.0
 spacing_us = 5.0
-tau_m_us = 1.2
 duration_s = 0.25
 seed = 7
 
@@ -159,12 +155,38 @@ class TestConfig:
             config.load_config(bad)
 
     @pytest.mark.parametrize("key, value", [
-        ("grid_points", 64), ("grid_points", 4096),
-        ("k_levels", 2), ("k_levels", 10)])
+        ("grid_points", 64), ("grid_points", 4096)])
     def test_tunneling_bounds_accepted(self, tmp_path, key, value):
         ok = tmp_path / "ok.ini"
         ok.write_text(f"[tunneling]\n{key} = {value}\n")
         assert config.load_config(ok).section("tunneling")[key] == value
+
+    def test_readme_lists_the_schema(self):
+        # the key list of README's "Configuration format" block is the
+        # schema, so a key that reaches nothing cannot linger in the docs
+        text = (ROOT / "README.md").read_text()
+        block = text.split("## Configuration format", 1)[1]
+        block = block.split("```ini\n", 1)[1].split("```", 1)[0]
+        listed: dict[str, set[str]] = {}
+        for line in block.splitlines():
+            line = line.partition("#")[0].strip()
+            if line.startswith("["):
+                section = listed.setdefault(line.strip("[]"), set())
+            elif line:
+                section.update(k.strip() for k in line.split(",") if k.strip())
+        site_keys = listed.pop("pinning")
+        assert listed == {name: set(keys) for name, keys
+                          in config._SCHEMA.items() if name != "pinning"}
+        assert config._SCHEMA["pinning"] == {}
+        assert site_keys == {f"siteN_{suffix}"
+                             for suffix in config._SITE_FACTORS}
+        assert all(config._SITE_KEY.match(k.replace("N", "1"))
+                   for k in site_keys)
+
+    def test_example_sets_every_key(self):
+        sections = config.load_config(CONFIG).sections
+        for name, keys in config._SCHEMA.items():
+            assert set(sections[name]) >= set(keys), name
 
     def test_tunnel_model_curvature(self):
         cfg = config.load_config(CONFIG)
@@ -172,7 +194,7 @@ class TestConfig:
         site = cfg.sites()[0]
         from vortexlab.constants import CONSTANTS
         expected = 4 * site.V_i * (4e-9) ** 2 / (CONSTANTS.hbar * site.sigma_i**2)
-        assert model.Omega == pytest.approx(expected, rel=1e-12)
+        assert model.Omega == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestScales:
@@ -371,7 +393,7 @@ class TestJumpsPipeline:
         assert diagnostics["n_dwells_up"] == result["n_dwells_up"]
         assert diagnostics["n_dwells_down"] == result["n_dwells_down"]
         assert diagnostics["samples"] == 20000
-        assert diagnostics["spacing_us"] == pytest.approx(5.0, rel=1e-9)
+        assert diagnostics["spacing_us"] == pytest.approx(5.0, rel=1e-9, abs=0)
         # diagnostics stay out of the data file
         assert set(result) == {"P_e", "T1_us", "T_down_us", "T_eff_mK",
                                "T_up_us", "n_dwells_down", "n_dwells_up"}
@@ -418,7 +440,8 @@ class TestFitCommands:
         assert cli.main(["fit-decay", "--data", str(data),
                          "-o", str(out)]) == 0
         result = json.loads((out / "fit_decay.json").read_text())
-        assert result["params"]["T_us"] == pytest.approx(186.0, rel=1e-4)
+        assert result["params"]["T_us"] == pytest.approx(
+            186.0, rel=1e-4, abs=0)
         assert result["converged"]
 
     def test_fit_ramsey_csv_format(self, tmp_path):
@@ -435,7 +458,7 @@ class TestFitCommands:
                          "--format", "csv"]) == 0
         header, rows = read_csv(out / "fit_ramsey.csv")
         beat = float(rows[0][header.index("params.f_beat_MHz")])
-        assert beat == pytest.approx(2.0, rel=0.02)
+        assert beat == pytest.approx(2.0, rel=0.02, abs=0)
 
     def test_fit_spectrum(self, mini_config, tmp_path):
         from vortexlab import rabi
@@ -461,8 +484,10 @@ class TestFitCommands:
                          "--qubit", str(qubit), "--resonator", str(resonator),
                          "-o", str(out)]) == 0
         result = json.loads((out / "fit_spectrum.json").read_text())
-        assert result["params"]["g_MHz"] == pytest.approx(92.5, rel=1e-3)
-        assert result["params"]["B0_uT"] == pytest.approx(128.0, rel=1e-3)
+        assert result["params"]["g_MHz"] == pytest.approx(
+            92.5, rel=1e-3, abs=0)
+        assert result["params"]["B0_uT"] == pytest.approx(
+            128.0, rel=1e-3, abs=0)
         diagnostics = json.loads(
             (out / "manifest.fit-spectrum.json").read_text())["diagnostics"]
         assert set(diagnostics) == {"iterations", "message",
@@ -540,9 +565,9 @@ class TestBatchFit:
         for i, row in enumerate(rows):
             assert row[header.index("converged")] == "True"
             b0 = float(row[header.index("B0_uT")])
-            assert b0 == pytest.approx(100.0 + 10 * i, rel=0.01)
+            assert b0 == pytest.approx(100.0 + 10 * i, rel=0.01, abs=0)
             gamma = float(row[header.index("gamma_GHz_per_mT")])
-            assert gamma == pytest.approx(20.0, rel=0.01)
+            assert gamma == pytest.approx(20.0, rel=0.01, abs=0)
             assert float(row[header.index("phi_over_phi_S")]) == \
                 pytest.approx(0.5 + 0.1 * i)
 
@@ -560,6 +585,28 @@ class TestBatchFit:
         flags = [row[header.index("converged")] for row in rows]
         assert flags.count("True") == 4
         assert flags.count("False") == 1
+
+    def test_manifest_counts(self, tmp_path, monkeypatch):
+        data_dir = tmp_path / "sets"
+        data_dir.mkdir()
+        for i in range(3):
+            self._write_dataset(data_dir / f"run{i}.csv", 120.0, 1.0)
+        (data_dir / "broken.csv").write_text("B_uT,f_GHz\nnot,numbers\n")
+        fit, calls = fitting.fit_hyperbola, []
+
+        def unconverged_first(points):  # run0.csv, after broken.csv
+            result = fit(points)
+            result.converged = result.converged and bool(calls)
+            calls.append(points)
+            return result
+
+        monkeypatch.setattr(fitting, "fit_hyperbola", unconverged_first)
+        out = tmp_path / "out"
+        assert cli.main(["batch-fit", "--data-dir", str(data_dir),
+                         "-o", str(out)]) == 0
+        manifest = json.loads((out / "manifest.batch-fit.json").read_text())
+        assert manifest["diagnostics"] == {"files": 4, "errors": 1,
+                                           "unconverged": 1}
 
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         data_dir = tmp_path / "sets"
@@ -645,7 +692,6 @@ grid_points = 256
 x_min_nm = 880.0
 x_max_nm = 1120.0
 y_zpf_nm = 4.0
-k_levels = 3
 """.replace("B_min_uT = 68.0", "")
             + "")
         # narrow three-point field scan near the alignment field
@@ -713,7 +759,7 @@ y_zpf_nm = 4.0
         out = tmp_path / "out"
         assert cli.main(["fit-echo", "--data", str(data), "-o", str(out)]) == 0
         result = json.loads((out / "fit_echo.json").read_text())
-        assert result["params"]["T_us"] == pytest.approx(1.2, rel=1e-3)
+        assert result["params"]["T_us"] == pytest.approx(1.2, rel=1e-3, abs=0)
 
     def test_fit_rabi(self, tmp_path):
         rows = []
@@ -729,8 +775,26 @@ y_zpf_nm = 4.0
         out = tmp_path / "out"
         assert cli.main(["fit-rabi", "--data", str(data), "-o", str(out)]) == 0
         result = json.loads((out / "fit_rabi.json").read_text())
-        assert result["params"]["slope_MHz_per_uV"] == pytest.approx(1.0,
-                                                                     rel=0.01)
+        assert result["params"]["slope_MHz_per_uV"] == pytest.approx(
+            1.0, rel=0.01, abs=0)
+
+    @pytest.mark.parametrize("command", ["fit-decay", "fit-echo",
+                                         "fit-ramsey", "fit-rabi"])
+    def test_fit_manifest_diagnostics(self, tmp_path, command):
+        data = tmp_path / "data.csv"
+        data.write_text(_rabi_text() if command == "fit-rabi"
+                        else _trace_text(command))
+        out = tmp_path / "out"
+        assert cli.main([command, "--data", str(data), "-o", str(out)]) == 0
+        stem = command.replace("-", "_")
+        result = json.loads((out / f"{stem}.json").read_text())
+        diagnostics = json.loads(
+            (out / f"manifest.{command}.json").read_text())["diagnostics"]
+        assert sorted(diagnostics) == ["gradient_measure", "iterations",
+                                       "message"]
+        assert diagnostics["iterations"] == result["iterations"]
+        assert diagnostics["message"] == result["message"]
+        assert math.isfinite(diagnostics["gradient_measure"])
 
 
 def _trace_text(command: str) -> str:
@@ -1184,6 +1248,34 @@ class TestExitCodes:
         assert (tmp_path / "afile").read_text() == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile",
                                                                "mini.ini"]
+
+    @pytest.mark.parametrize("section, key", [
+        ("device", "length_um"), ("device", "f_r_GHz"), ("device", "Z_r_ohm"),
+        ("tunneling", "k_levels"), ("jumps", "tau_m_us")])
+    def test_removed_key_is_one(self, tmp_path, capsys, section, key):
+        # keys that reached no result are gone from the format
+        conf = tmp_path / "c.ini"
+        conf.write_text(CONFIG.read_text().replace(
+            f"[{section}]\n", f"[{section}]\n{key} = 3\n"))
+        assert cli.main(["scales", "-c", str(conf),
+                         "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"unknown key '{key}' in [{section}]" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+    def test_bad_spacing_is_two(self, tmp_path, value):
+        conf = tmp_path / "c.ini"
+        conf.write_text(MINI_CONFIG.replace("spacing_us = 5.0",
+                                            f"spacing_us = {value}"))
+        out = tmp_path / "out"
+        proc = run_cli("synth-jumps", "-c", str(conf), "-o", str(out))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "spacing must be positive" in proc.stderr
+        report = json.loads((out / "error.json").read_text())
+        assert "spacing must be positive" in report["message"]
+        assert not (out / "trajectory.csv").exists()
 
     def test_numerical_error_is_two(self, mini_config, tmp_path):
         out = tmp_path / "out"

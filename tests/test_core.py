@@ -24,23 +24,19 @@ class TestDeviceValidation:
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidDeviceError):
-            core.DeviceModel(w=0.0, t=24e-9, length=4e-4, xi=7e-9,
-                             lambda_L=4e-6, f_r=7.5e9, Z_r=3e3)
+            core.DeviceModel(w=0.0, t=24e-9, xi=7e-9, lambda_L=4e-6)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidDeviceError):
-            core.DeviceModel(w=math.nan, t=24e-9, length=4e-4, xi=7e-9,
-                             lambda_L=4e-6, f_r=7.5e9, Z_r=3e3)
+            core.DeviceModel(w=math.nan, t=24e-9, xi=7e-9, lambda_L=4e-6)
 
     def test_rejects_thick_film(self):
         with pytest.raises(InvalidDeviceError):
-            core.DeviceModel(w=3e-6, t=5e-6, length=4e-4, xi=7e-9,
-                             lambda_L=4e-6, f_r=7.5e9, Z_r=3e3)
+            core.DeviceModel(w=3e-6, t=5e-6, xi=7e-9, lambda_L=4e-6)
 
     def test_rejects_wide_coherence_length(self):
         with pytest.raises(InvalidDeviceError):
-            core.DeviceModel(w=3e-6, t=24e-9, length=4e-4, xi=4e-6,
-                             lambda_L=4e-6, f_r=7.5e9, Z_r=3e3)
+            core.DeviceModel(w=3e-6, t=24e-9, xi=4e-6, lambda_L=4e-6)
 
 
 class TestDerivedScales:
@@ -48,30 +44,30 @@ class TestDerivedScales:
         # (2/pi) ln(2 * 3um / (pi * 7nm)) evaluated by hand
         assert scales.phi_S == pytest.approx(3.57, abs=0.01)
         assert scales.phi_S == pytest.approx(
-            (2 / math.pi) * math.log(2 * 3e-6 / (math.pi * 7e-9)), rel=1e-12)
+            (2 / math.pi) * math.log(2 * 3e-6 / (math.pi * 7e-9)),
+            rel=1e-12, abs=0)
 
     def test_screening_length(self, scales):
-        assert scales.Lambda == pytest.approx(2 * (4e-6) ** 2 / 24e-9, rel=1e-12)
-        assert scales.Lambda == pytest.approx(1.333e-3, rel=1e-3)
+        assert scales.Lambda == pytest.approx(
+            2 * (4e-6) ** 2 / 24e-9, rel=1e-12, abs=0)
+        assert scales.Lambda == pytest.approx(1.333e-3, rel=1e-3, abs=0)
 
     def test_threshold_field(self, scales):
         assert scales.B_S == pytest.approx(
-            scales.phi_S * CONSTANTS.Phi0 / 9e-12, rel=1e-12)
-        assert scales.B_S == pytest.approx(820e-6, rel=0.01)
+            scales.phi_S * CONSTANTS.Phi0 / 9e-12, rel=1e-12, abs=0)
+        assert scales.B_S == pytest.approx(820e-6, rel=0.01, abs=0)
 
     def test_energy_scale_identity(self, scales):
         lhs = scales.eps0 * 2 * math.pi * CONSTANTS.mu0 * scales.Lambda
-        assert lhs == pytest.approx(CONSTANTS.Phi0**2, rel=1e-10)
+        assert lhs == pytest.approx(CONSTANTS.Phi0**2, rel=1e-10, abs=0)
 
     def test_homogeneous_in_geometry(self, device):
         # scaling w and xi together leaves phi_S unchanged
         sc1 = core.derive_scales(device)
         scaled = core.DeviceModel(w=device.w * 3.7, t=device.t,
-                                  length=device.length, xi=device.xi * 3.7,
-                                  lambda_L=device.lambda_L, f_r=device.f_r,
-                                  Z_r=device.Z_r)
+                                  xi=device.xi * 3.7, lambda_L=device.lambda_L)
         sc2 = core.derive_scales(scaled)
-        assert sc2.phi_S == pytest.approx(sc1.phi_S, rel=1e-12)
+        assert sc2.phi_S == pytest.approx(sc1.phi_S, rel=1e-12, abs=0)
 
 
 class TestFluxBias:
@@ -90,7 +86,7 @@ class TestFluxBias:
     def test_round_trip_with_threshold(self, scales):
         # B_S w^2 / Phi0 recovers phi_S exactly
         assert core.flux_bias(scales.B_S, 3e-6) == pytest.approx(
-            scales.phi_S, rel=1e-12)
+            scales.phi_S, rel=1e-12, abs=0)
 
     def test_rejects_bad_width(self):
         with pytest.raises(InvalidParameterError):
@@ -136,7 +132,8 @@ class TestVortexRegime:
 
 class TestEsrField:
     def test_paper_calibration_point(self):
-        assert core.esr_field(7.627e9, 2.0) == pytest.approx(272.5e-3, rel=1e-3)
+        assert core.esr_field(7.627e9, 2.0) == pytest.approx(
+            272.5e-3, rel=1e-3, abs=0)
 
     def test_zero_frequency(self):
         assert core.esr_field(0.0, 2.0) == 0.0
@@ -148,14 +145,14 @@ class TestEsrField:
     def test_linearity(self):
         f = 3.21e9
         assert core.esr_field(2 * f, 2.0) == pytest.approx(
-            2 * core.esr_field(f, 2.0), rel=1e-12)
+            2 * core.esr_field(f, 2.0), rel=1e-12, abs=0)
 
     @given(st.floats(min_value=1e6, max_value=1e12),
            st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=100, deadline=None)
     def test_linearity_property(self, f, g):
         assert core.esr_field(2 * f, g) == pytest.approx(
-            2 * core.esr_field(f, g), rel=1e-12)
+            2 * core.esr_field(f, g), rel=1e-12, abs=0)
 
     def test_rejects_bad_g(self):
         with pytest.raises(InvalidParameterError):
@@ -165,7 +162,7 @@ class TestEsrField:
 class TestCalibrateCoil:
     def test_two_point_exact(self):
         cal = core.calibrate_coil([(0.0, 0.0), (1.0, 72.8e-3)])
-        assert cal.slope == pytest.approx(72.8e-3, rel=1e-12)
+        assert cal.slope == pytest.approx(72.8e-3, rel=1e-12, abs=0)
         assert cal.intercept == pytest.approx(0.0, abs=1e-18)
         assert cal.slope_std_error == 0.0
 

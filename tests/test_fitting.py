@@ -23,7 +23,7 @@ class TestEngine:
         res = fitting.least_squares(
             lambda p: (p["a"] * x - 3.7 * x, x[:, None]), {"a": 1.0})
         assert res.converged
-        assert res.params["a"] == pytest.approx(3.7, rel=1e-10)
+        assert res.params["a"] == pytest.approx(3.7, rel=1e-10, abs=0)
 
     def test_exponential_rate_recovery(self):
         t = np.linspace(0, 5, 60)
@@ -31,14 +31,14 @@ class TestEngine:
         res = fitting.least_squares(
             lambda p: (np.exp(-p["k"] * t) - y,
                        (-t * np.exp(-p["k"] * t))[:, None]), {"k": 1.0})
-        assert res.params["k"] == pytest.approx(1.37, rel=1e-8)
+        assert res.params["k"] == pytest.approx(1.37, rel=1e-8, abs=0)
 
     def test_dead_parameter_flagged(self):
         x = np.linspace(0, 1, 30)
         res = fitting.least_squares(
             lambda p: (p["a"] * x - 2 * x + 0 * p["b"],
                        np.column_stack([x, 0 * x])), {"a": 1.0, "b": 5.0})
-        assert res.params["a"] == pytest.approx(2.0, rel=1e-9)
+        assert res.params["a"] == pytest.approx(2.0, rel=1e-9, abs=0)
         assert math.isinf(res.std_errors["b"])
 
     def test_residual_history_non_increasing(self):
@@ -75,15 +75,15 @@ class TestHyperbola:
     def test_noiseless_round_trip(self):
         res = fitting.fit_hyperbola(hyperbola_points())
         assert res.converged
-        assert res.params["f_q0"] == pytest.approx(F_Q0, rel=1e-6)
-        assert res.params["gamma"] == pytest.approx(GAMMA, rel=1e-6)
-        assert res.params["B0"] == pytest.approx(B0, rel=1e-6)
+        assert res.params["f_q0"] == pytest.approx(F_Q0, rel=1e-6, abs=0)
+        assert res.params["gamma"] == pytest.approx(GAMMA, rel=1e-6, abs=0)
+        assert res.params["B0"] == pytest.approx(B0, rel=1e-6, abs=0)
 
     def test_symmetric_pair_centers_B0(self):
         pts = np.array([[100e-6, 2.2e9, 1e6], [156e-6, 2.2e9, 1e6],
                         [128e-6, 2.0e9, 1e6]])
         res = fitting.fit_hyperbola(pts)
-        assert res.params["B0"] == pytest.approx(128e-6, rel=1e-9)
+        assert res.params["B0"] == pytest.approx(128e-6, rel=1e-9, abs=0)
 
     def test_noisy_within_three_sigma(self):
         res = fitting.fit_hyperbola(hyperbola_points(noise=10e6, sigma=10e6,
@@ -100,11 +100,11 @@ class TestHyperbola:
         res1 = fitting.fit_hyperbola(pts)
         res2 = fitting.fit_hyperbola(mirrored)
         assert res2.params["f_q0"] == pytest.approx(res1.params["f_q0"],
-                                                    rel=1e-8)
+                                                    rel=1e-8, abs=0)
         assert res2.params["gamma"] == pytest.approx(res1.params["gamma"],
-                                                     rel=1e-8)
+                                                     rel=1e-8, abs=0)
         assert res2.params["B0"] == pytest.approx(2 * pivot - res1.params["B0"],
-                                                  rel=1e-8)
+                                                  rel=1e-8, abs=0)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_permutation_invariance(self, seed):
@@ -114,7 +114,7 @@ class TestHyperbola:
         res2 = fitting.fit_hyperbola(pts[perm])
         for key in ("f_q0", "gamma", "B0"):
             assert res2.params[key] == pytest.approx(res1.params[key],
-                                                     rel=1e-12)
+                                                     rel=1e-12, abs=0)
 
     def test_degenerate_fields(self):
         pts = np.array([[1e-4, 2e9, 1e6]] * 4)
@@ -289,7 +289,8 @@ class TestJointJacobian:
         monkeypatch.setattr(fitting, "least_squares", finite_differences)
         fd = fitting.fit_joint_aqrm(ds, None, self.trunc)
         assert exact.converged and fd.converged
-        assert exact.residual_norm == pytest.approx(fd.residual_norm, rel=1e-9)
+        assert exact.residual_norm == pytest.approx(
+            fd.residual_norm, rel=1e-9, abs=0)
         for key, value in exact.params.items():
             assert abs(value - fd.params[key]) < 0.01 * exact.std_errors[key]
 
@@ -391,12 +392,13 @@ class TestJointJacobian:
         res = fitting.fit_joint_aqrm(ds, dict(best), self.trunc)
         assert res.n_penalized == 1
         assert "g unidentifiable" not in res.message
-        assert res.params["g"] == pytest.approx(best["g"], rel=1e-6)
+        assert res.params["g"] == pytest.approx(best["g"], rel=1e-6, abs=0)
         assert math.isfinite(res.std_errors["g"])
         # a penalty is no misfit: errors and norm from the labelled points
         ratio = res.std_errors["g"] / clean.std_errors["g"]
         assert 0.5 < ratio < 2.0
-        assert res.residual_norm == pytest.approx(clean.residual_norm, rel=0.1)
+        assert res.residual_norm == pytest.approx(
+            clean.residual_norm, rel=0.1, abs=0)
 
 
 def _trace(t, clean, noise, seed):
@@ -505,13 +507,13 @@ class TestExponential:
         t = np.linspace(0, 1e-3, 120)
         v = 0.8 * np.exp(-t / 186e-6) + 0.1
         res = fitting.fit_exponential(fitting.TimeTrace(times=t, values=v))
-        assert res.params["T"] == pytest.approx(186e-6, rel=1e-6)
+        assert res.params["T"] == pytest.approx(186e-6, rel=1e-6, abs=0)
 
     def test_echo_round_trip(self):
         t = np.linspace(0, 6e-6, 80)
         v = 0.5 * np.exp(-t / 1.2e-6) + 0.05
         res = fitting.fit_exponential(fitting.TimeTrace(times=t, values=v))
-        assert res.params["T"] == pytest.approx(1.2e-6, rel=0.02)
+        assert res.params["T"] == pytest.approx(1.2e-6, rel=0.02, abs=0)
 
     def test_constant_trace_unidentifiable(self):
         t = np.linspace(0, 1e-3, 50)
@@ -534,16 +536,16 @@ class TestRamseyBeat:
             + 0.4 * np.cos(2 * np.pi * 7e6 * t - 0.2)) + 0.5
         res = fitting.fit_ramsey_beat(fitting.TimeTrace(times=t, values=v))
         assert res.converged
-        assert res.params["T2s"] == pytest.approx(440e-9, rel=0.02)
-        assert res.params["f_beat"] == pytest.approx(2e6, rel=0.02)
+        assert res.params["T2s"] == pytest.approx(440e-9, rel=0.02, abs=0)
+        assert res.params["f_beat"] == pytest.approx(2e6, rel=0.02, abs=0)
 
     def test_single_tone_degenerates(self):
         t = np.linspace(0, 2e-6, 300)
         v = np.exp(-t / 440e-9) * 0.8 * np.cos(2 * np.pi * 6e6 * t + 0.1) + 0.5
         res = fitting.fit_ramsey_beat(fitting.TimeTrace(times=t, values=v))
         assert res.residual_norm < 1e-8
-        assert res.params["a1"] + res.params["a2"] == pytest.approx(0.8,
-                                                                    rel=0.02)
+        assert res.params["a1"] + res.params["a2"] == pytest.approx(
+            0.8, rel=0.02, abs=0)
         assert math.isinf(res.std_errors["f_beat"]) or \
             "unidentifiable" in res.message
 
@@ -568,7 +570,7 @@ class TestRabiLinear:
         scans = [self._scan(a) for a in (0.0, 4e-6, 8e-6, 16e-6, 24e-6)]
         fit, omegas, warnings = fitting.fit_rabi_linear(scans)
         assert not warnings
-        assert fit.params["slope"] == pytest.approx(1e12, rel=0.01)
+        assert fit.params["slope"] == pytest.approx(1e12, rel=0.01, abs=0)
         assert omegas[0.0] == 0.0
 
     @pytest.mark.parametrize("amplitude", [4e-6, 8e-6, 16e-6, 24e-6])
@@ -578,7 +580,8 @@ class TestRabiLinear:
         _, trace = self._scan(amplitude)
         res = fitting.fit_damped_cosine(trace)
         assert res.converged and res.iterations <= 20
-        assert res.params["f"] == pytest.approx(1e12 * amplitude, rel=1e-9)
+        assert res.params["f"] == pytest.approx(
+            1e12 * amplitude, rel=1e-9, abs=0)
         assert abs(res.params["rate"]) * 2e-6 < 1e-9
 
     def test_pi_pulse_consistency(self):
@@ -588,9 +591,9 @@ class TestRabiLinear:
         v = 0.5 - 0.5 * np.cos(2 * np.pi * 25e6 * t)
         fit, omegas, _ = fitting.fit_rabi_linear([(amp, fitting.TimeTrace(
             times=t, values=v))])
-        assert omegas[amp] == pytest.approx(25e6, rel=1e-3)
+        assert omegas[amp] == pytest.approx(25e6, rel=1e-3, abs=0)
         pi_time = 1.0 / (2.0 * omegas[amp])
-        assert pi_time == pytest.approx(20e-9, rel=1e-3)
+        assert pi_time == pytest.approx(20e-9, rel=1e-3, abs=0)
 
     def test_non_oscillating_excluded(self):
         scans = [self._scan(8e-6)]
@@ -609,16 +612,17 @@ class TestReflectionPhase:
 
     def test_lossless_on_resonance(self):
         s = fitting.reflection_s11(F_R, F_R, 0.0, 0.6e6)
-        assert abs(s) == pytest.approx(1.0, rel=1e-12)
+        assert abs(s) == pytest.approx(1.0, rel=1e-12, abs=0)
         assert fitting.reflection_phase(F_R, F_R, 0.0, 0.6e6) == pytest.approx(
-            math.pi, rel=1e-12)
+            math.pi, rel=1e-12, abs=0)
 
     def test_full_phase_roll_when_overcoupled(self):
         # log-spaced offsets: dense near resonance, wings out to 2 GHz
         off = np.geomspace(1e3, 2e9, 3000)
         f = F_R + np.concatenate([-off[::-1], [0.0], off])
         ph = np.unwrap(fitting.reflection_phase(f, F_R, 0.15e6, 0.6e6))
-        assert abs(ph[0] - ph[-1]) == pytest.approx(2 * math.pi, rel=1e-3)
+        assert abs(ph[0] - ph[-1]) == pytest.approx(
+            2 * math.pi, rel=1e-3, abs=0)
 
     def test_no_roll_when_undercoupled(self):
         off = np.geomspace(1e3, 2e9, 3000)
@@ -639,4 +643,4 @@ class TestReflectionPhase:
         fit_g = fitting.fit_reflection_phase(f, ph_g, init)
         fit_e = fitting.fit_reflection_phase(f, ph_e, init)
         chi_fit = fit_e.params["f_r"] - fit_g.params["f_r"]
-        assert chi_fit == pytest.approx(chi, rel=0.02)
+        assert chi_fit == pytest.approx(chi, rel=0.02, abs=0)

@@ -130,9 +130,9 @@ class TestSolveQrm:
     def test_decoupled_labels_exact(self):
         p = rabi.QrmParams.asymmetric(F_R, 0.0, GAMMA, B0, F_Q0)
         spec = rabi.solve_qrm(p, B0, rabi.HilbertTruncation(8))
-        assert spec.f_q_dressed == pytest.approx(F_Q0, rel=1e-12)
-        assert spec.f_r_g == pytest.approx(F_R, rel=1e-12)
-        assert spec.f_r_e == pytest.approx(F_R, rel=1e-12)
+        assert spec.f_q_dressed == pytest.approx(F_Q0, rel=1e-12, abs=0)
+        assert spec.f_r_g == pytest.approx(F_R, rel=1e-12, abs=0)
+        assert spec.f_r_e == pytest.approx(F_R, rel=1e-12, abs=0)
         assert set(spec.labels) == {(b, n) for b in "ge" for n in range(9)}
 
     def test_resonator_branches_near_bare(self, aqrm, trunc):
@@ -155,17 +155,18 @@ class TestSolveQrm:
 
 class TestQubitFrequency:
     def test_sweet_spot(self, aqrm):
-        assert rabi.qubit_frequency(aqrm, B0) == pytest.approx(2e9, rel=1e-12)
+        assert rabi.qubit_frequency(aqrm, B0) == pytest.approx(
+            2e9, rel=1e-12, abs=0)
 
     def test_hand_value(self, aqrm):
         # gamma (B - B0) = 2 GHz at 100 uT detuning
         assert rabi.qubit_frequency(aqrm, B0 + 100e-6) == pytest.approx(
-            math.sqrt(8) * 1e9, rel=1e-12)
+            math.sqrt(8) * 1e9, rel=1e-12, abs=0)
 
     def test_asymptote(self, aqrm):
         dB = 0.1  # 100 mT, far detuned
         ratio = rabi.qubit_frequency(aqrm, B0 + dB) / (GAMMA * dB)
-        assert ratio == pytest.approx(1.0, rel=1e-6)
+        assert ratio == pytest.approx(1.0, rel=1e-6, abs=0)
 
 
 class TestDispersiveShift:
@@ -210,7 +211,8 @@ class TestDispersiveShift:
 
 class TestChiPerturbative:
     def test_transverse_at_sweet_spot(self, aqrm):
-        assert rabi.transverse_coupling(aqrm, B0) == pytest.approx(G, rel=1e-12)
+        assert rabi.transverse_coupling(aqrm, B0) == pytest.approx(
+            G, rel=1e-12, abs=0)
 
     def test_longitudinal_limit(self, aqrm):
         # far detuned the coupling is almost fully longitudinal
@@ -266,7 +268,7 @@ class TestSweepField:
             H = rabi.build_hamiltonian(aqrm, B, tr)
             ev = np.linalg.eigvalsh(H) / CONSTANTS.h
             gaps.append(ev[2] - ev[1])
-        assert min(gaps) == pytest.approx(2 * g_perp, rel=0.05)
+        assert min(gaps) == pytest.approx(2 * g_perp, rel=0.05, abs=0)
 
     def test_failures_reported_as_gaps(self, aqrm, trunc):
         B_cross = B0 + math.sqrt(F_R**2 - F_Q0**2) / GAMMA

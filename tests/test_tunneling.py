@@ -49,7 +49,7 @@ class TestGrid:
 class TestTunnelModel:
     def test_kinetic_coefficient(self, model):
         assert model.kinetic_coefficient == pytest.approx(
-            HBAR**2 / (2 * model.mass), rel=1e-12)
+            HBAR**2 / (2 * model.mass), rel=1e-12, abs=0)
 
 
 class TestSolveSchrodinger:
@@ -64,10 +64,10 @@ class TestSolveSchrodinger:
     def test_particle_in_a_box(self, model):
         grid = tunneling.Grid(0.0, 100e-9, 1024)
         res = tunneling.solve_schrodinger(grid, np.zeros(1024), model, k=3)
-        assert res.energies[1] / res.energies[0] == pytest.approx(4.0,
-                                                                  rel=1e-3)
-        assert res.energies[2] / res.energies[0] == pytest.approx(9.0,
-                                                                  rel=1e-3)
+        assert res.energies[1] / res.energies[0] == pytest.approx(
+            4.0, rel=1e-3, abs=0)
+        assert res.energies[2] / res.energies[0] == pytest.approx(
+            9.0, rel=1e-3, abs=0)
 
     def test_matches_dense_oracle(self, model):
         # double well against full diagonalization on a 256-point grid
@@ -130,9 +130,9 @@ class TestSolveSchrodinger:
         V = 0.5 * k_spring * (X**2 + 2.25 * Y**2)  # omega_y = 1.5 omega_x
         res = tunneling.solve_schrodinger(grid, V, model, k=3)
         ratios = res.energies / (HBAR * OMEGA)
-        assert ratios[0] == pytest.approx(0.5 + 0.75, rel=5e-3)
-        assert ratios[1] == pytest.approx(1.5 + 0.75, rel=5e-3)
-        assert ratios[2] == pytest.approx(0.5 + 2.25, rel=5e-3)
+        assert ratios[0] == pytest.approx(0.5 + 0.75, rel=5e-3, abs=0)
+        assert ratios[1] == pytest.approx(1.5 + 0.75, rel=5e-3, abs=0)
+        assert ratios[2] == pytest.approx(0.5 + 2.25, rel=5e-3, abs=0)
 
     def test_k_limit(self, model):
         grid = tunneling.Grid(0.0, 100e-9, 128)
@@ -187,8 +187,8 @@ class TestSolveSchrodinger2D:
         grid, V = isotropic_oscillator(model)
         res = tunneling.solve_schrodinger(grid, V, model, k=3)
         E = res.energies / (HBAR * OMEGA)
-        assert E[1] == pytest.approx(E[2], rel=1e-9)
-        assert E[1] == pytest.approx(2.0, rel=5e-3)
+        assert E[1] == pytest.approx(E[2], rel=1e-9, abs=0)
+        assert E[1] == pytest.approx(2.0, rel=5e-3, abs=0)
         gram = res.wavefunctions @ res.wavefunctions.T * grid.cell
         assert np.abs(gram - np.eye(3)).max() < 1e-8
 
@@ -448,7 +448,8 @@ class TestSpectrumVsField:
             tunneling.TunnelModel(y_zpf=Y_ZPF, Omega=OMEGA), scales, device,
             grid_points=1024, k=2)
         omega = res.omega_q[0]
-        assert omega == pytest.approx(abs(eps_fn(B_far)) / HBAR, rel=0.05)
+        assert omega == pytest.approx(
+            abs(eps_fn(B_far)) / HBAR, rel=0.05, abs=0)
 
     def test_tridiagonal_sweep_matches_dense(self, sweep_setup, model, scales,
                                              device, monkeypatch):
@@ -505,13 +506,14 @@ class TestTwoLevelReduction:
             - V0 / (1 + (grid.x + 15e-9) ** 2 / (6e-9) ** 2)
         res = tunneling.solve_schrodinger(grid, V, model, k=3)
         tl = tunneling.two_level_reduction((res, res), lambda B: 0.0)
-        assert tl.omega_q(0.0) == pytest.approx(2 * tl.Delta / HBAR, rel=1e-12)
-        assert tl.Delta == pytest.approx(res.splitting / 2, rel=1e-12)
+        assert tl.omega_q(0.0) == pytest.approx(
+            2 * tl.Delta / HBAR, rel=1e-12, abs=0)
+        assert tl.Delta == pytest.approx(res.splitting / 2, rel=1e-12, abs=0)
 
     def test_formula_value(self):
         tl = tunneling.TwoLevelModel(Delta=1e-24, epsilon=lambda B: 2e-24)
         assert tl.omega_q(0.0) == pytest.approx(
-            math.sqrt(4e-48 + 4e-48) / HBAR, rel=1e-12)
+            math.sqrt(4e-48 + 4e-48) / HBAR, rel=1e-12, abs=0)
 
     def test_third_level_guard(self, model):
         # harmonic spectrum: E2 - E1 equals E1 - E0, reduction must refuse
