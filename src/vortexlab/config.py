@@ -21,7 +21,7 @@ import numpy as np
 from .constants import CONSTANTS
 from .core import DeviceModel
 from .energetics import PinningSite
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameterError
 
 # the typed accessors import the model they build, so loading a config
 # loads none of rabi, jumps and tunneling
@@ -73,10 +73,10 @@ _SCHEMA: dict[str, dict[str, tuple[str, float]]] = {
     },
 }
 
-# inclusive (low, high) bounds checked on load; a dense 1D tunneling solve
-# (short or coarse sweeps) holds about 2 grid_points^2 doubles, the
-# tridiagonal one a few grid_points x 3 levels; the Rabi solve is dense in
-# 2 (n_fock + 1) rows, held to the same 4096
+# inclusive (low, high) bounds checked on load; either 1D tunneling solve
+# holds a few grid_points x 3 levels of doubles, and the bisection arm's
+# time grows linearly with grid_points (about 60 ms a solve at 4096); the
+# Rabi solve is dense in 2 (n_fock + 1) rows, held to the same 4096
 _LIMITS: dict[tuple[str, str], tuple[int, int]] = {
     ("qrm", "n_fock"): (2, 2047),
     ("tunneling", "grid_points"): (64, 4096),
@@ -162,9 +162,12 @@ class RunConfig:
     def readout(self) -> ReadoutModel:
         from .jumps import ReadoutModel
         j = self.section("jumps")
-        sigma = j["sigma_cloud"]
-        sep = j["separation_sigma"] * sigma
-        return ReadoutModel(center_g=0.0 + 0.0j, center_e=complex(sep, 0.0),
+        sigma, separation = j["sigma_cloud"], j["separation_sigma"]
+        if not math.isfinite(separation):
+            raise InvalidParameterError(
+                f"separation_sigma must be finite, got {separation}")
+        return ReadoutModel(center_g=0.0 + 0.0j,
+                            center_e=complex(separation * sigma, 0.0),
                             sigma_cloud=sigma, spacing=j["spacing_us"])
 
     def seed(self, env_override: str | None = None) -> int:

@@ -61,8 +61,10 @@ class ReadoutModel:
     spacing: float    # inter-measurement period (s)
 
     def __post_init__(self):
-        if self.sigma_cloud <= 0:
-            raise InvalidParameterError("sigma_cloud must be positive")
+        if not 0.0 < self.sigma_cloud < math.inf:  # also rejects nan
+            raise InvalidParameterError(
+                f"sigma_cloud must be positive and finite, got "
+                f"{self.sigma_cloud}")
         if not 0.0 < self.spacing < math.inf:  # also rejects nan
             raise InvalidParameterError(
                 f"spacing must be positive and finite, got {self.spacing}")
@@ -113,8 +115,9 @@ def simulate_trajectory(tg: TelegraphParams, ro: ReadoutModel,
     corresponding cloud center plus independent per-quadrature noise.
     Measurement back-action is not modeled.
     """
-    if duration <= 0:
-        raise InvalidParameterError("duration must be positive")
+    if not 0.0 < duration < math.inf:  # an infinite one never ends
+        raise InvalidParameterError(
+            f"duration_s must be positive and finite, got {duration}")
     rng = np.random.default_rng(seed)
 
     state0 = int(rng.random() < tg.stationary_p_excited)

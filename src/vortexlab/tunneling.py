@@ -2,17 +2,17 @@
 
 Discretizes  H = hbar Omega [ -y_zpf^2 laplacian + V / (hbar Omega) ]  on a
 uniform grid with Dirichlet boundaries and a second-order central-difference
-Laplacian, then extracts the lowest eigenpairs with library solvers. In 1D
-the matrix is tridiagonal: scipy.linalg.eigh_tridiagonal (bisection, then
-inverse iteration) finds the lowest pairs when the solves ahead cost more
-in dense numpy eigh than importing scipy.linalg does, and dense eigh solves
-the rest (see spectrum_vs_field). In 2D, shift-invert ARPACK
+Laplacian, then extracts the lowest eigenpairs. In 1D the matrix is
+tridiagonal and both arms find only the lowest pairs by bisection, then
+inverse iteration: in numpy and plain Python (Sturm-sequence bisection,
+Thomas solves, then a Rayleigh-Ritz step) when the solves ahead cost less
+than importing scipy.linalg does, else with scipy.linalg.eigh_tridiagonal
+(see spectrum_vs_field). In 2D, shift-invert ARPACK
 (scipy.sparse.linalg.eigsh about the potential minimum) solves the sparse
 Kronecker-sum operator. scipy is imported by those two paths only. The
 kinetic coefficient hbar Omega y_zpf^2 equals hbar^2 / 2 m for the
 effective mass implied by y_zpf = sqrt(hbar / 2 m Omega), so the mass never
-has to be specified directly.
-"""
+has to be specified directly."""
 
 from __future__ import annotations
 
@@ -28,12 +28,17 @@ from .energetics import PinningSite, total_potential, well_detuning
 from .errors import (EigensolverError, InvalidParameterError,
                      ReductionInvalidError)
 
-_ARPACK_SEED = 11  # of the 2D start vector, fixed so results are repeatable
+_START_SEED = 11  # of the random start vectors (1D inverse iteration, 2D
+# ARPACK), fixed so results are repeatable
 _MARGIN_SIGMAS = 5.0  # grid clearance around each pinning site, in sigma_i
-# the 1D solver rule's costs (s): one dense eigh of 1024 points (it grows as
-# the cube of the size), and importing scipy.linalg after vortexlab.cli
-_DENSE_1024_S = 0.2
+# the 1D solver rule's costs (s): one bisection solve of 1024 points and
+# three levels (it grows linearly with the size; 0.011-0.020 s measured on
+# a 2-core x86 host), and importing scipy.linalg after vortexlab.cli
+_BISECTION_1024_S = 0.015
 _SCIPY_IMPORT_S = 0.3
+_INVERSE_ITERATIONS = 3  # Thomas solves per level, from a random start
+_EPS = np.finfo(float).eps
+_PIVMIN = np.finfo(float).tiny  # a zero Sturm pivot becomes -_PIVMIN
 
 
 @dataclass(frozen=True)
@@ -135,10 +140,10 @@ class EigenResult:
 
 
 def _solver_1d(n_solves: int, points: int) -> str:
-    """"tridiagonal" when n_solves dense eighs of a points-point matrix
-    cost more than importing scipy.linalg, else "dense"."""
-    dense_s = n_solves * (points / 1024) ** 3 * _DENSE_1024_S
-    return "tridiagonal" if dense_s > _SCIPY_IMPORT_S else "dense"
+    """"tridiagonal" when n_solves bisection solves of points points cost
+    more than importing scipy.linalg, else "bisection"."""
+    bisection_s = n_solves * points / 1024 * _BISECTION_1024_S
+    return "tridiagonal" if bisection_s > _SCIPY_IMPORT_S else "bisection"
 
 
 def _tridiagonal_1d(grid: Grid, V: np.ndarray, K: float):
@@ -146,27 +151,118 @@ def _tridiagonal_1d(grid: Grid, V: np.ndarray, K: float):
     return 2.0 * K / grid.dx**2 + V, -K / grid.dx**2
 
 
+def _apply_1d(d: np.ndarray, off: float, v: np.ndarray) -> np.ndarray:
+    """T v for the tridiagonal T of diagonal d and constant off-diagonal."""
+    Tv = d[:, None] * v
+    Tv[1:] += off * v[:-1]
+    Tv[:-1] += off * v[1:]
+    return Tv
+
+
 def _solve_1d(grid: Grid, V: np.ndarray, K: float, k: int, solver: str):
     """Lowest k pairs of the tridiagonal Hamiltonian.
 
-    "dense" runs numpy eigh over all pairs, which below the rule of
-    _solver_1d costs less than importing scipy; "tridiagonal" finds only
-    the lowest k with scipy's eigh_tridiagonal.
+    "bisection" runs _bisection_1d, which below the rule of _solver_1d
+    costs less than importing scipy; "tridiagonal" runs scipy's
+    eigh_tridiagonal. A non-finite Hamiltonian raises EigensolverError.
     """
     d, off = _tridiagonal_1d(grid, V, K)
+    if not (np.isfinite(d).all() and math.isfinite(off)):
+        raise EigensolverError("the 1D Hamiltonian is not finite",
+                               residuals=np.full(k, np.inf))
+    if solver == "bisection":
+        return _bisection_1d(d, off, k)
+    from scipy.linalg import eigh_tridiagonal
     try:
-        if solver == "tridiagonal":
-            from scipy.linalg import eigh_tridiagonal
-            return eigh_tridiagonal(d, np.full(grid.nx - 1, off),
-                                    select="i", select_range=(0, k - 1))
-        H = np.diag(d)
-        i = np.arange(grid.nx - 1)
-        H[i, i + 1] = H[i + 1, i] = off
-        vals, vecs = np.linalg.eigh(H)
+        return eigh_tridiagonal(d, np.full(grid.nx - 1, off),
+                                select="i", select_range=(0, k - 1))
     except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"{solver} eigensolver failed: {exc}",
+        raise EigensolverError(f"eigh_tridiagonal failed: {exc}",
                                residuals=np.full(k, np.inf)) from exc
-    return vals[:k], vecs[:, :k]
+
+
+def _sturm_count(d: list[float], off2: float, s: float) -> int:
+    """Eigenvalues below s: the negative pivots of LDL^T of T - s.
+
+    A pivot that rounds to within _PIVMIN of zero becomes -_PIVMIN, as in
+    LAPACK's dstebz.
+    """
+    count, q = 0, math.inf
+    for di in d:
+        q = di - s - off2 / q
+        if q <= _PIVMIN:
+            if q > -_PIVMIN:
+                q = -_PIVMIN
+            count += 1
+    return count
+
+
+def _thomas(d: list[float], off: float, shift: float, floor: float):
+    """A solver of (T - shift) y = x by Thomas elimination, factored once.
+
+    Pivots smaller than floor in magnitude become -floor, so a shift at an
+    eigenvalue still gives a (large) finite solution.
+    """
+    r, q = [], math.inf
+    for di in d:
+        q = di - shift - off * off / q
+        if abs(q) < floor:
+            q = -floor
+        r.append(1.0 / q)
+    r_rev = r[::-1]
+
+    def solve(x: list[float]) -> np.ndarray:
+        w, ws = 0.0, []
+        for xi, ri in zip(x, r):  # forward: w_i = (x_i - off w_{i-1}) / q_i
+            w = (xi - off * w) * ri
+            ws.append(w)
+        y, ys = 0.0, []
+        for wi, ri in zip(reversed(ws), r_rev):  # back substitution
+            y = wi - off * y * ri
+            ys.append(y)
+        return np.array(ys[::-1])
+
+    return solve
+
+
+def _bisection_1d(d: np.ndarray, off: float, k: int):
+    """Lowest k pairs of the tridiagonal T (diagonal d, off-diagonal off).
+
+    Sturm-sequence bisection brackets each eigenvalue to about 2 eps |T|,
+    every count also narrowing the brackets of the other levels; inverse
+    iteration from a seeded random start, Gram-Schmidt against the vectors
+    already found (as LAPACK's dstein does for clusters), turns each into
+    a vector; one Rayleigh-Ritz step over the k vectors gives the pairs
+    (Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967)).
+    """
+    # Gershgorin bounds; lo is the potential's minimum, a strict lower bound
+    # since the Dirichlet Laplacian is positive definite
+    lo, hi = float(d.min()) - 2 * abs(off), float(d.max()) + 2 * abs(off)
+    tol = 2 * _EPS * max(abs(lo), abs(hi))
+    dl, off2 = d.tolist(), off * off
+    los, his = [lo] * k, [hi] * k
+    for j in range(k):
+        while his[j] - los[j] > tol:
+            mid = 0.5 * (los[j] + his[j])
+            below = _sturm_count(dl, off2, mid)
+            for i in range(k):
+                if i < below:
+                    his[i] = min(his[i], mid)
+                else:
+                    los[i] = max(los[i], mid)
+
+    rng = np.random.default_rng(_START_SEED)
+    Q = np.empty((d.size, k))
+    for j in range(k):
+        solve = _thomas(dl, off, 0.5 * (los[j] + his[j]), tol)
+        y = rng.standard_normal(d.size)
+        for _ in range(_INVERSE_ITERATIONS):
+            y = solve(y.tolist())
+            y -= Q[:, :j] @ (Q[:, :j].T @ y)
+            y /= np.linalg.norm(y)
+        Q[:, j] = y
+    vals, S = np.linalg.eigh(Q.T @ _apply_1d(d, off, Q))
+    return vals, Q @ S
 
 
 def _solve_2d(grid: Grid, V: np.ndarray, K: float, k: int):
@@ -180,7 +276,7 @@ def _solve_2d(grid: Grid, V: np.ndarray, K: float, k: int):
     # flat index i * ny + j with x along i, as in potential.reshape(-1)
     H = (-K * sparse.kronsum(lap(grid.ny, grid.dy), lap(grid.nx, grid.dx))
          + sparse.diags(V)).tocsc()
-    v0 = np.random.default_rng(_ARPACK_SEED).standard_normal(grid.size)
+    v0 = np.random.default_rng(_START_SEED).standard_normal(grid.size)
     try:
         return eigsh(H, k, sigma=float(V.min()), which="LM", v0=v0)
     except ArpackNoConvergence as exc:
@@ -199,9 +295,10 @@ def solve_schrodinger(grid: Grid, potential: np.ndarray, model: TunnelModel,
     potential is the energy field (J) sampled on the grid, shape (nx,) or
     (nx, ny). A 1D solve takes the solver that _solver_1d picks for one
     solve, unless spectrum_vs_field passes the one it picked for its sweep.
-    _ARPACK_SEED fixes the ARPACK start vector of the 2D solve, so repeated
-    calls return identical bits. Raises EigensolverError with the residual
-    norms (inf for pairs not found) if the solver fails.
+    _START_SEED fixes the start vectors of 1D inverse iteration and of the
+    2D ARPACK solve, so repeated calls return identical bits. A non-finite
+    potential raises InvalidParameterError. Raises EigensolverError with
+    the residual norms (inf for pairs not found) if the solver fails.
     """
     if not (1 <= k <= 10):
         raise InvalidParameterError("k must be between 1 and 10")
@@ -209,6 +306,8 @@ def solve_schrodinger(grid: Grid, potential: np.ndarray, model: TunnelModel,
     if V.size != grid.size:
         raise InvalidParameterError(
             f"potential has {V.size} samples, grid has {grid.size}")
+    if not np.isfinite(V).all():
+        raise InvalidParameterError("potential must be finite")
     K = model.kinetic_coefficient
     if grid.dimension == 1:
         vals, vecs = _solve_1d(grid, V, K, k,
@@ -240,7 +339,7 @@ class FieldSweep:
     omega_q: np.ndarray           # rad/s
     results: list[EigenResult]
     sweet_spot_index: int
-    solver: str                   # "dense" or "tridiagonal", see _solver_1d
+    solver: str                   # "bisection" or "tridiagonal", see _solver_1d
     max_residual: float           # J, largest ||H v - E v|| for unit-norm v
 
     @property
@@ -259,11 +358,12 @@ def spectrum_vs_field(sites: Sequence[PinningSite], x_window: tuple[float, float
     _MARGIN_SIGMAS widths. The sweet spot is the argmin of omega_q(B_list).
 
     The solver is chosen once for the whole sweep: scipy's eigh_tridiagonal
-    when fields x (grid_points / 1024)^3 x _DENSE_1024_S (0.2 s, one dense
-    1024-point eigh) exceeds _SCIPY_IMPORT_S (0.3 s, importing
-    scipy.linalg), dense numpy eigh otherwise, so a short or coarse sweep
-    stays free of scipy. The sweep records the solver and the largest
-    residual norm over its fields and levels.
+    when fields x grid_points / 1024 x _BISECTION_1024_S (0.015 s, one
+    1024-point bisection solve of three levels) exceeds _SCIPY_IMPORT_S
+    (0.3 s, importing scipy.linalg), the numpy bisection arm otherwise, so
+    a sweep of up to about 20 fields at 1024 points stays free of scipy.
+    The sweep records the solver and the largest residual norm over its
+    fields and levels.
     """
     if len(sites) != 2:
         raise InvalidParameterError("spectrum_vs_field expects exactly two sites")
@@ -296,10 +396,8 @@ def _max_residual_1d(grid: Grid, V: np.ndarray, model: TunnelModel,
     """Largest ||H v - E v|| (J) over the levels of a 1D solve, v unit-norm."""
     d, off = _tridiagonal_1d(grid, V, model.kinetic_coefficient)
     v = res.wavefunctions.T * math.sqrt(grid.cell)
-    Hv = d[:, None] * v
-    Hv[1:] += off * v[:-1]
-    Hv[:-1] += off * v[1:]
-    return float(np.linalg.norm(Hv - v * res.energies, axis=0).max())
+    return float(np.linalg.norm(_apply_1d(d, off, v) - v * res.energies,
+                                axis=0).max())
 
 
 @dataclass(frozen=True)

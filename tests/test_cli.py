@@ -21,13 +21,16 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "configs" / "example.ini"
 
 
-def run_cli(*argv: str) -> subprocess.CompletedProcess:
-    """`python -m vortexlab.cli` in a child that imports this checkout."""
+def run_cli(*argv: str, timeout: float | None = None
+            ) -> subprocess.CompletedProcess:
+    """`python -m vortexlab.cli` in a child that imports this checkout,
+    killed after timeout seconds if one is given."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "vortexlab.cli", *argv],
-                          env=env, capture_output=True, text=True)
+                          env=env, capture_output=True, text=True,
+                          timeout=timeout)
 
 MINI_CONFIG = """\
 [device]
@@ -706,7 +709,8 @@ y_zpf_nm = 4.0
         assert len(rows) == 3
 
     @pytest.mark.parametrize("n_points,grid_points,solver", [
-        (2, 1024, "tridiagonal"), (1, 256, "dense")])
+        (2, 1024, "bisection"), (1, 256, "bisection"),
+        (21, 1024, "tridiagonal")])
     def test_tunnel_manifest_reports_solver(self, tmp_path, monkeypatch,
                                             n_points, grid_points, solver):
         conf = tmp_path / "c.ini"
@@ -1275,6 +1279,33 @@ class TestExitCodes:
         assert "spacing must be positive" in proc.stderr
         report = json.loads((out / "error.json").read_text())
         assert "spacing must be positive" in report["message"]
+        assert not (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("duration_s", "inf", "duration_s must be positive and finite"),
+        ("duration_s", "nan", "duration_s must be positive and finite"),
+        ("duration_s", "0", "duration_s must be positive and finite"),
+        ("sigma_cloud", "nan", "sigma_cloud must be positive and finite"),
+        ("sigma_cloud", "inf", "sigma_cloud must be positive and finite"),
+        ("sigma_cloud", "0", "sigma_cloud must be positive and finite"),
+        ("separation_sigma", "nan", "separation_sigma must be finite"),
+        ("separation_sigma", "inf", "separation_sigma must be finite"),
+        ("separation_sigma", "-inf", "separation_sigma must be finite")])
+    def test_bad_jumps_key_is_two(self, tmp_path, key, value, message):
+        # the timeout guards the old endless loop of duration_s = inf
+        conf = tmp_path / "c.ini"
+        text = CONFIG.read_text()
+        line = next(ln for ln in text.splitlines()
+                    if ln.startswith(f"{key} = "))
+        conf.write_text(text.replace(line, f"{key} = {value}"))
+        out = tmp_path / "out"
+        proc = run_cli("synth-jumps", "-c", str(conf), "-o", str(out),
+                       timeout=30)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+        report = json.loads((out / "error.json").read_text())
+        assert message in report["message"]
         assert not (out / "trajectory.csv").exists()
 
     def test_numerical_error_is_two(self, mini_config, tmp_path):

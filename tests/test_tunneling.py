@@ -1,3 +1,5 @@
+import functools
+import json
 import math
 import os
 import subprocess
@@ -24,13 +26,16 @@ def model():
     return tunneling.TunnelModel(y_zpf=Y_ZPF, Omega=OMEGA)
 
 
-def dense_oracle(grid, potential, model, k):
-    """Dense diagonalization of the same discretization (test oracle)."""
+def dense_oracle(grid, potential, model, k, vectors=True):
+    """Dense diagonalization of the same discretization (test oracle);
+    vectors=False skips the eigenvectors (half the time at 4096 points)."""
     n = grid.nx
     K = model.kinetic_coefficient
     main = 2.0 * K / grid.dx**2 + np.asarray(potential)
     off = np.full(n - 1, -K / grid.dx**2)
     Hm = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+    if not vectors:
+        return np.linalg.eigvalsh(Hm)[:k], None
     evals, vecs = np.linalg.eigh(Hm)
     return evals[:k], vecs[:, :k]
 
@@ -77,7 +82,7 @@ class TestSolveSchrodinger:
             - V0 / (1 + (grid.x + 15e-9) ** 2 / (6e-9) ** 2)
         res = tunneling.solve_schrodinger(grid, V, model, k=4)
         ora, _ = dense_oracle(grid, V, model, 4)
-        assert np.allclose(res.energies, ora, rtol=1e-9)
+        assert np.allclose(res.energies, ora, rtol=1e-9, atol=0)
 
     def test_barrier_suppresses_splitting(self, model):
         # raising the central barrier monotonically reduces E1 - E0
@@ -206,7 +211,22 @@ def double_well_1d(grid):
         - V0 / (1 + (grid.x + 15e-9) ** 2 / (6e-9) ** 2)
 
 
-@pytest.mark.parametrize("solver", ["dense", "tridiagonal"])
+def hamiltonian_norm(grid, V, model):
+    """Bound on ||H|| of the 1D discretization (J)."""
+    return np.abs(V).max() + 4 * model.kinetic_coefficient / grid.dx**2
+
+
+@functools.lru_cache(maxsize=None)
+def double_well_oracle(n):
+    """(grid, potential, lowest ten dense levels) of double_well_1d."""
+    grid = tunneling.Grid(-60e-9, 60e-9, n)
+    V = double_well_1d(grid)
+    levels, _ = dense_oracle(grid, V, tunneling.TunnelModel(Y_ZPF, OMEGA),
+                             10, vectors=False)
+    return grid, V, levels
+
+
+@pytest.mark.parametrize("solver", ["bisection", "tridiagonal"])
 class TestSolverPaths1D:
     """The analytic and oracle checks on each 1D path, chosen directly."""
 
@@ -215,7 +235,43 @@ class TestSolverPaths1D:
         V = double_well_1d(grid)
         res = tunneling.solve_schrodinger(grid, V, model, k=4, _solver=solver)
         ora, _ = dense_oracle(grid, V, model, 4)
-        assert np.allclose(res.energies, ora, rtol=1e-9)
+        assert np.allclose(res.energies, ora, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("n", [64, 1024, 4096])
+    def test_every_k_matches_dense_oracle(self, model, solver, n):
+        # both arms are backward stable: levels and residuals within a few
+        # eps ||H||, the bound 1e-14 ||H|| is about 45 eps ||H||
+        grid, V, ora = double_well_oracle(n)
+        tol = 1e-14 * hamiltonian_norm(grid, V, model)
+        for k in range(1, 11):
+            res = tunneling.solve_schrodinger(grid, V, model, k=k,
+                                              _solver=solver)
+            assert np.abs(res.energies - ora[:k]).max() < tol, k
+            gram = res.wavefunctions @ res.wavefunctions.T * grid.cell
+            assert np.abs(gram - np.eye(k)).max() < 1e-12, k
+            assert tunneling._max_residual_1d(grid, V, model, res) < tol, k
+
+    def test_near_degenerate_double_well(self, model, solver):
+        # wells 100 nm apart: the splitting is 1.7e-7 of |E0|; with k = 1
+        # the first excited level sits that close above the one asked for
+        grid = tunneling.Grid(-100e-9, 100e-9, 1024)
+        V0 = H * 30e9
+        V = -V0 / (1 + (grid.x - 50e-9) ** 2 / (6e-9) ** 2) \
+            - V0 / (1 + (grid.x + 50e-9) ** 2 / (6e-9) ** 2)
+        ora, _ = dense_oracle(grid, V, model, 3)
+        assert ora[1] - ora[0] <= 1e-6 * abs(ora[0])
+        tol = 1e-14 * hamiltonian_norm(grid, V, model)
+        for k in (1, 2, 3):
+            res = tunneling.solve_schrodinger(grid, V, model, k=k,
+                                              _solver=solver)
+            assert np.abs(res.energies - ora[:k]).max() < tol, k
+            psi = res.wavefunctions
+            parity = (psi * psi[:, ::-1]).sum(axis=1) * grid.cell
+            assert np.abs(parity - [1.0, -1.0, 1.0][:k]).max() < 1e-10, k
+            gram = psi @ psi.T * grid.cell
+            assert np.abs(gram - np.eye(k)).max() < 1e-12, k
+        assert res.splitting == pytest.approx(ora[1] - ora[0], rel=1e-5,
+                                              abs=0)
 
     def test_harmonic_oscillator(self, model, solver):
         k_spring = model.mass * OMEGA**2
@@ -243,13 +299,32 @@ class TestSolverPaths1D:
 
 
 @pytest.mark.parametrize("n_solves,points,solver", [
-    (2, 1024, "tridiagonal"),   # the benchmark's landscape-tunnel sweep
-    (1, 256, "dense"),          # the benchmark's light sweep
+    (2, 1024, "bisection"),     # the benchmark's landscape-tunnel sweep
+    (1, 256, "bisection"),      # the benchmark's light sweep
     (41, 1024, "tridiagonal"),  # configs/example.ini
-    (1, 1024, "dense"),         # a lone solve
-    (1, 128, "dense")])
+    (1, 1024, "bisection"),     # a lone solve
+    (1, 4096, "bisection"),     # a lone solve on the finest grid
+    (1, 128, "bisection"),
+    (13, 1024, "bisection"),    # the sweep of TestSpectrumVsField
+    (20, 1024, "bisection"),    # the crossover: 20 x 0.015 s = 0.3 s
+    (21, 1024, "tridiagonal"),
+    (6, 4096, "tridiagonal")])
 def test_solver_rule(n_solves, points, solver):
     assert tunneling._solver_1d(n_solves, points) == solver
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("solver", ["bisection", "tridiagonal", "2d"])
+def test_non_finite_potential_is_rejected(model, solver, bad):
+    if solver == "2d":
+        grid = tunneling.Grid(-40e-9, 40e-9, 64, -40e-9, 40e-9, 64)
+    else:
+        grid = tunneling.Grid(-60e-9, 60e-9, 128)
+    V = np.zeros(grid.size)
+    V[grid.size // 3] = bad
+    with pytest.raises(InvalidParameterError, match="potential must be finite"):
+        tunneling.solve_schrodinger(grid, V, model, k=2,
+                                    _solver=None if solver == "2d" else solver)
 
 
 class TestSolverErrors:
@@ -273,15 +348,14 @@ class TestSolverErrors:
         assert residuals[0] < 1e-6 * HBAR * OMEGA
         assert np.all(np.isinf(residuals[1:]))
 
-    def test_dense_failure_maps_to_eigensolver_error(self, model,
-                                                     monkeypatch):
-        def fail(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigh", fail)
+    @pytest.mark.parametrize("solver", ["bisection", "tridiagonal"])
+    def test_non_finite_hamiltonian_maps_to_eigensolver_error(self, solver):
+        # an infinite zero-point length makes the kinetic term infinite
+        model = tunneling.TunnelModel(y_zpf=math.inf, Omega=OMEGA)
         grid = tunneling.Grid(0.0, 100e-9, 128)
         with pytest.raises(EigensolverError) as info:
-            tunneling.solve_schrodinger(grid, np.zeros(128), model, k=2)
+            tunneling.solve_schrodinger(grid, np.zeros(128), model, k=2,
+                                        _solver=solver)
         assert info.value.residuals.shape == (2,)
         assert np.all(np.isinf(info.value.residuals))
 
@@ -302,8 +376,9 @@ class TestSolverErrors:
 
 
 def test_cli_and_1d_solve_do_not_import_scipy(tmp_path):
-    # scipy costs a quarter second per process; a lone 1D solve stays
-    # dense, and the Rabi solves of chi and fit-spectrum need none
+    # scipy costs a third of a second per process; a lone 1D solve and the
+    # benchmark's 2-field 1024-point tunnel sweep take the bisection arm,
+    # and the Rabi solves of chi and fit-spectrum need none
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -312,7 +387,8 @@ def test_cli_and_1d_solve_do_not_import_scipy(tmp_path):
         "grid = tunneling.Grid(0.0, 100e-9, 128)\n"
         "model = tunneling.TunnelModel(y_zpf=4e-9, Omega=1e11)\n"
         "tunneling.solve_schrodinger(grid, np.zeros(128), model, k=2)\n"
-        "config, out = sys.argv[1:]\n"
+        "config, sweep, out = sys.argv[1:]\n"
+        "assert vortexlab.cli.main(['tunnel', '-c', sweep, '-o', out]) == 0\n"
         "assert vortexlab.cli.main(['chi', '-c', config, '-o', out]) == 0\n"
         "p = rabi.QrmParams.asymmetric(7.572e9, 92.5e6, 20e12, 128e-6, 2e9)\n"
         "fields = np.linspace(-22e-6, 278e-6, 7)\n"
@@ -327,14 +403,23 @@ def test_cli_and_1d_solve_do_not_import_scipy(tmp_path):
         "    '--resonator', f'{out}/f_r_g.csv', '-o', out]) == 0\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
     root = Path(__file__).resolve().parent.parent
+    example = root / "configs" / "example.ini"
+    sweep = tmp_path / "sweep.ini"
+    sweep.write_text(example.read_text().replace("n_points = 41",
+                                                 "n_points = 2"))
+    out = tmp_path / "out"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(root / "configs" / "example.ini"),
-         str(tmp_path)], env=env, capture_output=True, text=True)
+        [sys.executable, "-c", code, str(example), str(sweep), str(out)],
+        env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert {"chi.csv", "fit_spectrum.json"} <= {p.name for p in tmp_path.iterdir()}
+    assert {"tunnel.csv", "chi.csv", "fit_spectrum.json"} <= {
+        p.name for p in out.iterdir()}
+    manifest = json.loads((out / "manifest.tunnel.json").read_text())
+    assert manifest["diagnostics"]["solver"] == "bisection"
+    assert manifest["diagnostics"]["grid_points"] == 1024
 
 
 def test_commands_import_only_the_modules_they_run(tmp_path):
@@ -383,7 +468,7 @@ def test_light_sweep_does_not_import_scipy():
         "sweep = tunneling.spectrum_vs_field(\n"
         "    cfg.sites(), (880e-9, 1120e-9), [195e-6], cfg.tunnel_model(),\n"
         "    core.derive_scales(device), device, grid_points=256)\n"
-        "assert sweep.solver == 'dense', sweep.solver\n"
+        "assert sweep.solver == 'bisection', sweep.solver\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
@@ -413,6 +498,20 @@ def sweep_setup(scales, device):
     sweep = tunneling.spectrum_vs_field(
         sites, window, fields, model, scales, device, grid_points=1024, k=3)
     return x_bar, delta, B_star, sweep
+
+
+def repeated_sweep_solver(sweep_setup, model, scales, device):
+    """Runs a 2-field sweep twice, checks that the two agree bit for bit,
+    and returns the solver they took."""
+    x_bar, delta, B_star, sweep = sweep_setup
+    a, b = (tunneling.spectrum_vs_field(
+        *sweep_args(x_bar, delta), sweep.fields[:2], model, scales,
+        device, grid_points=1024, k=3) for _ in range(2))
+    assert np.array_equal(a.omega_q, b.omega_q)
+    for ra, rb in zip(a.results, b.results):
+        assert np.array_equal(ra.energies, rb.energies)
+        assert np.array_equal(ra.wavefunctions, rb.wavefunctions)
+    return a.solver
 
 
 class TestSpectrumVsField:
@@ -453,30 +552,35 @@ class TestSpectrumVsField:
 
     def test_tridiagonal_sweep_matches_dense(self, sweep_setup, model, scales,
                                              device, monkeypatch):
+        # the bisection sweep against scipy's eigh_tridiagonal
         x_bar, delta, B_star, sweep = sweep_setup
-        assert sweep.solver == "tridiagonal"
-        monkeypatch.setattr(tunneling, "_solver_1d", lambda n, points: "dense")
-        dense = tunneling.spectrum_vs_field(
+        assert sweep.solver == "bisection"
+        monkeypatch.setattr(tunneling, "_solver_1d",
+                            lambda n, points: "tridiagonal")
+        scipy_sweep = tunneling.spectrum_vs_field(
             *sweep_args(x_bar, delta), sweep.fields, model, scales, device,
             grid_points=1024, k=3)
-        assert dense.solver == "dense"
-        assert np.abs(sweep.omega_q / dense.omega_q - 1).max() < 1e-10
-        for a, b in zip(sweep.results, dense.results):
+        assert scipy_sweep.solver == "tridiagonal"
+        assert np.abs(sweep.omega_q / scipy_sweep.omega_q - 1).max() < 1e-10
+        for a, b in zip(sweep.results, scipy_sweep.results):
+            assert np.abs(a.energies / b.energies - 1).max() < 1e-10
             scale = np.abs(b.wavefunctions).max()
             assert np.abs(a.wavefunctions - b.wavefunctions).max() < 1e-8 * scale
-        for s in (sweep, dense):
+        for s in (sweep, scipy_sweep):
             assert 0.0 <= s.max_residual < 1e-6 * HBAR * s.omega_q.min()
 
+    def test_bisection_sweeps_are_bit_identical(self, sweep_setup, model,
+                                                scales, device):
+        assert repeated_sweep_solver(sweep_setup, model, scales,
+                                     device) == "bisection"
+
     def test_tridiagonal_sweeps_are_bit_identical(self, sweep_setup, model,
-                                                  scales, device):
-        x_bar, delta, B_star, sweep = sweep_setup
-        a, b = (tunneling.spectrum_vs_field(
-            *sweep_args(x_bar, delta), sweep.fields[:2], model, scales,
-            device, grid_points=1024, k=3) for _ in range(2))
-        assert a.solver == "tridiagonal"
-        assert np.array_equal(a.omega_q, b.omega_q)
-        for ra, rb in zip(a.results, b.results):
-            assert np.array_equal(ra.wavefunctions, rb.wavefunctions)
+                                                  scales, device,
+                                                  monkeypatch):
+        monkeypatch.setattr(tunneling, "_solver_1d",
+                            lambda n, points: "tridiagonal")
+        assert repeated_sweep_solver(sweep_setup, model, scales,
+                                     device) == "tridiagonal"
 
     def test_splitting_even_in_detuning(self, sweep_setup):
         x_bar, delta, B_star, sweep = sweep_setup
