@@ -150,8 +150,21 @@ class RunConfig:
         if not sites:
             raise ConfigError("[tunneling] needs at least one pinning site")
         y_zpf = t["y_zpf_nm"]
+        if not 0 < y_zpf < math.inf:
+            raise InvalidParameterError(
+                f"y_zpf_nm must be positive and finite, got {y_zpf / 1e-9:g}")
         s = sites[0]
-        Omega = 4.0 * s.V_i * y_zpf**2 / (CONSTANTS.hbar * s.sigma_i**2)
+        try:
+            y_zpf2 = y_zpf**2
+        except OverflowError:  # a float square past the range
+            y_zpf2 = math.inf
+        Omega = 4.0 * s.V_i * y_zpf2 / (CONSTANTS.hbar * s.sigma_i**2)
+        kinetic = CONSTANTS.hbar * Omega * y_zpf2
+        if not (0 < Omega < math.inf and 0 < kinetic < math.inf):
+            raise InvalidParameterError(
+                f"y_zpf_nm = {y_zpf / 1e-9:g} and site 1 give Omega = "
+                f"{Omega:g} rad/s and hbar Omega y_zpf^2 = {kinetic:g} J m^2, "
+                "not both in (0, inf)")
         return TunnelModel(y_zpf=y_zpf, Omega=Omega)
 
     def telegraph(self) -> TelegraphParams:

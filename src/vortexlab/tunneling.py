@@ -7,12 +7,13 @@ tridiagonal and both arms find only the lowest pairs by bisection, then
 inverse iteration: in numpy and plain Python (Sturm-sequence bisection,
 Thomas solves, then a Rayleigh-Ritz step) when the solves ahead cost less
 than importing scipy.linalg does, else with scipy.linalg.eigh_tridiagonal
-(see spectrum_vs_field). In 2D, shift-invert ARPACK
-(scipy.sparse.linalg.eigsh about the potential minimum) solves the sparse
-Kronecker-sum operator. scipy is imported by those two paths only. The
-kinetic coefficient hbar Omega y_zpf^2 equals hbar^2 / 2 m for the
-effective mass implied by y_zpf = sqrt(hbar / 2 m Omega), so the mass never
-has to be specified directly."""
+(see spectrum_vs_field). In 2D a shifted block Lanczos in numpy finds
+them: a block LDL^T factorisation of H - min V along x, one ny x ny block
+per x-row, applies the shift-invert operator, and Rayleigh-Ritz steps on
+the five-point stencil give the pairs. scipy is imported by the long 1D
+path only. The kinetic coefficient hbar Omega y_zpf^2 equals hbar^2 / 2 m
+for the effective mass implied by y_zpf = sqrt(hbar / 2 m Omega), so the
+mass never has to be specified directly."""
 
 from __future__ import annotations
 
@@ -28,8 +29,8 @@ from .energetics import PinningSite, total_potential, well_detuning
 from .errors import (EigensolverError, InvalidParameterError,
                      ReductionInvalidError)
 
-_START_SEED = 11  # of the random start vectors (1D inverse iteration, 2D
-# ARPACK), fixed so results are repeatable
+_START_SEED = 11  # of the random start vectors (1D inverse iteration, the
+# 2D block Lanczos start block), fixed so results are repeatable
 _MARGIN_SIGMAS = 5.0  # grid clearance around each pinning site, in sigma_i
 # the 1D solver rule's costs (s): one bisection solve of 1024 points and
 # three levels (it grows linearly with the size; 0.011-0.020 s measured on
@@ -38,6 +39,11 @@ _BISECTION_1024_S = 0.015
 _SCIPY_IMPORT_S = 0.3
 _INVERSE_ITERATIONS = 3  # Thomas solves per level, from a random start
 _EPS = np.finfo(float).eps
+# the 2D solve stops once every residual ||H x - theta x|| is within
+# _RESIDUAL_TOL of the bound max|V| + 4 (cx + cy) on ||H||; it takes 11-28
+# blocks on the tested potentials, and gives up after _MAX_BLOCKS
+_RESIDUAL_TOL = 1e-10
+_MAX_BLOCKS = 60
 _PIVMIN = np.finfo(float).tiny  # a zero Sturm pivot becomes -_PIVMIN
 
 
@@ -53,6 +59,8 @@ class Grid:
     ny: int | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise InvalidParameterError("x_min and x_max must be finite")
         if self.x_max <= self.x_min:
             raise InvalidParameterError("x_max must exceed x_min")
         if self.nx < 64:
@@ -61,6 +69,8 @@ class Grid:
         if any(two_d) and not all(two_d):
             raise InvalidParameterError("specify all of y_min, y_max, ny or none")
         if all(two_d):
+            if not (math.isfinite(self.y_min) and math.isfinite(self.y_max)):
+                raise InvalidParameterError("y_min and y_max must be finite")
             if self.y_max <= self.y_min:
                 raise InvalidParameterError("y_max must exceed y_min")
             if self.ny < 64:
@@ -112,8 +122,9 @@ class TunnelModel:
     Omega: float
 
     def __post_init__(self):
-        if not (self.y_zpf > 0 and self.Omega > 0):
-            raise InvalidParameterError("y_zpf and Omega must be positive")
+        if not (0 < self.y_zpf < math.inf and 0 < self.Omega < math.inf):
+            raise InvalidParameterError(
+                "y_zpf and Omega must be positive and finite")
 
     @property
     def mass(self) -> float:
@@ -265,26 +276,98 @@ def _bisection_1d(d: np.ndarray, off: float, k: int):
     return vals, Q @ S
 
 
+def _apply_2d(V2: np.ndarray, cx: float, cy: float,
+              rows: np.ndarray) -> np.ndarray:
+    """The five-point H applied to each of rows (k, nx * ny); V2 (nx, ny)."""
+    X = rows.reshape(-1, *V2.shape)
+    Y = X * (V2 + 2.0 * (cx + cy))
+    Y[:, 1:] -= cx * X[:, :-1]
+    Y[:, :-1] -= cx * X[:, 1:]
+    Y[:, :, 1:] -= cy * X[:, :, :-1]
+    Y[:, :, :-1] -= cy * X[:, :, 1:]
+    return Y.reshape(rows.shape)
+
+
+def _shift_invert_2d(V2: np.ndarray, cx: float, cy: float, sigma: float):
+    """A solver of (H - sigma) Y = X for blocks of rows, factored once.
+
+    H - sigma is block tridiagonal along x, with diagonal blocks
+    A_i = T_y + diag(V_i - sigma) + 2 cx and off-diagonal blocks -cx, so
+    its block LDL^T has D_1 = A_1 and D_i = A_i - cx^2 D_(i-1)^-1. One
+    forward and one backward sweep of ny x ny matmuls then solve for a
+    block of k rows; the inverse of each D_i is kept.
+    """
+    nx, ny = V2.shape
+    diagonal = np.arange(ny)
+    y_coupling = -cy * (np.eye(ny, k=1) + np.eye(ny, k=-1))
+    inverses = np.empty((nx, ny, ny))
+    inverse = np.zeros((ny, ny))
+    for i in range(nx):
+        D = y_coupling - cx * cx * inverse
+        D[diagonal, diagonal] += V2[i] - sigma + 2.0 * (cx + cy)
+        inverse = inverses[i] = np.linalg.inv(D)
+
+    def solve(rows: np.ndarray) -> np.ndarray:
+        X = rows.reshape(rows.shape[0], nx, ny)
+        W = np.empty_like(X)
+        # forward, D_i w_i = x_i + cx w_(i-1); backward, from y_nx = w_nx,
+        # y_i = w_i + cx D_i^-1 y_(i+1); row blocks multiply D_i^-1 from
+        # the right, which D_i's symmetry allows
+        w = W[:, 0] = X[:, 0] @ inverses[0]
+        for i in range(1, nx):
+            w = W[:, i] = (X[:, i] + cx * w) @ inverses[i]
+        for i in range(nx - 2, -1, -1):
+            w = W[:, i] = W[:, i] + cx * (w @ inverses[i])
+        return W.reshape(rows.shape)
+
+    return solve
+
+
 def _solve_2d(grid: Grid, V: np.ndarray, K: float, k: int):
-    """Lowest k pairs of the five-point Hamiltonian by shift-invert ARPACK."""
-    from scipy import sparse
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+    """Lowest k pairs of the five-point Hamiltonian by shifted block Lanczos.
 
-    def lap(n: int, d: float):
-        return sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / d**2
-
+    The shift sigma = min V is a strict lower bound of the spectrum, since
+    the Dirichlet Laplacian is positive definite, so H - sigma is positive
+    definite and _shift_invert_2d factors it without pivoting. A block
+    Krylov basis of (H - sigma)^-1 grows from a seeded random block of k
+    rows, orthogonalised against all earlier rows twice (Gram-Schmidt) and
+    then by QR; after each block a Rayleigh-Ritz step projects H itself.
+    It stops when every wanted pair has ||H x - theta x|| <= 1e-10 |H|_bound
+    (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15, 228 (1994)).
+    Past _MAX_BLOCKS blocks it raises EigensolverError with the residuals.
+    """
+    cx, cy = K / grid.dx**2, K / grid.dy**2
     # flat index i * ny + j with x along i, as in potential.reshape(-1)
-    H = (-K * sparse.kronsum(lap(grid.ny, grid.dy), lap(grid.nx, grid.dx))
-         + sparse.diags(V)).tocsc()
-    v0 = np.random.default_rng(_START_SEED).standard_normal(grid.size)
-    try:
-        return eigsh(H, k, sigma=float(V.min()), which="LM", v0=v0)
-    except ArpackNoConvergence as exc:
-        vals, vecs = exc.eigenvalues, exc.eigenvectors
-        residuals = np.full(k, np.inf)
-        residuals[:vals.size] = np.linalg.norm(H @ vecs - vecs * vals, axis=0)
-        raise EigensolverError(f"ARPACK did not converge: {exc}",
-                               residuals=residuals) from exc
+    V2 = V.reshape(grid.nx, grid.ny)
+    bound = float(np.abs(V).max()) + 4.0 * (cx + cy)  # >= ||H||
+    if not math.isfinite(bound):
+        raise EigensolverError("the 2D Hamiltonian is not finite",
+                               residuals=np.full(k, np.inf))
+    tol = _RESIDUAL_TOL * bound
+    solve = _shift_invert_2d(V2, cx, cy, float(V.min()))
+    # basis rows and the lower triangle of Q H Q^T (all that eigh reads),
+    # sized for the cap; the pages of Q become resident as blocks are written
+    Q = np.empty((_MAX_BLOCKS * k, grid.size))
+    G = np.zeros((_MAX_BLOCKS * k, _MAX_BLOCKS * k))
+    start = np.random.default_rng(_START_SEED).standard_normal((grid.size, k))
+    Q[:k] = np.linalg.qr(start)[0].T
+    for m in range(k, Q.shape[0] + 1, k):  # m rows once this block is in
+        block = Q[m - k:m]
+        G[m - k:m, :m] = _apply_2d(V2, cx, cy, block) @ Q[:m].T
+        theta, S = np.linalg.eigh(G[:m, :m])
+        X = S[:, :k].T @ Q[:m]
+        residuals = np.linalg.norm(
+            _apply_2d(V2, cx, cy, X) - theta[:k, None] * X, axis=1)
+        if (residuals <= tol).all():
+            return theta[:k], X.T
+        if m < Q.shape[0]:
+            W = solve(block)
+            for _ in range(2):
+                W -= (W @ Q[:m].T) @ Q[:m]
+            Q[m:m + k] = np.linalg.qr(W.T)[0].T
+    raise EigensolverError(
+        f"block Lanczos did not converge in {_MAX_BLOCKS} blocks",
+        residuals=residuals)
 
 
 def solve_schrodinger(grid: Grid, potential: np.ndarray, model: TunnelModel,
@@ -295,8 +378,9 @@ def solve_schrodinger(grid: Grid, potential: np.ndarray, model: TunnelModel,
     potential is the energy field (J) sampled on the grid, shape (nx,) or
     (nx, ny). A 1D solve takes the solver that _solver_1d picks for one
     solve, unless spectrum_vs_field passes the one it picked for its sweep.
-    _START_SEED fixes the start vectors of 1D inverse iteration and of the
-    2D ARPACK solve, so repeated calls return identical bits. A non-finite
+    A 2D solve runs the block Lanczos of _solve_2d. _START_SEED fixes the
+    start vectors of 1D inverse iteration and of the 2D start block, so
+    repeated calls return identical bits. A non-finite
     potential raises InvalidParameterError. Raises EigensolverError with
     the residual norms (inf for pairs not found) if the solver fails.
     """

@@ -1308,6 +1308,26 @@ class TestExitCodes:
         assert message in report["message"]
         assert not (out / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("value,message", [
+        ("1e200", "y_zpf_nm = 1e+200 and site 1 give Omega = inf"),
+        ("1e109", "hbar Omega y_zpf^2 = inf"),
+        ("inf", "y_zpf_nm must be positive and finite, got inf"),
+        ("nan", "y_zpf_nm must be positive and finite, got nan"),
+        ("0", "y_zpf_nm must be positive and finite, got 0")],
+        ids=["1e200", "1e109", "inf", "nan", "0"])
+    def test_bad_y_zpf_is_two(self, tmp_path, value, message):
+        conf = tmp_path / "c.ini"
+        conf.write_text(CONFIG.read_text().replace("y_zpf_nm = 4.0",
+                                                   f"y_zpf_nm = {value}"))
+        out = tmp_path / "out"
+        proc = run_cli("tunnel", "-c", str(conf), "-o", str(out))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+        report = json.loads((out / "error.json").read_text())
+        assert message in report["message"]
+        assert not (out / "tunnel.csv").exists()
+
     def test_numerical_error_is_two(self, mini_config, tmp_path):
         out = tmp_path / "out"
         code = cli.main(["analyze-jumps", "-c", str(mini_config),

@@ -50,11 +50,33 @@ class TestGrid:
         with pytest.raises(InvalidParameterError):
             tunneling.Grid(0.0, 1e-7, 32)
 
+    @pytest.mark.parametrize("bounds,message", [
+        ((math.nan, 1e-7), "x_min and x_max must be finite"),
+        ((0.0, math.inf), "x_min and x_max must be finite"),
+        ((-math.inf, 0.0), "x_min and x_max must be finite"),
+        ((0.0, 1e-7, 0.0, math.nan), "y_min and y_max must be finite"),
+        ((0.0, 1e-7, -math.inf, 1e-7), "y_min and y_max must be finite")],
+        ids=["nan-x_min", "inf-x_max", "-inf-x_min", "nan-y_max",
+             "-inf-y_min"])
+    def test_non_finite_bounds(self, bounds, message):
+        x_min, x_max, *y = bounds
+        kwargs = dict(y_min=y[0], y_max=y[1], ny=64) if y else {}
+        with pytest.raises(InvalidParameterError, match=message):
+            tunneling.Grid(x_min, x_max, 64, **kwargs)
+
 
 class TestTunnelModel:
     def test_kinetic_coefficient(self, model):
         assert model.kinetic_coefficient == pytest.approx(
             HBAR**2 / (2 * model.mass), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_non_positive_or_non_finite(self, bad):
+        for kwargs in (dict(y_zpf=bad, Omega=OMEGA),
+                       dict(y_zpf=Y_ZPF, Omega=bad)):
+            with pytest.raises(InvalidParameterError,
+                               match="must be positive and finite"):
+                tunneling.TunnelModel(**kwargs)
 
 
 class TestSolveSchrodinger:
@@ -147,22 +169,45 @@ class TestSolveSchrodinger:
     def test_2d_pinning_double_well(self, model, scales, device):
         # two 2D dips in the full landscape: lowest pair splits across the
         # wells, stays bound in y, and keeps x-mirror parity
-        x_bar, delta, sigma = 1.0e-6, 30e-9, 8e-9
-        V1 = H * 40e9
-        sites = [energetics.PinningSite(x_bar - delta / 2, 0.0, V1, sigma),
-                 energetics.PinningSite(x_bar + delta / 2, 0.0, V1, sigma)]
-        B_star = energetics.degeneracy_field(x_bar, delta, scales, device)
-        grid = tunneling.Grid(x_bar - 80e-9, x_bar + 80e-9, 96,
-                              -80e-9, 80e-9, 96)
-        X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
-        V = energetics.total_potential(X, Y, B_star, 0, sites, scales, device)
+        grid, V = pinning_double_well(scales, device)
         res = tunneling.solve_schrodinger(grid, V, model, k=2)
         assert res.splitting > 0
         # both states concentrate near the dips (inside 3 sigma in y)
         for psi in res.wavefunctions:
             density = (psi**2).reshape(96, 96) * grid.cell
-            band = np.abs(grid.y) < 3 * sigma
+            band = np.abs(grid.y) < 3 * 8e-9
             assert density[:, band].sum() > 0.9
+
+
+def pinning_double_well(scales, device, nx=96, ny=96):
+    """(grid, potential) of two 2D pinning dips at their degeneracy field."""
+    x_bar, delta, sigma = 1.0e-6, 30e-9, 8e-9
+    sites = [energetics.PinningSite(x_bar - delta / 2, 0.0, H * 40e9, sigma),
+             energetics.PinningSite(x_bar + delta / 2, 0.0, H * 40e9, sigma)]
+    B_star = energetics.degeneracy_field(x_bar, delta, scales, device)
+    grid = tunneling.Grid(x_bar - 80e-9, x_bar + 80e-9, nx, -80e-9, 80e-9, ny)
+    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
+    return grid, energetics.total_potential(X, Y, B_star, 0, sites, scales,
+                                            device)
+
+
+def arpack_oracle(grid, potential, model, k):
+    """Shift-invert ARPACK on the sparse five-point operator (test oracle):
+    the lowest k levels and unit eigenvectors, flat index i * ny + j."""
+    from scipy import sparse
+    from scipy.sparse.linalg import eigsh
+
+    def lap(n, d):
+        return sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / d**2
+
+    V = np.asarray(potential).reshape(-1)
+    Hs = (-model.kinetic_coefficient
+          * sparse.kronsum(lap(grid.ny, grid.dy), lap(grid.nx, grid.dx))
+          + sparse.diags(V)).tocsc()
+    v0 = np.random.default_rng(0).standard_normal(grid.size)
+    vals, vecs = eigsh(Hs, k, sigma=float(V.min()), which="LM", v0=v0)
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
 
 
 def isotropic_oscillator(model):
@@ -203,6 +248,20 @@ class TestSolveSchrodinger2D:
         b = tunneling.solve_schrodinger(grid, V, model, k=3)
         assert np.array_equal(a.energies, b.energies)
         assert np.array_equal(a.wavefunctions, b.wavefunctions)
+
+    @pytest.mark.parametrize("nx,ny", [(96, 96), (96, 72), (72, 96)])
+    def test_matches_arpack_oracle(self, model, scales, device, nx, ny):
+        # the non-separable pinning double well; unequal axes both ways
+        # round catch a transposed block order
+        grid, V = pinning_double_well(scales, device, nx, ny)
+        res = tunneling.solve_schrodinger(grid, V, model, k=4)
+        energies, vectors = arpack_oracle(grid, V, model, k=4)
+        assert np.allclose(res.energies, energies, rtol=1e-10, atol=0)
+        gaps = np.diff(energies)
+        isolated = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))
+        overlaps = np.abs(res.wavefunctions @ vectors) * math.sqrt(grid.cell)
+        for i in np.flatnonzero(isolated > 1e-6 * np.abs(energies)):
+            assert abs(overlaps[i, i] - 1) < 1e-8
 
 
 def double_well_1d(grid):
@@ -328,34 +387,36 @@ def test_non_finite_potential_is_rejected(model, solver, bad):
 
 
 class TestSolverErrors:
-    def test_arpack_no_convergence_maps_to_eigensolver_error(
-            self, model, monkeypatch):
-        import scipy.sparse.linalg as spla
-        real_eigsh = spla.eigsh
-
-        def one_pair_then_fail(H, k, **kwargs):
-            vals, vecs = real_eigsh(H, 1, **kwargs)
-            raise spla.ArpackNoConvergence("no convergence", vals, vecs)
-
-        monkeypatch.setattr(spla, "eigsh", one_pair_then_fail)
+    def test_block_cap_maps_to_eigensolver_error(self, model, monkeypatch):
+        # two blocks cannot converge: the residuals of the best Ritz pairs
+        # come back, finite and above the stopping tolerance
+        monkeypatch.setattr(tunneling, "_MAX_BLOCKS", 2)
         grid = tunneling.Grid(-40e-9, 40e-9, 64, -40e-9, 40e-9, 64)
         X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
         V = 0.5 * model.mass * OMEGA**2 * (X**2 + Y**2)
-        with pytest.raises(EigensolverError) as info:
+        with pytest.raises(EigensolverError, match="2 blocks") as info:
             tunneling.solve_schrodinger(grid, V, model, k=3)
         residuals = info.value.residuals
+        K = model.kinetic_coefficient
+        tol = 1e-10 * (np.abs(V).max() + 4 * K / grid.dx**2
+                       + 4 * K / grid.dy**2)
         assert residuals.shape == (3,)
-        assert residuals[0] < 1e-6 * HBAR * OMEGA
-        assert np.all(np.isinf(residuals[1:]))
+        assert np.all(np.isfinite(residuals))
+        assert np.all(residuals > tol)
 
-    @pytest.mark.parametrize("solver", ["bisection", "tridiagonal"])
+    @pytest.mark.parametrize("solver", ["bisection", "tridiagonal", "2d"])
     def test_non_finite_hamiltonian_maps_to_eigensolver_error(self, solver):
-        # an infinite zero-point length makes the kinetic term infinite
-        model = tunneling.TunnelModel(y_zpf=math.inf, Omega=OMEGA)
-        grid = tunneling.Grid(0.0, 100e-9, 128)
-        with pytest.raises(EigensolverError) as info:
-            tunneling.solve_schrodinger(grid, np.zeros(128), model, k=2,
-                                        _solver=solver)
+        # a finite kinetic coefficient of 1e292 J m^2 overflows K / dx^2
+        model = tunneling.TunnelModel(y_zpf=1e13, Omega=1e300)
+        if solver == "2d":
+            grid = tunneling.Grid(-40e-9, 40e-9, 64, -40e-9, 40e-9, 64)
+        else:
+            grid = tunneling.Grid(0.0, 100e-9, 128)
+        with pytest.raises(EigensolverError, match="Hamiltonian is not finite"
+                           ) as info:
+            tunneling.solve_schrodinger(grid, np.zeros(grid.size), model, k=2,
+                                        _solver=None if solver == "2d"
+                                        else solver)
         assert info.value.residuals.shape == (2,)
         assert np.all(np.isinf(info.value.residuals))
 
@@ -477,6 +538,29 @@ def test_light_sweep_does_not_import_scipy():
     proc = subprocess.run(
         [sys.executable, "-c", code, str(root / "configs" / "example.ini")],
         env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_2d_solve_does_not_import_scipy():
+    # a 64 x 64 solve of three levels, the benchmark's light 2D size
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import vortexlab.cli\n"
+        "from vortexlab import tunneling\n"
+        "grid = tunneling.Grid(-40e-9, 40e-9, 64, -30e-9, 30e-9, 64)\n"
+        "X, Y = np.meshgrid(grid.x, grid.y, indexing='ij')\n"
+        "model = tunneling.TunnelModel(y_zpf=4e-9, Omega=1.9e11)\n"
+        "V = 0.5 * model.mass * model.Omega**2 * (X**2 + 2.25 * Y**2)\n"
+        "res = tunneling.solve_schrodinger(grid, V, model, k=3)\n"
+        "assert res.energies.shape == (3,)\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
