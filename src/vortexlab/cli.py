@@ -534,23 +534,35 @@ def _cmd_batch_fit(args, cfg: RunConfig, run: Run) -> int:
     if not files:
         print(f"error: no CSV datasets in {directory}", file=sys.stderr)
         return 1
-    rows = []
+    # every file is read first and the datasets are fitted in one call,
+    # each on its own; a file that fails to read or fit gets an error row
+    read: list = []  # each file's points, or the error reading it
     for path in files:
-        phi_ratio = _phi_from_header(path)
         try:
             data = _read_csv_columns(path, 2)
-            points = np.column_stack([
-                data[:, 0] * 1e-6, data[:, 1] * 1e9,
-                data[:, 2] * 1e9 if data.shape[1] > 2 else np.full(len(data), 1e6)])
-            result = fitting.fit_hyperbola(points)
-            rows.append([path.name, phi_ratio,
-                         result.params["f_q0"] / 1e9,
-                         result.params["B0"] * 1e6,
-                         result.params["gamma"] / 1e12,
-                         None, result.converged, ""])
         except VortexlabError as exc:
+            read.append(exc)
+            continue
+        read.append(np.column_stack([
+            data[:, 0] * 1e-6, data[:, 1] * 1e9,
+            data[:, 2] * 1e9 if data.shape[1] > 2 else np.full(len(data), 1e6)]))
+    fits = iter(fitting.fit_hyperbolas(
+        [item for item in read if not isinstance(item, VortexlabError)]))
+    rows = []
+    stops: dict[str, int] = {}
+    iterations = []
+    for path, item in zip(files, read):
+        result = item if isinstance(item, VortexlabError) else next(fits)
+        phi_ratio = _phi_from_header(path)
+        if isinstance(result, VortexlabError):
             rows.append([path.name, phi_ratio, None, None, None, None, False,
-                         str(exc)])
+                         str(result)])
+            continue
+        rows.append([path.name, phi_ratio, result.params["f_q0"] / 1e9,
+                     result.params["B0"] * 1e6, result.params["gamma"] / 1e12,
+                     None, result.converged, ""])
+        stops[result.message] = stops.get(result.message, 0) + 1
+        iterations.append(result.iterations)
     run.csv("batch_fit.csv",
             ["dataset", "phi_over_phi_S", "f_q0_GHz", "B0_uT",
              "gamma_GHz_per_mT", "g_MHz", "converged", "error"],
@@ -559,7 +571,9 @@ def _cmd_batch_fit(args, cfg: RunConfig, run: Run) -> int:
     errors = sum(bool(row[7]) for row in rows)
     run.diagnostics.update(
         files=len(rows), errors=errors,
-        unconverged=sum(not row[6] for row in rows) - errors)
+        unconverged=sum(not row[6] for row in rows) - errors,
+        iterations={"total": sum(iterations), "max": max(iterations, default=0)},
+        stop_messages=stops)
     return 0
 
 

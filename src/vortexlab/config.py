@@ -119,8 +119,11 @@ class RunConfig:
 
     def device(self) -> DeviceModel:
         d = self.section("device")
-        return DeviceModel(w=d["w_um"], t=d["t_nm"], xi=d["xi_nm"],
-                           lambda_L=d["lambda_L_um"])
+        device = DeviceModel(w=d["w_um"], t=d["t_nm"], xi=d["xi_nm"],
+                             lambda_L=d["lambda_L_um"])
+        for key in ("w_um", "lambda_L_um"):  # derive_scales squares them
+            _check_square(key, d[key], 1e-6)
+        return device
 
     def qrm(self) -> tuple[QrmParams, HilbertTruncation]:
         from .rabi import HilbertTruncation, QrmParams
@@ -134,7 +137,10 @@ class RunConfig:
         return params, trunc
 
     def sites(self) -> list[PinningSite]:
-        self.section("pinning")  # raises ConfigError when absent
+        pinning = self.section("pinning")  # raises ConfigError when absent
+        for key, value in pinning.items():  # each dip squares its width
+            if key.endswith("_sigma_nm"):
+                _check_square(key, value, 1e-9)
         return list(self.site_list)
 
     def tunnel_model(self) -> TunnelModel:
@@ -207,6 +213,15 @@ class RunConfig:
         if n < 1:
             raise ConfigError("[sweep] n_points must be >= 1")
         return np.linspace(s["B_min_uT"], s["B_max_uT"], n)
+
+
+def _check_square(key: str, value: float, unit: float) -> None:
+    """The models square some lengths as floats; one whose square leaves
+    the float range (about 1e-162 to 1e154 m) would end in an overflow or
+    a division by zero, so it is an InvalidParameterError naming the key."""
+    if not 0.0 < value * value < math.inf:
+        raise InvalidParameterError(
+            f"{key} = {value / unit:g} squares outside the float range")
 
 
 def _convert(section: str, key: str, raw: str):

@@ -2,7 +2,11 @@
 
 The engine is a Levenberg-style damped Gauss-Newton loop with Fletcher
 scaling of the damping term, so parameters with wildly different units
-(Hz next to tesla) stay well-conditioned. Every residual function returns
+(Hz next to tesla) stay well-conditioned. It advances a batch of
+independent problems of equal size in lockstep (_lockstep); least_squares
+is its batch of one, and fit_hyperbolas batches many hyperbola datasets,
+at a numpy call's overhead per step of the batch rather than per fit.
+Every residual function returns
 its exact Jacobian with the residual: closed-form for the model fitters,
 Hellmann-Feynman from the eigenvectors of its own solves for the joint
 spectrum fit. Weighted residuals are (model - data) / sigma with a default
@@ -25,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateFitError, InvalidParameterError
+from .errors import DegenerateFitError, InvalidParameterError, VortexlabError
 
 if TYPE_CHECKING:
     from . import rabi
@@ -113,39 +117,215 @@ class SpectrumDataset:
 # generic engine
 # ---------------------------------------------------------------------------
 
-def _std_errors(J: np.ndarray, cost: float, n_points: int) -> np.ndarray:
-    """Per-parameter standard errors from the Jacobian at the optimum.
+def _std_errors(J: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """Per-parameter standard errors from the Jacobians at the optimum.
 
-    The analysis runs on the column-normalized Jacobian so that parameters
-    with wildly different units are treated on the same footing.
-    Directions the residual does not depend on get infinite errors; the
-    rest use the usual covariance s^2 (J^T J)^-1 with s^2 the reduced
-    chi-square of the weighted residuals.
+    J holds one Jacobian per problem, shape (problems, points, parameters),
+    and cost each problem's squared residual norm. The analysis runs on the
+    column-normalized Jacobian so that parameters with wildly different
+    units are treated on the same footing. Directions the residual does
+    not depend on get infinite errors; the rest use the usual covariance
+    s^2 (J^T J)^-1 with s^2 the reduced chi-square of the weighted
+    residuals.
     """
-    n = J.shape[1]
-    se = np.full(n, np.inf)
-    col = np.sqrt((J * J).sum(axis=0))
+    col = np.sqrt((J * J).sum(axis=1))
     alive = col > 0.0
-    if not alive.any():
-        return se
-    Jn = J[:, alive] / col[alive]
-    k = int(alive.sum())
-    dof = n_points - k
-    if dof <= 0:
-        return se
-    s2 = cost / dof
-    w, V = np.linalg.eigh(Jn.T @ Jn)
-    good = w > max(w.max(), 0.0) * 1e-12
-    var = np.full(k, np.inf)
-    if good.any():
-        contrib = (V[:, good] ** 2) / w[good]
-        var_good = s2 * contrib.sum(axis=1) / col[alive] ** 2
-        # a parameter overlapping a null direction stays unidentifiable
-        null_overlap = (V[:, ~good] ** 2).sum(axis=1) if (~good).any() \
-            else np.zeros(k)
-        var = np.where(null_overlap > 1e-9, np.inf, var_good)
-    se[alive] = np.sqrt(var)
-    return se
+    dof = J.shape[1] - alive.sum(axis=1)
+    s2 = cost / np.maximum(dof, 1)
+    Jn = J / np.where(alive, col, 1.0)[:, None, :]
+    N = (Jn[:, :, :, None] * Jn[:, :, None, :]).sum(axis=1)
+    # a dead column's block is the identity: its eigenvalue 1 stays below
+    # the largest of the live block, whose diagonal is 1, and it couples to
+    # no live parameter
+    N += np.eye(J.shape[2]) * ~alive[:, None, :]
+    w, V = np.linalg.eigh(N)
+    good = w > np.maximum(w.max(axis=1, keepdims=True), 0.0) * 1e-12
+    var = s2[:, None] * ((V * V) * np.divide(good, w, out=np.zeros_like(w),
+                                             where=good)[:, None, :]).sum(axis=2)
+    # a parameter overlapping a null direction stays unidentifiable
+    null_overlap = ((V * V) * ~good[:, None, :]).sum(axis=2)
+    unknown = ~alive | (null_overlap > 1e-9) | (dof <= 0)[:, None]
+    return np.where(unknown, np.inf,
+                    np.sqrt(var) / np.where(alive, col, 1.0))
+
+
+def _sumsq(x: np.ndarray) -> np.ndarray:
+    """Sum of squares along the last axis."""
+    return (x * x).sum(axis=-1)
+
+
+def _gradient(J: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J^T r and the Jacobian's column norms, one row per problem."""
+    return (J * R[:, :, None]).sum(axis=1), np.sqrt((J * J).sum(axis=1))
+
+
+def _gradient_measure(g, col, cost, r_floor) -> np.ndarray:
+    """The scaled gradient measure of each row (see the module docstring)."""
+    denom = col * (np.sqrt(cost) + r_floor)[:, None] + _TINY
+    return (np.abs(g) / denom).max(axis=1)
+
+
+def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with A x = b for each row; a singular row by least squares."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(A) == 1:
+            return np.linalg.lstsq(A[0], b[0], rcond=None)[0][None]
+        return np.concatenate([_solve(a[None], v[None]) for a, v in zip(A, b)])
+
+
+def _lockstep(residual_fn: Callable, P0, names: Sequence[str]
+              ) -> list[FitResult | InvalidParameterError]:
+    """Damped Gauss-Newton over a batch of independent problems in lockstep.
+
+    P0 holds one row of starting parameters per problem. residual_fn(P,
+    rows) takes the parameter rows P of the problems numbered rows and
+    returns (R, J): one residual row per problem and the exact Jacobians,
+    of shape (len(rows), points, len(names)); every problem of a batch has
+    the same number of points. Each row keeps its own parameters, damping,
+    small-step count and stop, under least_squares' rules. Every numpy step
+    acts on each row apart, so a row's result does not depend on the other
+    rows. A row whose start or initial residual is not finite comes back
+    as the InvalidParameterError least_squares raises for it.
+    """
+    P = np.array(P0, dtype=float, ndmin=2)
+    out: list = [None] * len(P)
+    finite = np.isfinite(P).all(axis=1)
+    for i in np.flatnonzero(~finite).tolist():
+        out[i] = InvalidParameterError("initial parameters must be finite")
+    rows = np.flatnonzero(finite)
+    if not rows.size:
+        return out
+    R, J = residual_fn(P[rows], rows)
+    finite = np.isfinite(R).all(axis=1)
+    for i in rows[~finite].tolist():
+        out[i] = InvalidParameterError("residual is not finite at the initial point")
+    rows, P, R, J = rows[finite], P[rows][finite], R[finite], J[finite]
+    if not rows.size:
+        return out
+
+    # the live problems' state, compacted as problems stop; ids are their
+    # positions in rows, where each one's final state is kept
+    k, n = P.shape
+    ids = np.arange(k)
+    cost = _sumsq(R)
+    r_floor = r_floors = 1e-8 * np.sqrt(cost)
+    lam = np.full(k, 1e-3)
+    small_steps = np.zeros(k, dtype=int)
+    history = [[c] for c in np.sqrt(cost).tolist()]
+    final = [P.copy(), R.copy(), J.copy(), cost.copy()]
+    iterations = np.full(k, _MAX_ITER)
+    converged = np.zeros(k, dtype=bool)
+    message = ["max iterations reached"] * k
+    eye = np.eye(n)
+
+    for it in range(1, _MAX_ITER + 1):
+        g, col = _gradient(J, R)
+        gradient_stop = (_gradient_measure(g, col, cost, r_floor) <= _GTOL) \
+            & (J != 0.0).any(axis=(1, 2))
+
+        # Fletcher-scaled damped step, solved in column-normalized
+        # variables so parameters with disparate units stay conditioned
+        scale = np.where(col > 0.0, col, 1.0)
+        Jn = J / scale[:, None, :]
+        JtJ_n = (Jn[:, :, :, None] * Jn[:, :, None, :]).sum(axis=1)
+        g_n = g / scale
+
+        # the damping ladder; a trial ends a row's ladder when it lowers
+        # the cost (the row takes it at once), reaches the rounding floor
+        # or is the second sub-tolerance step in a row; otherwise, or when
+        # its step or residual is not finite, lam *= 4, up to 1e14
+        accepted = np.zeros(len(ids), dtype=bool)
+        at_floor = np.zeros(len(ids), dtype=bool)
+        trying = np.flatnonzero(~gradient_stop)
+        while trying.size:
+            delta_n = _solve(JtJ_n[trying] + lam[trying, None, None] * eye,
+                             -g_n[trying])
+            delta = delta_n / scale[trying]
+            ended = np.zeros(trying.size, dtype=bool)
+            tried = np.flatnonzero(np.isfinite(delta).all(axis=1))
+            if tried.size:
+                t = trying[tried]
+                p_try = P[t] + delta[tried]
+                r_try, J_try = residual_fn(p_try, rows[ids[t]])
+                ok = np.isfinite(r_try).all(axis=1)
+                tried, t, p_try, r_try, J_try = \
+                    tried[ok], t[ok], p_try[ok], r_try[ok], J_try[ok]
+                d, d_n, p = delta[tried], delta_n[tried], P[t]
+                cost_try = _sumsq(r_try)
+                pred = -(2.0 * (g[t] * d).sum(axis=1)
+                         + _sumsq((J[t] * d[:, None, :]).sum(axis=2)))
+                at_floor[t] = np.maximum(np.abs(cost[t] - cost_try), pred) \
+                    <= _FTOL * cost[t]
+                # relative step in column-scaled (residual-units) and in
+                # plain parameter space; both must settle, or a direction
+                # whose column vanishes with its parameter would freeze
+                step_rel = np.maximum(
+                    np.sqrt(_sumsq(d_n)) / (np.sqrt(_sumsq(p * scale[t])) + _TINY),
+                    np.sqrt(_sumsq(d)) / (np.sqrt(_sumsq(p)) + _TINY))
+                # two consecutive sub-tolerance trials, accepted or not:
+                # settled, not merely slowing
+                small_steps[t] = np.where(step_rel <= _XTOL,
+                                          small_steps[t] + 1, 0)
+                accepted[t] = cost_try <= cost[t]
+                a = accepted[t]
+                P[t[a]], R[t[a]], J[t[a]], cost[t[a]] = \
+                    p_try[a], r_try[a], J_try[a], cost_try[a]
+                ended[tried] = a | at_floor[t] | (small_steps[t] >= 2)
+            rejected = trying[~ended]
+            lam[rejected] *= 4.0
+            trying = rejected[lam[rejected] <= 1e14]
+
+        lam[accepted] = np.maximum(lam[accepted] * 0.3, 1e-14)
+        for i, c in zip(ids[accepted].tolist(),
+                        np.sqrt(cost[accepted]).tolist()):
+            history[i].append(c)
+        step_stop = small_steps >= 2
+        settled = gradient_stop | at_floor | step_stop
+        failed = ~(settled | accepted)
+        done = settled | failed
+        if it == _MAX_ITER:
+            done[:] = True
+        if not done.any():
+            continue
+        stopped = ids[done]
+        for arr, now in zip(final, (P, R, J, cost)):
+            arr[stopped] = now[done]
+        iterations[stopped] = np.where(gradient_stop, it - 1, it)[done]
+        converged[stopped] = settled[done]
+        for i, grad, floor, step, fail in zip(
+                stopped.tolist(), gradient_stop[done].tolist(),
+                at_floor[done].tolist(), step_stop[done].tolist(),
+                failed[done].tolist()):
+            if grad:
+                message[i] = "gradient tolerance reached"
+            elif floor:
+                message[i] = "cost reduction at the rounding floor"
+            elif step:
+                message[i] = "step tolerance reached"
+            elif fail:
+                message[i] = "no damped step reduced the residual"
+        keep = ~done
+        if not keep.any():
+            break
+        ids, P, R, J, cost, r_floor, lam, small_steps = (
+            arr[keep] for arr in (ids, P, R, J, cost, r_floor, lam, small_steps))
+
+    P, R, J, cost = final
+    g, col = _gradient(J, R)
+    gmeas = _gradient_measure(g, col, cost, r_floors)
+    se = _std_errors(J, cost)
+    for j, i in enumerate(rows.tolist()):
+        out[i] = FitResult(params=dict(zip(names, P[j].tolist())),
+                           std_errors=dict(zip(names, se[j].tolist())),
+                           residual_norm=math.sqrt(cost[j]),
+                           iterations=int(iterations[j]),
+                           converged=bool(converged[j]),
+                           residual_history=history[j],
+                           gradient_measure=float(gmeas[j]),
+                           message=message[j])
+    return out
 
 
 def least_squares(residual_fn: Callable, init: dict[str, float]) -> FitResult:
@@ -159,102 +339,20 @@ def least_squares(residual_fn: Callable, init: dict[str, float]) -> FitResult:
     ladder too) and "step tolerance reached" (two consecutive trial steps,
     accepted or not, of relative size <= _XTOL). Singular Jacobians are
     handled by damping; if no damped step reduces the cost the result comes
-    back converged=False rather than raising.
+    back converged=False rather than raising. This is _lockstep on a batch
+    of one.
     """
     names = list(init)
-    p = np.array([float(init[k]) for k in names])
-    if not np.all(np.isfinite(p)):
-        raise InvalidParameterError("initial parameters must be finite")
 
-    def call(pvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        r, J = residual_fn(dict(zip(names, pvec)))
-        return np.atleast_1d(np.asarray(r, dtype=float)).ravel(), J
+    def batch_of_one(P, rows):
+        r, J = residual_fn(dict(zip(names, P[0])))
+        r = np.atleast_1d(np.asarray(r, dtype=float)).ravel()
+        return r[None], np.asarray(J, dtype=float).reshape(1, r.size, len(names))
 
-    r, J = call(p)
-    if not np.all(np.isfinite(r)):
-        raise InvalidParameterError("residual is not finite at the initial point")
-    cost = float(r @ r)
-    history = [math.sqrt(cost)]
-    r_floor = 1e-8 * math.sqrt(cost)
-    lam = 1e-3
-    converged = False
-    message = "max iterations reached"
-    iterations = 0
-    small_steps = 0
-
-    def gradient_measure(Jc, rc, costc):
-        col = np.sqrt((Jc * Jc).sum(axis=0))
-        num = np.abs(Jc.T @ rc)
-        denom = col * (math.sqrt(costc) + r_floor) + _TINY
-        return float((num / denom).max())
-
-    for it in range(1, _MAX_ITER + 1):
-        g = J.T @ r
-        if gradient_measure(J, r, cost) <= _GTOL and bool(np.any(J != 0.0)):
-            converged = True
-            message = "gradient tolerance reached"
-            break
-
-        # Fletcher-scaled damped step, solved in column-normalized
-        # variables so parameters with disparate units stay conditioned
-        col = np.sqrt((J * J).sum(axis=0))
-        scale = np.where(col > 0.0, col, 1.0)
-        Jn = J / scale
-        JtJ_n = Jn.T @ Jn
-        g_n = g / scale
-
-        accepted = at_floor = False
-        while lam <= 1e14:
-            A = JtJ_n + lam * np.eye(p.size)
-            try:
-                delta_n = np.linalg.solve(A, -g_n)
-            except np.linalg.LinAlgError:
-                delta_n = np.linalg.lstsq(A, -g_n, rcond=None)[0]
-            delta = delta_n / scale
-            if np.all(np.isfinite(delta)):
-                p_new = p + delta
-                r_new, J_new = call(p_new)
-                if np.all(np.isfinite(r_new)):
-                    cost_new = float(r_new @ r_new)
-                    Jd = J @ delta
-                    pred = -(2.0 * float(g @ delta) + float(Jd @ Jd))
-                    at_floor = max(abs(cost - cost_new), pred) <= _FTOL * cost
-                    # relative step in column-scaled (residual-units) and in
-                    # plain parameter space; both must settle, or a direction
-                    # whose column vanishes with its parameter would freeze
-                    step_rel = max(
-                        float(np.linalg.norm(delta_n)
-                              / (np.linalg.norm(p * scale) + _TINY)),
-                        float(np.linalg.norm(delta) / (np.linalg.norm(p) + _TINY)))
-                    # two consecutive sub-tolerance trials, accepted or not:
-                    # settled, not merely slowing
-                    small_steps = small_steps + 1 if step_rel <= _XTOL else 0
-                    accepted = cost_new <= cost
-                    if accepted or at_floor or small_steps >= 2:
-                        break
-            lam *= 4.0
-        iterations = it
-        if not (accepted or at_floor or small_steps >= 2):
-            message = "no damped step reduced the residual"
-            break
-
-        if accepted:
-            p, r, J, cost = p_new, r_new, J_new, cost_new
-            history.append(math.sqrt(cost))
-            lam = max(lam * 0.3, 1e-14)
-        if at_floor or small_steps >= 2:
-            converged = True
-            message = ("cost reduction at the rounding floor" if at_floor
-                       else "step tolerance reached")
-            break
-
-    gmeas = gradient_measure(J, r, cost)
-    se = _std_errors(J, cost, r.size)
-    return FitResult(params=dict(zip(names, p.tolist())),
-                     std_errors=dict(zip(names, se.tolist())),
-                     residual_norm=math.sqrt(cost), iterations=iterations,
-                     converged=converged, residual_history=history,
-                     gradient_measure=gmeas, message=message)
+    result = _lockstep(batch_of_one, [[float(init[k]) for k in names]], names)[0]
+    if isinstance(result, InvalidParameterError):
+        raise result
+    return result
 
 
 def _safe_exp(x):
@@ -270,8 +368,11 @@ def hyperbola(B, f_q0, gamma, B0):
     return np.sqrt(f_q0**2 + (gamma * (np.asarray(B, dtype=float) - B0)) ** 2)
 
 
-def fit_hyperbola(points) -> FitResult:
-    """Fit (B, f[, sigma]) qubit points with the field hyperbola.
+_HYPERBOLA_PARAMS = ("f_q0", "gamma", "B0")
+
+
+def _hyperbola_start(points) -> tuple[np.ndarray, tuple[float, float, float]]:
+    """One dataset's (B, f, w) rows and its starting (f_q0, gamma, B0).
 
     Initialization: B0 at the minimum-frequency point, f_q0 the minimum
     frequency, gamma the outermost secant slope.
@@ -281,7 +382,9 @@ def fit_hyperbola(points) -> FitResult:
         raise DegenerateFitError("need at least 3 (B, f) points")
     B, f = pts[:, 0], pts[:, 1]
     w = 1.0 / pts[:, 2] if pts.shape[1] > 2 else np.ones_like(B)
-    if np.unique(B).size < 2:
+    # np.unique(B).size < 2, NaN equal to NaN, without np.unique's import
+    # of numpy.ma (about 20 ms)
+    if (B == B[0]).all() or np.isnan(B).all():
         raise DegenerateFitError("all fields identical, hyperbola unconstrained")
 
     imin = int(np.argmin(f))
@@ -296,20 +399,62 @@ def fit_hyperbola(points) -> FitResult:
     gamma_init = max(slopes) if slopes else abs(f.max() - f.min()) / np.ptp(B)
     if gamma_init == 0.0:
         gamma_init = f_q0_init / max(np.ptp(B), 1e-12)
+    return np.stack([B, f, w]), (f_q0_init, gamma_init, B0_init)
 
-    def resid(p):
-        dB = B - p["B0"]
-        model = hyperbola(B, p["f_q0"], p["gamma"], p["B0"])
+
+def _hyperbola_residual(data: np.ndarray) -> Callable:
+    """_lockstep's residual for hyperbola fits of the datasets stacked in
+    data, of shape (datasets, 3, points) with rows B, f and w."""
+    def resid(P, rows):
+        B, f, w = data[rows, 0], data[rows, 1], data[rows, 2]
+        f_q0, gamma, B0 = P[:, 0, None], P[:, 1, None], P[:, 2, None]
+        dB = B - B0
+        model = hyperbola(B, f_q0, gamma, B0)
         # d model / d p; the cone's tip (model = 0) gets a zero row
         inv = np.divide(w, model, out=np.zeros_like(model), where=model > 0)
-        J = np.column_stack([p["f_q0"] * inv, p["gamma"] * dB**2 * inv,
-                             -p["gamma"] ** 2 * dB * inv])
+        J = np.stack([f_q0 * inv, gamma * dB**2 * inv, -gamma**2 * dB * inv],
+                     axis=-1)
         return (model - f) * w, J
 
-    result = least_squares(resid, {"f_q0": f_q0_init, "gamma": gamma_init,
-                                   "B0": B0_init})
-    result.params["f_q0"] = abs(result.params["f_q0"])
-    result.params["gamma"] = abs(result.params["gamma"])
+    return resid
+
+
+def fit_hyperbolas(datasets) -> list[FitResult | VortexlabError]:
+    """fit_hyperbola over many datasets at once, each fitted on its own.
+
+    Returns, per dataset, its FitResult or the VortexlabError that
+    fit_hyperbola raises for it (fewer than 3 points, identical fields, a
+    non-finite start or initial residual). Datasets with the same point
+    count run through one _lockstep batch; a result is the same as the
+    dataset's fit alone, whatever else the batch holds.
+    """
+    results: list = [None] * len(datasets)
+    groups: dict[int, list] = {}  # point count -> (index, data, start)
+    for i, points in enumerate(datasets):
+        try:
+            data, start = _hyperbola_start(points)
+        except DegenerateFitError as exc:
+            results[i] = exc
+            continue
+        groups.setdefault(data.shape[1], []).append((i, data, start))
+    for members in groups.values():
+        index, data, starts = zip(*members)
+        fits = _lockstep(_hyperbola_residual(np.stack(data)), starts,
+                         _HYPERBOLA_PARAMS)
+        for i, result in zip(index, fits):
+            if isinstance(result, FitResult):
+                result.params["f_q0"] = abs(result.params["f_q0"])
+                result.params["gamma"] = abs(result.params["gamma"])
+            results[i] = result
+    return results
+
+
+def fit_hyperbola(points) -> FitResult:
+    """Fit (B, f[, sigma]) qubit points with the field hyperbola: the
+    one-dataset call of fit_hyperbolas, raising its error."""
+    result = fit_hyperbolas([points])[0]
+    if isinstance(result, VortexlabError):
+        raise result
     return result
 
 
@@ -441,7 +586,7 @@ def fit_joint_aqrm(dataset: SpectrumDataset, init: dict[str, float] | None,
     if gap.any():
         # a penalty is no misfit: errors and norm from the labelled points
         r, J = r[~gap], J[~gap][:, [names.index(k) for k in free]]
-        se = _std_errors(J, float(r @ r), r.size)
+        se = _std_errors(J[None], np.array([r @ r]))[0]
         result.std_errors.update(zip(free, se.tolist()))
         result.residual_norm = math.sqrt(float(r @ r))
     result.n_penalized = int(gap.sum())

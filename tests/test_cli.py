@@ -595,34 +595,91 @@ class TestBatchFit:
         for i in range(3):
             self._write_dataset(data_dir / f"run{i}.csv", 120.0, 1.0)
         (data_dir / "broken.csv").write_text("B_uT,f_GHz\nnot,numbers\n")
-        fit, calls = fitting.fit_hyperbola, []
+        # the three files are alike, so each fit goes as this one does
+        data = cli._read_csv_columns(data_dir / "run0.csv", 2)
+        single = fitting.fit_hyperbola(np.column_stack(
+            [data[:, 0] * 1e-6, data[:, 1] * 1e9, np.full(len(data), 1e6)]))
+        fit = fitting.fit_hyperbolas
 
-        def unconverged_first(points):  # run0.csv, after broken.csv
-            result = fit(points)
-            result.converged = result.converged and bool(calls)
-            calls.append(points)
-            return result
+        def unconverged_first(datasets):  # run0.csv, after broken.csv
+            results = fit(datasets)
+            results[0].converged = False
+            return results
 
-        monkeypatch.setattr(fitting, "fit_hyperbola", unconverged_first)
+        monkeypatch.setattr(fitting, "fit_hyperbolas", unconverged_first)
         out = tmp_path / "out"
         assert cli.main(["batch-fit", "--data-dir", str(data_dir),
                          "-o", str(out)]) == 0
         manifest = json.loads((out / "manifest.batch-fit.json").read_text())
-        assert manifest["diagnostics"] == {"files": 4, "errors": 1,
-                                           "unconverged": 1}
+        assert manifest["diagnostics"] == {
+            "files": 4, "errors": 1, "unconverged": 1,
+            "iterations": {"total": 3 * single.iterations,
+                           "max": single.iterations},
+            "stop_messages": {single.message: 3}}
 
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         data_dir = tmp_path / "sets"
         data_dir.mkdir()
         self._write_dataset(data_dir / "run0.csv", 120.0, 1.0)
 
-        def broken(points):
+        def broken(datasets):
             raise TypeError("bug in the fitter")
 
-        monkeypatch.setattr(fitting, "fit_hyperbola", broken)
+        monkeypatch.setattr(fitting, "fit_hyperbolas", broken)
         with pytest.raises(TypeError):
             cli.main(["batch-fit", "--data-dir", str(data_dir),
                       "-o", str(tmp_path / "out")])
+
+    def test_rows_match_single_fits(self, tmp_path):
+        # 15- and 25-point files, with and without sigma, fitted in one call
+        # beside files that fail: each row is, cell for cell, the dataset's
+        # own fit_hyperbola, and a failing file's row holds the error that
+        # fit raises
+        rng = np.random.default_rng(7)
+        data_dir = tmp_path / "sets"
+        data_dir.mkdir()
+        tables = {}
+        for i, n in enumerate([15, 25, 15, 25, 25, 15]):
+            B = np.linspace(0.0, 240.0, n)
+            f = np.sqrt(2.0**2 + (20e-3 * (B - 100.0 - 8 * i)) ** 2) \
+                + rng.normal(0.0, 0.01, n)
+            tables[f"fit{i}.csv"] = [B, f] + ([np.full(n, 0.01)] if i % 2 else [])
+        B, f = tables["fit1.csv"][:2]
+        tables["nan_cell.csv"] = [B, np.where(np.arange(B.size) == 7, np.nan, f)]
+        tables["two_points.csv"] = [B[:2], f[:2]]
+        tables["flat.csv"] = [np.full(9, 120.0), f[:9]]
+        for name, cols in tables.items():
+            header = ["B_uT", "f_GHz", "sigma_GHz"][:len(cols)]
+            lines = [",".join(header)] + [
+                ",".join("" if math.isnan(v) else repr(v) for v in row)
+                for row in zip(*(c.tolist() for c in cols))]
+            (data_dir / name).write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["batch-fit", "--data-dir", str(data_dir),
+                         "-o", str(out)]) == 0
+        header, rows = read_csv(out / "batch_fit.csv")
+        assert [row[0] for row in rows] == sorted(tables)
+        errors = {}
+        for row in rows:
+            data = cli._read_csv_columns(data_dir / row[0], 2)
+            sigma = data[:, 2] * 1e9 if data.shape[1] > 2 \
+                else np.full(len(data), 1e6)
+            try:
+                fit = fitting.fit_hyperbola(np.column_stack(
+                    [data[:, 0] * 1e-6, data[:, 1] * 1e9, sigma]))
+            except VortexlabError as exc:
+                expected = ["", "", "", "", "False", str(exc)]
+                errors[row[0]] = str(exc)
+            else:
+                assert fit.converged
+                expected = [cli._fmt(fit.params["f_q0"] / 1e9),
+                            cli._fmt(fit.params["B0"] * 1e6),
+                            cli._fmt(fit.params["gamma"] / 1e12), "", "True", ""]
+            assert row[2:] == expected, row[0]
+        assert errors == {
+            "nan_cell.csv": "initial parameters must be finite",
+            "two_points.csv": "need at least 3 (B, f) points",
+            "flat.csv": "all fields identical, hyperbola unconstrained"}
 
     def test_blank_line_before_phi_comment(self, tmp_path):
         data_dir = tmp_path / "sets"
@@ -1327,6 +1384,33 @@ class TestExitCodes:
         report = json.loads((out / "error.json").read_text())
         assert message in report["message"]
         assert not (out / "tunnel.csv").exists()
+
+    @pytest.mark.parametrize("key,value,command", [
+        ("w_um", "1e200", "scales"), ("w_um", "1e200", "landscape"),
+        ("w_um", "1e200", "tunnel"), ("w_um", "1e200", "gamma-map"),
+        ("lambda_L_um", "1e200", "scales"),
+        ("lambda_L_um", "1e200", "landscape"),
+        ("lambda_L_um", "1e200", "tunnel"),
+        ("site1_sigma_nm", "1e200", "landscape"),
+        ("site1_sigma_nm", "1e200", "tunnel"),
+        ("site1_sigma_nm", "1e-300", "landscape"),
+        ("site1_sigma_nm", "1e-300", "tunnel")])
+    def test_square_out_of_float_range_is_two(self, tmp_path, capsys, key,
+                                              value, command):
+        # these squares once overflowed to a traceback or divided by zero
+        conf = tmp_path / "c.ini"
+        text = CONFIG.read_text()
+        line = next(ln for ln in text.splitlines()
+                    if ln.startswith(f"{key} = "))
+        conf.write_text(text.replace(line, f"{key} = {value}"))
+        out = tmp_path / "out"
+        assert cli.main([command, "-c", str(conf), "-o", str(out)]) == 2
+        message = f"{key} = {float(value):g} squares outside the float range"
+        assert message in capsys.readouterr().err
+        report = json.loads((out / "error.json").read_text())
+        assert report == {"error": "InvalidParameterError", "message": message}
+        assert sorted(p.name for p in out.iterdir()) == [
+            "error.json", f"manifest.{command}.json"]
 
     def test_numerical_error_is_two(self, mini_config, tmp_path):
         out = tmp_path / "out"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from vortexlab import fitting, rabi
-from vortexlab.errors import DegenerateFitError, InvalidParameterError
+from vortexlab.errors import (DegenerateFitError, InvalidParameterError,
+                              VortexlabError)
 
 F_R, G, GAMMA, B0, F_Q0 = 7.572e9, 92.5e6, 20e12, 128e-6, 2e9
 
@@ -117,9 +118,38 @@ class TestHyperbola:
                                                      rel=1e-12, abs=0)
 
     def test_degenerate_fields(self):
-        pts = np.array([[1e-4, 2e9, 1e6]] * 4)
-        with pytest.raises(DegenerateFitError):
-            fitting.fit_hyperbola(pts)
+        for field in (1e-4, math.nan):  # NaN fields count as one, as in np.unique
+            pts = np.array([[field, 2e9, 1e6]] * 4)
+            with pytest.raises(DegenerateFitError, match="all fields identical"):
+                fitting.fit_hyperbola(pts)
+
+
+class TestHyperbolaBatch:
+    def test_rows_are_bit_identical_to_batches_of_one(self):
+        # the lockstep engine against its batch of one: each dataset's
+        # result, every field bit for bit, whatever else the batch holds,
+        # failing datasets included
+        datasets = [hyperbola_points(n=n, noise=noise, sigma=5e6, seed=seed)
+                    for seed, (n, noise) in enumerate(
+                        [(25, 5e6), (15, 5e6), (25, 0.0), (25, 60e6),
+                         (15, 30e6), (40, 5e6), (25, 5e6)])]
+        nan_cell = hyperbola_points()
+        nan_cell[4, 1] = math.nan
+        datasets += [nan_cell, hyperbola_points(n=2),
+                     np.array([[1e-4, 2e9, 1e6]] * 4)]
+        batch = fitting.fit_hyperbolas(datasets)
+        assert len({r.iterations for r in batch[:7]}) > 1
+        for points, result in zip(datasets, batch):
+            try:
+                single = fitting.fit_hyperbola(points)
+            except VortexlabError as exc:
+                assert type(result) is type(exc) and str(result) == str(exc)
+            else:
+                assert result == single
+        assert [str(r) for r in batch[7:]] == [
+            "initial parameters must be finite",
+            "need at least 3 (B, f) points",
+            "all fields identical, hyperbola unconstrained"]
 
 
 class TestJointAqrm:
@@ -446,19 +476,28 @@ class TestClosedFormJacobians:
 
     @pytest.mark.parametrize("fit", CLOSED_FORM_FITS)
     def test_jacobian_matches_central_differences(self, monkeypatch, fit):
-        # at the start point and at the optimum; the reflection fit also at
-        # negative kappas, where its abs() flips the sign of their columns
+        # at the start point and at the optimum, through the batched
+        # residual the engine runs (the hyperbola's own; the others as
+        # least_squares wraps them); the reflection fit also at negative
+        # kappas, where its abs() flips the sign of their columns
         captured = []
-        least_squares = fitting.least_squares
+        lockstep = fitting._lockstep
 
-        def recording(residual_fn, init):
-            result = least_squares(residual_fn, init)
-            captured.append((residual_fn, dict(init), dict(result.params)))
-            return result
+        def recording(residual_fn, P0, names):
+            results = lockstep(residual_fn, P0, names)
+            captured.append((residual_fn, names,
+                             dict(zip(names, np.array(P0, float, ndmin=2)[0])),
+                             dict(results[0].params)))
+            return results
 
-        monkeypatch.setattr(fitting, "least_squares", recording)
+        monkeypatch.setattr(fitting, "_lockstep", recording)
         assert CLOSED_FORM_FITS[fit]().converged
-        resid, start, optimum = captured[0]
+        batched, names, start, optimum = captured[0]
+
+        def resid(p):  # the batch's first problem, by parameter name
+            R, J = batched(np.array([[p[k] for k in names]]), np.array([0]))
+            return R[0], J[0]
+
         points = [start, optimum]
         if fit == "reflection":
             points += [{**p, "kappa_int": -p["kappa_int"],
