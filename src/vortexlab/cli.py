@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config
 from .constants import CONSTANTS
-from .core import derive_scales
+from .core import derive_scales, median
 from .errors import ConfigError, InvalidParameterError, VortexlabError
 from . import energetics
 
@@ -123,17 +123,14 @@ def _sha256_file(path: Path) -> str:
 
 
 def _environment() -> dict:
-    """What the run ran on. scipy's version only when the command imported
-    scipy, which this does not do itself."""
+    """What the run ran on."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy < 1.25 has no mode="dicts"
         blas = {}
-    scipy = sys.modules.get("scipy")
     return {
         "python": ".".join(map(str, sys.version_info[:3])),
         "numpy": np.__version__,
-        "scipy": getattr(scipy, "__version__", None),
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "cpu_count": os.cpu_count(),
     }
@@ -465,8 +462,7 @@ def _cmd_tunnel(args, cfg: RunConfig, run: Run) -> int:
         "sweet_spot_B_uT": sweep.sweet_spot_B * 1e6,
         "min_f_q_GHz": float(sweep.omega_q.min() / (2 * math.pi) / 1e9),
     })
-    run.diagnostics.update(solver=sweep.solver,
-                           max_residual_GHz=sweep.max_residual / _H / 1e9,
+    run.diagnostics.update(max_residual_GHz=sweep.max_residual / _H / 1e9,
                            fields=int(fields.size), grid_points=grid_points)
     return 0
 
@@ -489,7 +485,7 @@ def _cmd_analyze_jumps(args, cfg: RunConfig, run: Run) -> int:
     # validates the record (finite, ascending times; finite IQ) up front
     traj = jumps.Trajectory(times=data[:, 0] * 1e-6,
                             iq_points=data[:, 1] + 1j * data[:, 2])
-    spacing = float(np.median(np.diff(traj.times)))
+    spacing = median(np.diff(traj.times))
 
     clusters = jumps.iq_cluster(traj.iq_points)
     ro = jumps.ReadoutModel(center_g=clusters.center_g,

@@ -73,9 +73,9 @@ _SCHEMA: dict[str, dict[str, tuple[str, float]]] = {
     },
 }
 
-# inclusive (low, high) bounds checked on load; either 1D tunneling solve
-# holds a few grid_points x 3 levels of doubles, and the bisection arm's
-# time grows linearly with grid_points (about 60 ms a solve at 4096); the
+# inclusive (low, high) bounds checked on load; the 1D tunneling solve
+# holds a few grid_points x 3 levels of doubles, and its time grows
+# linearly with grid_points (about 40 ms a solve at 4096); the
 # Rabi solve is dense in 2 (n_fock + 1) rows, held to the same 4096
 _LIMITS: dict[tuple[str, str], tuple[int, int]] = {
     ("qrm", "n_fock"): (2, 2047),

@@ -68,12 +68,32 @@ def example_device() -> DeviceModel:
 
 
 def derive_scales(device: DeviceModel) -> DerivedScales:
-    """Compute the screening length, vortex energy scale and thresholds."""
+    """Compute the screening length, vortex energy scale and thresholds;
+    one that is not positive and finite is an InvalidParameterError."""
     Lambda = 2.0 * device.lambda_L**2 / device.t
     eps0 = CONSTANTS.Phi0**2 / (2.0 * math.pi * CONSTANTS.mu0 * Lambda)
     phi_S = (2.0 / math.pi) * math.log(2.0 * device.w / (math.pi * device.xi))
     B_S = phi_S * CONSTANTS.Phi0 / device.w**2
+    for name, value, keys in (("Lambda", Lambda, "t_nm and lambda_L_um"),
+                              ("eps0", eps0, "t_nm and lambda_L_um"),
+                              ("phi_S", phi_S, "w_um and xi_nm"),
+                              ("B_S", B_S, "w_um and xi_nm")):
+        if not 0.0 < value < math.inf:
+            raise InvalidParameterError(
+                f"{keys} give {name} = {value:g}; derived scales must be "
+                "positive and finite")
     return DerivedScales(Lambda=Lambda, eps0=eps0, phi_S=phi_S, B_S=B_S)
+
+
+def median(values: np.ndarray) -> float:
+    """np.median of a 1D array, bit for bit, from one sort: np.median's
+    first call imports numpy.ma (about 10 ms). NaN when values is empty
+    or holds a NaN."""
+    v = np.sort(values)
+    if v.size == 0 or np.isnan(v[-1]):
+        return math.nan
+    m = v.size // 2
+    return float(v[m] if v.size % 2 else (v[m - 1] + v[m]) / 2)
 
 
 def flux_bias(B: float, w: float) -> float:

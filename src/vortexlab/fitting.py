@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
+from .core import median
 from .errors import DegenerateFitError, InvalidParameterError, VortexlabError
 
 if TYPE_CHECKING:
@@ -506,7 +507,7 @@ def fit_joint_aqrm(dataset: SpectrumDataset, init: dict[str, float] | None,
     if "f_r" not in init:
         if len(rp) == 0:
             raise DegenerateFitError("no resonator points and no f_r initial value")
-        init["f_r"] = float(np.median(rp[:, 1]))
+        init["f_r"] = median(rp[:, 1])
     if len(qp):
         imin = int(np.argmin(qp[:, 1]))
         init.setdefault("B0", float(qp[imin, 0]))

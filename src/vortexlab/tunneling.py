@@ -3,17 +3,15 @@
 Discretizes  H = hbar Omega [ -y_zpf^2 laplacian + V / (hbar Omega) ]  on a
 uniform grid with Dirichlet boundaries and a second-order central-difference
 Laplacian, then extracts the lowest eigenpairs. In 1D the matrix is
-tridiagonal and both arms find only the lowest pairs by bisection, then
-inverse iteration: in numpy and plain Python (Sturm-sequence bisection,
-Thomas solves, then a Rayleigh-Ritz step) when the solves ahead cost less
-than importing scipy.linalg does, else with scipy.linalg.eigh_tridiagonal
-(see spectrum_vs_field). In 2D a shifted block Lanczos in numpy finds
-them: a block LDL^T factorisation of H - min V along x, one ny x ny block
-per x-row, applies the shift-invert operator, and Rayleigh-Ritz steps on
-the five-point stencil give the pairs. scipy is imported by the long 1D
-path only. The kinetic coefficient hbar Omega y_zpf^2 equals hbar^2 / 2 m
-for the effective mass implied by y_zpf = sqrt(hbar / 2 m Omega), so the
-mass never has to be specified directly."""
+tridiagonal, and only its lowest pairs are found, in numpy and plain
+Python: Sturm-sequence bisection, inverse iteration by Thomas solves, then
+a Rayleigh-Ritz step. In 2D a shifted block Lanczos in numpy finds them: a
+block LDL^T factorisation of H - min V along x, one ny x ny block per
+x-row, applies the shift-invert operator, and Rayleigh-Ritz steps on the
+five-point stencil give the pairs. Neither imports scipy. The kinetic
+coefficient hbar Omega y_zpf^2 equals hbar^2 / 2 m for the effective mass
+implied by y_zpf = sqrt(hbar / 2 m Omega), so the mass never has to be
+specified directly."""
 
 from __future__ import annotations
 
@@ -32,12 +30,14 @@ from .errors import (EigensolverError, InvalidParameterError,
 _START_SEED = 11  # of the random start vectors (1D inverse iteration, the
 # 2D block Lanczos start block), fixed so results are repeatable
 _MARGIN_SIGMAS = 5.0  # grid clearance around each pinning site, in sigma_i
-# the 1D solver rule's costs (s): one bisection solve of 1024 points and
-# three levels (it grows linearly with the size; 0.011-0.020 s measured on
-# a 2-core x86 host), and importing scipy.linalg after vortexlab.cli
-_BISECTION_1024_S = 0.015
-_SCIPY_IMPORT_S = 0.3
-_INVERSE_ITERATIONS = 3  # Thomas solves per level, from a random start
+# 1D inverse iteration, from a seeded random start, stops once a solve's
+# growth bounds the residual by the bisection tolerance (3-4 solves per
+# level on tested potentials), or after _INVERSE_ITERATIONS solves
+_INVERSE_ITERATIONS = 8
+# 1D bisection stops once a level's bracket is narrower than this share of
+# the gap to its neighbours' brackets; inverse iteration then gains a factor
+# of about this share or better per step
+_SEPARATION = 1e-2
 _EPS = np.finfo(float).eps
 # the 2D solve stops once every residual ||H x - theta x|| is within
 # _RESIDUAL_TOL of the bound max|V| + 4 (cx + cy) on ||H||; it takes 11-28
@@ -150,13 +150,6 @@ class EigenResult:
         return float(self.energies[1] - self.energies[0])
 
 
-def _solver_1d(n_solves: int, points: int) -> str:
-    """"tridiagonal" when n_solves bisection solves of points points cost
-    more than importing scipy.linalg, else "bisection"."""
-    bisection_s = n_solves * points / 1024 * _BISECTION_1024_S
-    return "tridiagonal" if bisection_s > _SCIPY_IMPORT_S else "bisection"
-
-
 def _tridiagonal_1d(grid: Grid, V: np.ndarray, K: float):
     """Diagonal and (constant) off-diagonal of the 1D Hamiltonian (J)."""
     return 2.0 * K / grid.dx**2 + V, -K / grid.dx**2
@@ -168,28 +161,6 @@ def _apply_1d(d: np.ndarray, off: float, v: np.ndarray) -> np.ndarray:
     Tv[1:] += off * v[:-1]
     Tv[:-1] += off * v[1:]
     return Tv
-
-
-def _solve_1d(grid: Grid, V: np.ndarray, K: float, k: int, solver: str):
-    """Lowest k pairs of the tridiagonal Hamiltonian.
-
-    "bisection" runs _bisection_1d, which below the rule of _solver_1d
-    costs less than importing scipy; "tridiagonal" runs scipy's
-    eigh_tridiagonal. A non-finite Hamiltonian raises EigensolverError.
-    """
-    d, off = _tridiagonal_1d(grid, V, K)
-    if not (np.isfinite(d).all() and math.isfinite(off)):
-        raise EigensolverError("the 1D Hamiltonian is not finite",
-                               residuals=np.full(k, np.inf))
-    if solver == "bisection":
-        return _bisection_1d(d, off, k)
-    from scipy.linalg import eigh_tridiagonal
-    try:
-        return eigh_tridiagonal(d, np.full(grid.nx - 1, off),
-                                select="i", select_range=(0, k - 1))
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigh_tridiagonal failed: {exc}",
-                               residuals=np.full(k, np.inf)) from exc
 
 
 def _sturm_count(d: list[float], off2: float, s: float) -> int:
@@ -208,69 +179,90 @@ def _sturm_count(d: list[float], off2: float, s: float) -> int:
     return count
 
 
-def _thomas(d: list[float], off: float, shift: float, floor: float):
-    """A solver of (T - shift) y = x by Thomas elimination, factored once.
+def _inverse_step(d: list[float], off: float, shift: float, floor: float,
+                  x: list[float]) -> np.ndarray:
+    """Solves (T - shift) y = x by Thomas elimination.
 
-    Pivots smaller than floor in magnitude become -floor, so a shift at an
-    eigenvalue still gives a (large) finite solution.
+    The forward sweep factors and eliminates at once. Pivots smaller than
+    floor in magnitude become -floor, so a shift at an eigenvalue still
+    gives a (large) finite solution.
     """
-    r, q = [], math.inf
-    for di in d:
-        q = di - shift - off * off / q
+    r, ws, q, w = [], [], math.inf, 0.0
+    off2 = off * off
+    for di, xi in zip(d, x):  # pivots q_i; w_i = (x_i - off w_{i-1}) / q_i
+        q = di - shift - off2 / q
         if abs(q) < floor:
             q = -floor
-        r.append(1.0 / q)
-    r_rev = r[::-1]
-
-    def solve(x: list[float]) -> np.ndarray:
-        w, ws = 0.0, []
-        for xi, ri in zip(x, r):  # forward: w_i = (x_i - off w_{i-1}) / q_i
-            w = (xi - off * w) * ri
-            ws.append(w)
-        y, ys = 0.0, []
-        for wi, ri in zip(reversed(ws), r_rev):  # back substitution
-            y = wi - off * y * ri
-            ys.append(y)
-        return np.array(ys[::-1])
-
-    return solve
+        ri = 1.0 / q
+        w = (xi - off * w) * ri
+        r.append(ri)
+        ws.append(w)
+    y, ys = 0.0, []
+    for wi, ri in zip(reversed(ws), reversed(r)):  # back substitution
+        y = wi - off * y * ri
+        ys.append(y)
+    return np.array(ys[::-1])
 
 
 def _bisection_1d(d: np.ndarray, off: float, k: int):
     """Lowest k pairs of the tridiagonal T (diagonal d, off-diagonal off).
 
-    Sturm-sequence bisection brackets each eigenvalue to about 2 eps |T|,
-    every count also narrowing the brackets of the other levels; inverse
-    iteration from a seeded random start, Gram-Schmidt against the vectors
-    already found (as LAPACK's dstein does for clusters), turns each into
-    a vector; one Rayleigh-Ritz step over the k vectors gives the pairs
-    (Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967)).
+    Sturm-sequence bisection narrows each level's bracket until it holds
+    that level alone and is narrower than _SEPARATION of the gap to its
+    neighbours' brackets (or reaches about 2 eps |T|, for levels that
+    close); every count also narrows the other brackets, and one extra
+    bracket above level k - 1 shows that level's gap. Inverse iteration
+    from a seeded random start, Gram-Schmidt against the vectors already
+    found (as LAPACK's dstein does for clusters), with the shift moved to
+    the Rayleigh quotient after each step but kept inside the bracket,
+    turns each into a vector; it stops once a solve grows the unit vector
+    it was given by 1 / tol or more, which bounds the residual by tol. One
+    Rayleigh-Ritz step over the k vectors gives the pairs (Barth, Martin &
+    Wilkinson, Numer. Math. 9, 386 (1967); Parlett, The Symmetric
+    Eigenvalue Problem, ch. 4). A T whose Gershgorin bounds are not finite
+    raises EigensolverError.
     """
     # Gershgorin bounds; lo is the potential's minimum, a strict lower bound
     # since the Dirichlet Laplacian is positive definite
     lo, hi = float(d.min()) - 2 * abs(off), float(d.max()) + 2 * abs(off)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise EigensolverError("the 1D Hamiltonian is not finite",
+                               residuals=np.full(k, np.inf))
     tol = 2 * _EPS * max(abs(lo), abs(hi))
     dl, off2 = d.tolist(), off * off
-    los, his = [lo] * k, [hi] * k
+    los, his = [lo] * (k + 1), [hi] * (k + 1)  # los[i] <= lambda_i < his[i]
     for j in range(k):
         while his[j] - los[j] > tol:
-            mid = 0.5 * (los[j] + his[j])
+            gap = los[j + 1] - his[j]
+            if j:
+                gap = min(gap, los[j] - his[j - 1])
+            if his[j] - los[j] < _SEPARATION * gap:
+                break
+            # a wide bracket above hides the gap: bisect the wider one
+            i = j + (his[j + 1] - los[j + 1] > his[j] - los[j])
+            mid = 0.5 * (los[i] + his[i])
             below = _sturm_count(dl, off2, mid)
-            for i in range(k):
-                if i < below:
-                    his[i] = min(his[i], mid)
+            for m in range(k + 1):
+                if m < below:
+                    his[m] = min(his[m], mid)
                 else:
-                    los[i] = max(los[i], mid)
+                    los[m] = max(los[m], mid)
 
     rng = np.random.default_rng(_START_SEED)
     Q = np.empty((d.size, k))
     for j in range(k):
-        solve = _thomas(dl, off, 0.5 * (los[j] + his[j]), tol)
+        shift = 0.5 * (los[j] + his[j])
         y = rng.standard_normal(d.size)
+        y /= np.linalg.norm(y)
         for _ in range(_INVERSE_ITERATIONS):
-            y = solve(y.tolist())
+            y = _inverse_step(dl, off, shift, tol, y.tolist())
             y -= Q[:, :j] @ (Q[:, :j].T @ y)
-            y /= np.linalg.norm(y)
+            growth = np.linalg.norm(y)
+            y /= growth
+            if 1.0 / growth <= tol:  # ||(T - shift) y|| <= 1 / growth
+                break
+            rayleigh = float(y @ (d * y) + 2 * off * (y[1:] @ y[:-1]))
+            shift = min(max(rayleigh, los[j]), his[j])
         Q[:, j] = y
     vals, S = np.linalg.eigh(Q.T @ _apply_1d(d, off, Q))
     return vals, Q @ S
@@ -371,17 +363,15 @@ def _solve_2d(grid: Grid, V: np.ndarray, K: float, k: int):
 
 
 def solve_schrodinger(grid: Grid, potential: np.ndarray, model: TunnelModel,
-                      k: int = 2, *, _solver: str | None = None
-                      ) -> EigenResult:
+                      k: int = 2) -> EigenResult:
     """Lowest k eigenpairs of the discretized pinned-vortex Hamiltonian.
 
     potential is the energy field (J) sampled on the grid, shape (nx,) or
-    (nx, ny). A 1D solve takes the solver that _solver_1d picks for one
-    solve, unless spectrum_vs_field passes the one it picked for its sweep.
-    A 2D solve runs the block Lanczos of _solve_2d. _START_SEED fixes the
-    start vectors of 1D inverse iteration and of the 2D start block, so
-    repeated calls return identical bits. A non-finite
-    potential raises InvalidParameterError. Raises EigensolverError with
+    (nx, ny). A 1D solve runs the bisection and inverse iteration of
+    _bisection_1d, a 2D solve the block Lanczos of _solve_2d. _START_SEED
+    fixes the start vectors of 1D inverse iteration and of the 2D start
+    block, so repeated calls return identical bits. A non-finite potential
+    raises InvalidParameterError. Raises EigensolverError with
     the residual norms (inf for pairs not found) if the solver fails.
     """
     if not (1 <= k <= 10):
@@ -394,8 +384,7 @@ def solve_schrodinger(grid: Grid, potential: np.ndarray, model: TunnelModel,
         raise InvalidParameterError("potential must be finite")
     K = model.kinetic_coefficient
     if grid.dimension == 1:
-        vals, vecs = _solve_1d(grid, V, K, k,
-                               _solver or _solver_1d(1, grid.nx))
+        vals, vecs = _bisection_1d(*_tridiagonal_1d(grid, V, K), k)
     else:
         vals, vecs = _solve_2d(grid, V, K, k)
 
@@ -423,7 +412,6 @@ class FieldSweep:
     omega_q: np.ndarray           # rad/s
     results: list[EigenResult]
     sweet_spot_index: int
-    solver: str                   # "bisection" or "tridiagonal", see _solver_1d
     max_residual: float           # J, largest ||H v - E v|| for unit-norm v
 
     @property
@@ -441,13 +429,8 @@ def spectrum_vs_field(sites: Sequence[PinningSite], x_window: tuple[float, float
     x_window, and no other vortices; the grid must clear each site by
     _MARGIN_SIGMAS widths. The sweet spot is the argmin of omega_q(B_list).
 
-    The solver is chosen once for the whole sweep: scipy's eigh_tridiagonal
-    when fields x grid_points / 1024 x _BISECTION_1024_S (0.015 s, one
-    1024-point bisection solve of three levels) exceeds _SCIPY_IMPORT_S
-    (0.3 s, importing scipy.linalg), the numpy bisection arm otherwise, so
-    a sweep of up to about 20 fields at 1024 points stays free of scipy.
-    The sweep records the solver and the largest residual norm over its
-    fields and levels.
+    Each field is one solve_schrodinger call. The sweep records the largest
+    residual norm over its fields and levels.
     """
     if len(sites) != 2:
         raise InvalidParameterError("spectrum_vs_field expects exactly two sites")
@@ -460,18 +443,17 @@ def spectrum_vs_field(sites: Sequence[PinningSite], x_window: tuple[float, float
                 f"{_MARGIN_SIGMAS:g} sigma margin")
     x = grid.x
     fields = np.atleast_1d(np.asarray(B_list, dtype=float))
-    solver = _solver_1d(fields.size, grid_points)
     results: list[EigenResult] = []
     omega = np.empty(fields.size)
     residual = 0.0
     for i, B in enumerate(fields):
         V = total_potential(x, 0.0, float(B), 0.0, sites, scales, device)
-        res = solve_schrodinger(grid, V, model, k=k, _solver=solver)
+        res = solve_schrodinger(grid, V, model, k=k)
         results.append(res)
         omega[i] = res.splitting / CONSTANTS.hbar
         residual = max(residual, _max_residual_1d(grid, V, model, res))
     return FieldSweep(fields=fields, omega_q=omega, results=results,
-                      sweet_spot_index=int(np.argmin(omega)), solver=solver,
+                      sweet_spot_index=int(np.argmin(omega)),
                       max_residual=residual)
 
 

@@ -69,6 +69,27 @@ class TestDerivedScales:
         sc2 = core.derive_scales(scaled)
         assert sc2.phi_S == pytest.approx(sc1.phi_S, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("change,message", [
+        ({"xi": 0.9 * 3e-6}, r"w_um and xi_nm give phi_S = -0\.22"),
+        ({"xi": 1e-319}, "w_um and xi_nm give phi_S = inf"),
+        ({"t": 1e-319}, "t_nm and lambda_L_um give Lambda = inf"),
+        ({"lambda_L": 1e148, "t": 1e-8}, "t_nm and lambda_L_um give eps0 = 0")])
+    def test_rejects_scales_that_are_not_positive_and_finite(
+            self, device, change, message):
+        bad = core.DeviceModel(**{**vars(device), **change})
+        with pytest.raises(InvalidParameterError, match=message):
+            core.derive_scales(bad)
+
+
+@pytest.mark.parametrize("values", [
+    [3.0], [2.0, -1.0], [0.1, 0.7, 0.2], [1e308, 1e308, -5.0, 2.5],
+    list(np.random.default_rng(3).standard_normal(101)),
+    list(np.random.default_rng(4).standard_normal(100)), [1.0, math.nan, 0.0]])
+def test_median_is_numpy_median(values):
+    # the same bits, without np.median's import of numpy.ma
+    expected, got = np.median(np.array(values)), core.median(np.array(values))
+    assert got == expected or (math.isnan(got) and math.isnan(expected))
+
 
 class TestFluxBias:
     def test_field_cool_value(self):

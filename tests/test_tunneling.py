@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vortexlab import energetics, tunneling
+from vortexlab import config, energetics, tunneling
 from vortexlab.constants import CONSTANTS
+from vortexlab.core import derive_scales
 from vortexlab.errors import (EigensolverError, InvalidParameterError,
                               ReductionInvalidError)
 
@@ -285,32 +286,30 @@ def double_well_oracle(n):
     return grid, V, levels
 
 
-@pytest.mark.parametrize("solver", ["bisection", "tridiagonal"])
-class TestSolverPaths1D:
-    """The analytic and oracle checks on each 1D path, chosen directly."""
+class TestSolve1D:
+    """The analytic and dense-oracle checks of the 1D solve."""
 
-    def test_matches_dense_oracle(self, model, solver):
+    def test_matches_dense_oracle(self, model):
         grid = tunneling.Grid(-60e-9, 60e-9, 256)
         V = double_well_1d(grid)
-        res = tunneling.solve_schrodinger(grid, V, model, k=4, _solver=solver)
+        res = tunneling.solve_schrodinger(grid, V, model, k=4)
         ora, _ = dense_oracle(grid, V, model, 4)
         assert np.allclose(res.energies, ora, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("n", [64, 1024, 4096])
-    def test_every_k_matches_dense_oracle(self, model, solver, n):
-        # both arms are backward stable: levels and residuals within a few
+    def test_every_k_matches_dense_oracle(self, model, n):
+        # the solve is backward stable: levels and residuals within a few
         # eps ||H||, the bound 1e-14 ||H|| is about 45 eps ||H||
         grid, V, ora = double_well_oracle(n)
         tol = 1e-14 * hamiltonian_norm(grid, V, model)
         for k in range(1, 11):
-            res = tunneling.solve_schrodinger(grid, V, model, k=k,
-                                              _solver=solver)
+            res = tunneling.solve_schrodinger(grid, V, model, k=k)
             assert np.abs(res.energies - ora[:k]).max() < tol, k
             gram = res.wavefunctions @ res.wavefunctions.T * grid.cell
             assert np.abs(gram - np.eye(k)).max() < 1e-12, k
             assert tunneling._max_residual_1d(grid, V, model, res) < tol, k
 
-    def test_near_degenerate_double_well(self, model, solver):
+    def test_near_degenerate_double_well(self, model):
         # wells 100 nm apart: the splitting is 1.7e-7 of |E0|; with k = 1
         # the first excited level sits that close above the one asked for
         grid = tunneling.Grid(-100e-9, 100e-9, 1024)
@@ -321,8 +320,7 @@ class TestSolverPaths1D:
         assert ora[1] - ora[0] <= 1e-6 * abs(ora[0])
         tol = 1e-14 * hamiltonian_norm(grid, V, model)
         for k in (1, 2, 3):
-            res = tunneling.solve_schrodinger(grid, V, model, k=k,
-                                              _solver=solver)
+            res = tunneling.solve_schrodinger(grid, V, model, k=k)
             assert np.abs(res.energies - ora[:k]).max() < tol, k
             psi = res.wavefunctions
             parity = (psi * psi[:, ::-1]).sum(axis=1) * grid.cell
@@ -332,48 +330,53 @@ class TestSolverPaths1D:
         assert res.splitting == pytest.approx(ora[1] - ora[0], rel=1e-5,
                                               abs=0)
 
-    def test_harmonic_oscillator(self, model, solver):
+    @pytest.mark.parametrize("n,sep,asym,depth_Hz,width,k", [
+        (64, 49.4e-9, -0.0123, 66.2e9, 5.15e-9, 7),
+        (256, 31.6e-9, 0.0147, 54.2e9, 8.86e-9, 7),
+        (64, 11.7e-9, -0.00282, 58e9, 4.94e-9, 7)])
+    def test_unlucky_starts_converge(self, model, n, sep, asym, depth_Hz,
+                                     width, k):
+        # the seeded start of one level here lies nearly orthogonal to its
+        # eigenvector: a fixed three Rayleigh-quotient inverse steps from
+        # the coarse bisection brackets left residuals of 2e-14 to 3e-11
+        # ||H||, so the steps go on until a solve's growth bounds them
+        grid = tunneling.Grid(-sep - 60e-9, sep + 60e-9, n)
+        V = -H * depth_Hz * (1 / (1 + (grid.x - sep / 2) ** 2 / width**2)
+                             + (1 + asym) / (1 + (grid.x + sep / 2) ** 2
+                                             / width**2))
+        ora, _ = dense_oracle(grid, V, model, k, vectors=False)
+        tol = 1e-14 * hamiltonian_norm(grid, V, model)
+        res = tunneling.solve_schrodinger(grid, V, model, k=k)
+        assert np.abs(res.energies - ora).max() < tol
+        assert tunneling._max_residual_1d(grid, V, model, res) < tol
+
+    def test_harmonic_oscillator(self, model):
         k_spring = model.mass * OMEGA**2
         grid = tunneling.Grid(-50e-9, 50e-9, 1024)
         res = tunneling.solve_schrodinger(grid, 0.5 * k_spring * grid.x**2,
-                                          model, k=5, _solver=solver)
+                                          model, k=5)
         expected = (np.arange(5) + 0.5) * HBAR * OMEGA
         assert np.all(np.abs(res.energies - expected) / expected < 1e-4)
 
-    def test_parity_of_degenerate_double_well(self, model, solver):
+    def test_parity_of_degenerate_double_well(self, model):
         grid = tunneling.Grid(-60e-9, 60e-9, 1024)
         res = tunneling.solve_schrodinger(grid, double_well_1d(grid), model,
-                                          k=2, _solver=solver)
+                                          k=2)
         psi0, psi1 = res.wavefunctions
         assert abs((psi0 * psi0[::-1]).sum() * grid.cell - 1.0) < 1e-6
         assert abs((psi1 * psi1[::-1]).sum() * grid.cell + 1.0) < 1e-6
 
-    def test_orthonormal_wavefunctions(self, model, solver):
+    def test_orthonormal_wavefunctions(self, model):
         k_spring = model.mass * OMEGA**2
         grid = tunneling.Grid(-50e-9, 50e-9, 512)
         res = tunneling.solve_schrodinger(grid, 0.5 * k_spring * grid.x**2,
-                                          model, k=6, _solver=solver)
+                                          model, k=6)
         gram = res.wavefunctions @ res.wavefunctions.T * grid.cell
         assert np.abs(gram - np.eye(6)).max() < 1e-8
 
 
-@pytest.mark.parametrize("n_solves,points,solver", [
-    (2, 1024, "bisection"),     # the benchmark's landscape-tunnel sweep
-    (1, 256, "bisection"),      # the benchmark's light sweep
-    (41, 1024, "tridiagonal"),  # configs/example.ini
-    (1, 1024, "bisection"),     # a lone solve
-    (1, 4096, "bisection"),     # a lone solve on the finest grid
-    (1, 128, "bisection"),
-    (13, 1024, "bisection"),    # the sweep of TestSpectrumVsField
-    (20, 1024, "bisection"),    # the crossover: 20 x 0.015 s = 0.3 s
-    (21, 1024, "tridiagonal"),
-    (6, 4096, "tridiagonal")])
-def test_solver_rule(n_solves, points, solver):
-    assert tunneling._solver_1d(n_solves, points) == solver
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("solver", ["bisection", "tridiagonal", "2d"])
+@pytest.mark.parametrize("solver", ["bisection", "2d"])
 def test_non_finite_potential_is_rejected(model, solver, bad):
     if solver == "2d":
         grid = tunneling.Grid(-40e-9, 40e-9, 64, -40e-9, 40e-9, 64)
@@ -382,8 +385,7 @@ def test_non_finite_potential_is_rejected(model, solver, bad):
     V = np.zeros(grid.size)
     V[grid.size // 3] = bad
     with pytest.raises(InvalidParameterError, match="potential must be finite"):
-        tunneling.solve_schrodinger(grid, V, model, k=2,
-                                    _solver=None if solver == "2d" else solver)
+        tunneling.solve_schrodinger(grid, V, model, k=2)
 
 
 class TestSolverErrors:
@@ -404,7 +406,7 @@ class TestSolverErrors:
         assert np.all(np.isfinite(residuals))
         assert np.all(residuals > tol)
 
-    @pytest.mark.parametrize("solver", ["bisection", "tridiagonal", "2d"])
+    @pytest.mark.parametrize("solver", ["bisection", "2d"])
     def test_non_finite_hamiltonian_maps_to_eigensolver_error(self, solver):
         # a finite kinetic coefficient of 1e292 J m^2 overflows K / dx^2
         model = tunneling.TunnelModel(y_zpf=1e13, Omega=1e300)
@@ -414,43 +416,43 @@ class TestSolverErrors:
             grid = tunneling.Grid(0.0, 100e-9, 128)
         with pytest.raises(EigensolverError, match="Hamiltonian is not finite"
                            ) as info:
-            tunneling.solve_schrodinger(grid, np.zeros(grid.size), model, k=2,
-                                        _solver=None if solver == "2d"
-                                        else solver)
+            tunneling.solve_schrodinger(grid, np.zeros(grid.size), model, k=2)
         assert info.value.residuals.shape == (2,)
         assert np.all(np.isinf(info.value.residuals))
 
-    def test_tridiagonal_failure_maps_to_eigensolver_error(self, model,
-                                                           monkeypatch):
-        import scipy.linalg
 
-        def fail(d, e, **kwargs):
-            raise np.linalg.LinAlgError("stein did not converge")
-
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
-        grid = tunneling.Grid(0.0, 100e-9, 128)
-        with pytest.raises(EigensolverError) as info:
-            tunneling.solve_schrodinger(grid, np.zeros(128), model, k=3,
-                                        _solver="tridiagonal")
-        assert info.value.residuals.shape == (3,)
-        assert np.all(np.isinf(info.value.residuals))
-
-
-def test_cli_and_1d_solve_do_not_import_scipy(tmp_path):
-    # scipy costs a third of a second per process; a lone 1D solve and the
-    # benchmark's 2-field 1024-point tunnel sweep take the bisection arm,
-    # and the Rabi solves of chi and fit-spectrum need none
+def test_solves_and_commands_run_without_scipy(tmp_path):
+    # scipy is a test dependency only, and numpy.ma costs about 10 ms per
+    # process: with scipy blocked, the 1D and 2D solves, the sweeps of
+    # configs/example.ini and of the benchmark, and the Rabi, fit and
+    # jumps commands run and import neither
     code = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "import numpy as np\n"
-        "import vortexlab.cli\n"
-        "from vortexlab import rabi, tunneling\n"
+        "ma_with_numpy = 'numpy.ma' in sys.modules  # numpy < 2 imports it\n"
+        "import vortexlab.cli as cli\n"
+        "from vortexlab import config, core, rabi, tunneling\n"
+        "example, sweep, jumps, out = sys.argv[1:]\n"
         "grid = tunneling.Grid(0.0, 100e-9, 128)\n"
         "model = tunneling.TunnelModel(y_zpf=4e-9, Omega=1e11)\n"
         "tunneling.solve_schrodinger(grid, np.zeros(128), model, k=2)\n"
-        "config, sweep, out = sys.argv[1:]\n"
-        "assert vortexlab.cli.main(['tunnel', '-c', sweep, '-o', out]) == 0\n"
-        "assert vortexlab.cli.main(['chi', '-c', config, '-o', out]) == 0\n"
+        "grid = tunneling.Grid(-40e-9, 40e-9, 64, -30e-9, 30e-9, 64)\n"
+        "X, Y = np.meshgrid(grid.x, grid.y, indexing='ij')\n"
+        "model = tunneling.TunnelModel(y_zpf=4e-9, Omega=1.9e11)\n"
+        "V = 0.5 * model.mass * model.Omega**2 * (X**2 + 2.25 * Y**2)\n"
+        "assert tunneling.solve_schrodinger(grid, V, model, k=3\n"
+        "                                   ).energies.shape == (3,)\n"
+        "cfg = config.load_config(example)\n"
+        "device = cfg.device()\n"
+        "tunneling.spectrum_vs_field(\n"
+        "    cfg.sites(), (880e-9, 1120e-9), [195e-6], cfg.tunnel_model(),\n"
+        "    core.derive_scales(device), device, grid_points=256)\n"
+        "for args in (['tunnel', '-c', example, '-o', f'{out}/example'],\n"
+        "             ['tunnel', '-c', sweep, '-o', f'{out}/sweep'],\n"
+        "             ['chi', '-c', example, '-o', out],\n"
+        "             ['synth-jumps', '-c', jumps, '-o', out]):\n"
+        "    assert cli.main(args) == 0, args\n"
         "p = rabi.QrmParams.asymmetric(7.572e9, 92.5e6, 20e12, 128e-6, 2e9)\n"
         "fields = np.linspace(-22e-6, 278e-6, 7)\n"
         "specs = rabi.sweep_field(p, fields, rabi.HilbertTruncation(24))\n"
@@ -459,28 +461,35 @@ def test_cli_and_1d_solve_do_not_import_scipy(tmp_path):
         "            for B, s in zip(fields, specs)]\n"
         "    np.savetxt(f'{out}/{name}.csv', rows, delimiter=',',\n"
         "               header='B_uT,f_GHz,sigma_GHz', comments='')\n"
-        "assert vortexlab.cli.main([\n"
+        "assert cli.main([\n"
         "    'fit-spectrum', '--qubit', f'{out}/f_q_dressed.csv',\n"
         "    '--resonator', f'{out}/f_r_g.csv', '-o', out]) == 0\n"
-        "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+        "assert cli.main(['analyze-jumps', '--data', f'{out}/trajectory.csv',\n"
+        "                 '-o', out]) == 0\n"
+        "assert ma_with_numpy or 'numpy.ma' not in sys.modules, 'numpy.ma'\n")
     root = Path(__file__).resolve().parent.parent
     example = root / "configs" / "example.ini"
     sweep = tmp_path / "sweep.ini"
     sweep.write_text(example.read_text().replace("n_points = 41",
                                                  "n_points = 2"))
+    jumps = tmp_path / "jumps.ini"  # a 20k-shot record
+    jumps.write_text(example.read_text().replace("duration_s = 2.5",
+                                                 "duration_s = 0.1"))
     out = tmp_path / "out"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(example), str(sweep), str(out)],
+        [sys.executable, "-c", code, str(example), str(sweep), str(jumps),
+         str(out)],
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert {"tunnel.csv", "chi.csv", "fit_spectrum.json"} <= {
+    assert {"chi.csv", "fit_spectrum.json", "jumps_analysis.json"} <= {
         p.name for p in out.iterdir()}
-    manifest = json.loads((out / "manifest.tunnel.json").read_text())
-    assert manifest["diagnostics"]["solver"] == "bisection"
-    assert manifest["diagnostics"]["grid_points"] == 1024
+    for name, fields in (("example", 41), ("sweep", 2)):
+        manifest = json.loads((out / name / "manifest.tunnel.json").read_text())
+        assert manifest["diagnostics"]["fields"] == fields
+        assert manifest["diagnostics"]["grid_points"] == 1024
 
 
 def test_commands_import_only_the_modules_they_run(tmp_path):
@@ -519,51 +528,6 @@ def test_commands_import_only_the_modules_they_run(tmp_path):
         p.name for p in (tmp_path / "out").iterdir()}
 
 
-def test_light_sweep_does_not_import_scipy():
-    # one field at 256 points, the benchmark's light tunnel sweep
-    code = (
-        "import sys\n"
-        "from vortexlab import config, core, tunneling\n"
-        "cfg = config.load_config(sys.argv[1])\n"
-        "device = cfg.device()\n"
-        "sweep = tunneling.spectrum_vs_field(\n"
-        "    cfg.sites(), (880e-9, 1120e-9), [195e-6], cfg.tunnel_model(),\n"
-        "    core.derive_scales(device), device, grid_points=256)\n"
-        "assert sweep.solver == 'bisection', sweep.solver\n"
-        "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(root / "configs" / "example.ini")],
-        env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_2d_solve_does_not_import_scipy():
-    # a 64 x 64 solve of three levels, the benchmark's light 2D size
-    code = (
-        "import sys\n"
-        "import numpy as np\n"
-        "import vortexlab.cli\n"
-        "from vortexlab import tunneling\n"
-        "grid = tunneling.Grid(-40e-9, 40e-9, 64, -30e-9, 30e-9, 64)\n"
-        "X, Y = np.meshgrid(grid.x, grid.y, indexing='ij')\n"
-        "model = tunneling.TunnelModel(y_zpf=4e-9, Omega=1.9e11)\n"
-        "V = 0.5 * model.mass * model.Omega**2 * (X**2 + 2.25 * Y**2)\n"
-        "res = tunneling.solve_schrodinger(grid, V, model, k=3)\n"
-        "assert res.energies.shape == (3,)\n"
-        "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-
-
 def sweep_args(x_bar, delta):
     """(sites, x_window) of the sweep's double well."""
     V1, sigma = H * 40e9, 8e-9
@@ -584,18 +548,17 @@ def sweep_setup(scales, device):
     return x_bar, delta, B_star, sweep
 
 
-def repeated_sweep_solver(sweep_setup, model, scales, device):
-    """Runs a 2-field sweep twice, checks that the two agree bit for bit,
-    and returns the solver they took."""
-    x_bar, delta, B_star, sweep = sweep_setup
-    a, b = (tunneling.spectrum_vs_field(
-        *sweep_args(x_bar, delta), sweep.fields[:2], model, scales,
-        device, grid_points=1024, k=3) for _ in range(2))
-    assert np.array_equal(a.omega_q, b.omega_q)
-    for ra, rb in zip(a.results, b.results):
-        assert np.array_equal(ra.energies, rb.energies)
-        assert np.array_equal(ra.wavefunctions, rb.wavefunctions)
-    return a.solver
+def example_sweep():
+    """(sweep, sites, x_window, model, scales, device) of `tunnel` on
+    configs/example.ini: 41 fields on 1024 points."""
+    cfg = config.load_config(
+        Path(__file__).resolve().parent.parent / "configs" / "example.ini")
+    device, t = cfg.device(), cfg.section("tunneling")
+    args = (cfg.sites(), (t["x_min_nm"], t["x_max_nm"]))
+    rest = (cfg.tunnel_model(), derive_scales(device), device)
+    sweep = tunneling.spectrum_vs_field(*args, cfg.sweep_fields(), *rest,
+                                        grid_points=t["grid_points"])
+    return (sweep, *args, *rest)
 
 
 class TestSpectrumVsField:
@@ -635,36 +598,41 @@ class TestSpectrumVsField:
             abs(eps_fn(B_far)) / HBAR, rel=0.05, abs=0)
 
     def test_tridiagonal_sweep_matches_dense(self, sweep_setup, model, scales,
-                                             device, monkeypatch):
-        # the bisection sweep against scipy's eigh_tridiagonal
+                                             device):
+        # this sweep and example.ini's against scipy's eigh_tridiagonal
+        from scipy.linalg import eigh_tridiagonal
         x_bar, delta, B_star, sweep = sweep_setup
-        assert sweep.solver == "bisection"
-        monkeypatch.setattr(tunneling, "_solver_1d",
-                            lambda n, points: "tridiagonal")
-        scipy_sweep = tunneling.spectrum_vs_field(
-            *sweep_args(x_bar, delta), sweep.fields, model, scales, device,
-            grid_points=1024, k=3)
-        assert scipy_sweep.solver == "tridiagonal"
-        assert np.abs(sweep.omega_q / scipy_sweep.omega_q - 1).max() < 1e-10
-        for a, b in zip(sweep.results, scipy_sweep.results):
-            assert np.abs(a.energies / b.energies - 1).max() < 1e-10
-            scale = np.abs(b.wavefunctions).max()
-            assert np.abs(a.wavefunctions - b.wavefunctions).max() < 1e-8 * scale
-        for s in (sweep, scipy_sweep):
+        for s, sites, window, m, sc, dev in (
+                (sweep, *sweep_args(x_bar, delta), model, scales, device),
+                example_sweep()):
+            grid = tunneling.Grid(*window, 1024)
+            for B, res, omega in zip(s.fields, s.results, s.omega_q):
+                V = energetics.total_potential(grid.x, 0.0, float(B), 0.0,
+                                               sites, sc, dev)
+                d, off = tunneling._tridiagonal_1d(grid, V,
+                                                   m.kinetic_coefficient)
+                E, vecs = eigh_tridiagonal(d, np.full(grid.nx - 1, off),
+                                           select="i", select_range=(0, 2))
+                assert abs(omega * HBAR / (E[1] - E[0]) - 1) < 1e-10
+                assert np.abs(res.energies / E - 1).max() < 1e-10
+                # solve_schrodinger's normalization and sign convention
+                psi = vecs.T / math.sqrt(grid.cell)
+                rows = np.arange(3)
+                psi *= np.sign(psi[rows, np.abs(psi).argmax(axis=1)])[:, None]
+                scale = np.abs(psi).max()
+                assert np.abs(res.wavefunctions - psi).max() < 1e-8 * scale
             assert 0.0 <= s.max_residual < 1e-6 * HBAR * s.omega_q.min()
 
     def test_bisection_sweeps_are_bit_identical(self, sweep_setup, model,
                                                 scales, device):
-        assert repeated_sweep_solver(sweep_setup, model, scales,
-                                     device) == "bisection"
-
-    def test_tridiagonal_sweeps_are_bit_identical(self, sweep_setup, model,
-                                                  scales, device,
-                                                  monkeypatch):
-        monkeypatch.setattr(tunneling, "_solver_1d",
-                            lambda n, points: "tridiagonal")
-        assert repeated_sweep_solver(sweep_setup, model, scales,
-                                     device) == "tridiagonal"
+        x_bar, delta, B_star, sweep = sweep_setup
+        a, b = (tunneling.spectrum_vs_field(
+            *sweep_args(x_bar, delta), sweep.fields[:2], model, scales,
+            device, grid_points=1024, k=3) for _ in range(2))
+        assert np.array_equal(a.omega_q, b.omega_q)
+        for ra, rb in zip(a.results, b.results):
+            assert np.array_equal(ra.energies, rb.energies)
+            assert np.array_equal(ra.wavefunctions, rb.wavefunctions)
 
     def test_splitting_even_in_detuning(self, sweep_setup):
         x_bar, delta, B_star, sweep = sweep_setup
