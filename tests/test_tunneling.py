@@ -421,33 +421,32 @@ class TestSolverErrors:
         assert np.all(np.isinf(info.value.residuals))
 
 
-def test_solves_and_commands_run_without_scipy(tmp_path):
+def run_without_scipy(code, *args):
+    """Run code in a fresh process in which importing scipy fails."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    code = "import sys\nsys.modules['scipy'] = None\n" + code
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_and_1d_solve_do_not_import_scipy(tmp_path):
     # scipy is a test dependency only, and numpy.ma costs about 10 ms per
-    # process: with scipy blocked, the 1D and 2D solves, the sweeps of
+    # process: with scipy blocked, a lone 1D solve, the tunnel sweeps of
     # configs/example.ini and of the benchmark, and the Rabi, fit and
     # jumps commands run and import neither
     code = (
-        "import sys\n"
-        "sys.modules['scipy'] = None\n"
         "import numpy as np\n"
         "ma_with_numpy = 'numpy.ma' in sys.modules  # numpy < 2 imports it\n"
         "import vortexlab.cli as cli\n"
-        "from vortexlab import config, core, rabi, tunneling\n"
+        "from vortexlab import rabi, tunneling\n"
         "example, sweep, jumps, out = sys.argv[1:]\n"
         "grid = tunneling.Grid(0.0, 100e-9, 128)\n"
         "model = tunneling.TunnelModel(y_zpf=4e-9, Omega=1e11)\n"
         "tunneling.solve_schrodinger(grid, np.zeros(128), model, k=2)\n"
-        "grid = tunneling.Grid(-40e-9, 40e-9, 64, -30e-9, 30e-9, 64)\n"
-        "X, Y = np.meshgrid(grid.x, grid.y, indexing='ij')\n"
-        "model = tunneling.TunnelModel(y_zpf=4e-9, Omega=1.9e11)\n"
-        "V = 0.5 * model.mass * model.Omega**2 * (X**2 + 2.25 * Y**2)\n"
-        "assert tunneling.solve_schrodinger(grid, V, model, k=3\n"
-        "                                   ).energies.shape == (3,)\n"
-        "cfg = config.load_config(example)\n"
-        "device = cfg.device()\n"
-        "tunneling.spectrum_vs_field(\n"
-        "    cfg.sites(), (880e-9, 1120e-9), [195e-6], cfg.tunnel_model(),\n"
-        "    core.derive_scales(device), device, grid_points=256)\n"
         "for args in (['tunnel', '-c', example, '-o', f'{out}/example'],\n"
         "             ['tunnel', '-c', sweep, '-o', f'{out}/sweep'],\n"
         "             ['chi', '-c', example, '-o', out],\n"
@@ -476,20 +475,43 @@ def test_solves_and_commands_run_without_scipy(tmp_path):
     jumps.write_text(example.read_text().replace("duration_s = 2.5",
                                                  "duration_s = 0.1"))
     out = tmp_path / "out"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(example), str(sweep), str(jumps),
-         str(out)],
-        env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    run_without_scipy(code, example, sweep, jumps, out)
     assert {"chi.csv", "fit_spectrum.json", "jumps_analysis.json"} <= {
         p.name for p in out.iterdir()}
     for name, fields in (("example", 41), ("sweep", 2)):
         manifest = json.loads((out / name / "manifest.tunnel.json").read_text())
         assert manifest["diagnostics"]["fields"] == fields
         assert manifest["diagnostics"]["grid_points"] == 1024
+
+
+def test_light_sweep_does_not_import_scipy():
+    # one field at 256 points, the benchmark's light tunnel sweep
+    code = (
+        "from vortexlab import config, core, tunneling\n"
+        "cfg = config.load_config(sys.argv[1])\n"
+        "device = cfg.device()\n"
+        "sweep = tunneling.spectrum_vs_field(\n"
+        "    cfg.sites(), (880e-9, 1120e-9), [195e-6], cfg.tunnel_model(),\n"
+        "    core.derive_scales(device), device, grid_points=256)\n"
+        "assert sweep.omega_q.shape == (1,), sweep.omega_q.shape\n"
+        "assert sweep.results[0].energies.shape == (3,)\n")
+    root = Path(__file__).resolve().parent.parent
+    run_without_scipy(code, root / "configs" / "example.ini")
+
+
+def test_2d_solve_does_not_import_scipy():
+    # a 64 x 64 solve of three levels, the benchmark's light 2D size
+    code = (
+        "import numpy as np\n"
+        "import vortexlab.cli\n"
+        "from vortexlab import tunneling\n"
+        "grid = tunneling.Grid(-40e-9, 40e-9, 64, -30e-9, 30e-9, 64)\n"
+        "X, Y = np.meshgrid(grid.x, grid.y, indexing='ij')\n"
+        "model = tunneling.TunnelModel(y_zpf=4e-9, Omega=1.9e11)\n"
+        "V = 0.5 * model.mass * model.Omega**2 * (X**2 + 2.25 * Y**2)\n"
+        "res = tunneling.solve_schrodinger(grid, V, model, k=3)\n"
+        "assert res.energies.shape == (3,)\n")
+    run_without_scipy(code)
 
 
 def test_commands_import_only_the_modules_they_run(tmp_path):
