@@ -377,8 +377,10 @@ def _cmd_fit_rabi(args, cfg: RunConfig, run: Run) -> int:
     if not np.all(np.isfinite(data[:, 0])):
         raise InvalidParameterError(
             f"{args.data}: amplitude_uV must be finite")
+    # distinct amplitudes by a sort, since np.unique imports numpy.ma
+    amps = np.sort(data[:, 0])
     scans = []
-    for amp in np.unique(data[:, 0]):
+    for amp in amps[np.append(True, amps[1:] != amps[:-1])]:
         sel = data[data[:, 0] == amp]
         order = np.argsort(sel[:, 1])
         trace = fitting.TimeTrace(times=sel[order, 1] * 1e-6,

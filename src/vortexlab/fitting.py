@@ -473,10 +473,11 @@ def fit_joint_aqrm(dataset: SpectrumDataset, init: dict[str, float] | None,
     penalized with a large constant residual (and a zero Jacobian row)
     instead of aborting the fit; result.n_penalized counts them at the
     reported point, and the standard errors and residual_norm come from
-    the other points alone. The Jacobian is exact: Hellmann-Feynman
-    derivatives from the eigenvectors of the same solves
-    (rabi.transition_gradients), one solve per distinct field per residual
-    evaluation.
+    the other points alone. Each residual evaluation solves the distinct
+    fields once, in one stacked call (rabi.solve_fields), and reads the
+    model, the gap mask and the eigenvectors from its arrays. The Jacobian
+    is exact: Hellmann-Feynman derivatives from those eigenvectors
+    (rabi.transition_gradients).
 
     Free parameters: f_r, g, gamma, B0, f_q0. Missing initial values are
     filled in from the data: f_r from the median resonator frequency, B0
@@ -544,16 +545,11 @@ def fit_joint_aqrm(dataset: SpectrumDataset, init: dict[str, float] | None,
         params = rabi.QrmParams.asymmetric(
             f_r=abs(p["f_r"]), g=abs(p["g"]), gamma=abs(p["gamma"]),
             B0=p["B0"], f_q0=abs(p["f_q0"]))
-        specs = rabi.sweep_field(params, fields, trunc)
-        ok = np.array([spec is not None for spec in specs])
-        model = np.zeros((len(fields), 2))
-        grad = np.zeros((len(fields), 2, len(names)))
-        if ok.any():
-            present = [spec for spec in specs if spec is not None]
-            model[ok] = [(spec.f_q_dressed, spec.f_r_g) for spec in present]
-            grad[ok] = rabi.transition_gradients(params, present, trunc)
-        gap = ~ok[which]
-        r = np.where(gap, penalty, (model[which, branch] - measured) / sigma)
+        sweep = rabi.solve_fields(params, fields, trunc)
+        grad = rabi.transition_gradients(params, sweep, trunc)
+        gap = ~sweep.labeled[which]
+        model = sweep.transitions[which, branch]  # f_q_dressed or f_r_g
+        r = np.where(gap, penalty, (model - measured) / sigma)
         # the model sees |f_r|, |g|, |gamma| and |f_q0|
         signs = np.sign([p["f_r"], p["g"], p["gamma"], 1.0, p["f_q0"]])
         J = grad[which, branch] * signs / sigma[:, None]

@@ -130,9 +130,9 @@ class LabeledSpectrum:
         return self.f_r_e - self.f_r_g
 
 
-def _field_vector_hz(params: QrmParams, B: float) -> np.ndarray:
-    """Total static spin field (f_q0 + applied) in frequency units (Hz)."""
-    Bp = params.gamma * (B - params.B0)
+def _field_vector_hz(params: QrmParams, B) -> np.ndarray:
+    """Total static spin field (f_q0 + applied) in Hz, shape B.shape + (3,)."""
+    Bp = params.gamma * (np.asarray(B, dtype=float)[..., None] - params.B0)
     st, ct = math.sin(params.theta), math.cos(params.theta)
     sp, cp = math.sin(params.phi), math.cos(params.phi)
     pseudo = params.f_q0 * np.array([ct, 0.0, st])
@@ -140,11 +140,44 @@ def _field_vector_hz(params: QrmParams, B: float) -> np.ndarray:
     return pseudo + applied
 
 
-def _spin_term_hz(params: QrmParams, B: float) -> np.ndarray:
-    """Real 2x2 static spin term (Hz), the field rotated into the x-z plane."""
-    vx, vy, vz = _field_vector_hz(params, B)
-    vz = math.hypot(vy, vz)
-    return 0.5 * np.array([[vz, vx], [vx, -vz]])
+def _spin_term_hz(params: QrmParams, B) -> np.ndarray:
+    """Real static spin terms (Hz), shape B.shape + (2, 2): the field
+    rotated into the x-z plane."""
+    v = _field_vector_hz(params, B)
+    vx = v[..., 0]
+    # math.hypot, since np.hypot differs from it in the last bit of some
+    # fields, and a field takes the same bits in a sweep as alone
+    yz = v[..., 1:].reshape(-1, 2).tolist()
+    vz = np.reshape([math.hypot(y, z) for y, z in yz], vx.shape)
+    spin = np.empty(vx.shape + (2, 2))
+    spin[..., 0, 0], spin[..., 1, 1] = vz, -vz
+    spin[..., 0, 1] = spin[..., 1, 0] = vx
+    return 0.5 * spin
+
+
+def _hamiltonians(params: QrmParams, spin: np.ndarray,
+                  trunc: HilbertTruncation) -> np.ndarray:
+    """build_hamiltonian for each of the F spin terms spin (Hz, shape
+    (F, 2, 2)), stacked: shape (F, dim, dim)."""
+    # entries are filled in place; each has the bits of h times the
+    # Kronecker sum f_r (n + 1/2) (x) 1 + g x (x) sigma_x + 1 (x) spin,
+    # whose other terms add +0.0 there (so 0.0 + turns a -0.0 into +0.0 as
+    # that sum does). Along a row of H flattened, (n, s) -> (n + 1, s) on
+    # both sides is a stride of 2 (dim + 1).
+    h, nosc, dim = CONSTANTS.h, trunc.n_fock + 1, trunc.dim
+    H = np.zeros((len(spin), dim, dim))
+    flat, step = H.reshape(len(spin), dim * dim), 2 * (dim + 1)
+    resonator = params.f_r * (np.arange(nosc) + 0.5)
+    flat[:, ::step] = h * (resonator + spin[:, 0, :1])  # (n, 0), (n, 0)
+    flat[:, dim + 1::step] = h * (resonator + spin[:, 1, 1:])  # (n, 1), (n, 1)
+    # (n, 0), (n, 1) and (n, 1), (n, 0)
+    flat[:, 1::step] = flat[:, dim::step] = h * (0.0 + spin[:, 0, 1:])
+    # g sqrt(n) between (n - 1, s) and (n, 1 - s): s = 0 above and below
+    # the diagonal, then s = 1
+    coupling = h * (0.0 + params.g * np.sqrt(np.arange(1, nosc, dtype=float)))
+    for start in (3, 3 * dim, dim + 2, 2 * dim + 1):
+        flat[:, start::step][:, :nosc - 1] = coupling
+    return H
 
 
 def build_hamiltonian(params: QrmParams, B: float,
@@ -159,74 +192,165 @@ def build_hamiltonian(params: QrmParams, B: float,
     """
     if not math.isfinite(B):
         raise InvalidParameterError(f"field must be finite, got {B}")
-    # entries are filled in place; each has the bits of the Kronecker sum
-    # f_r (n + 1/2) (x) 1 + g x (x) sigma_x + 1 (x) spin, whose other terms
-    # add +0.0 there (so 0.0 + turns a -0.0 into +0.0 as that sum does)
+    return _hamiltonians(params, _spin_term_hz(params, [B]), trunc)[0]
+
+
+# byte budget of the Hamiltonians one eigh call diagonalizes in a sweep.
+# A chunk's arrays then stay under glibc's default mmap threshold (128 KiB)
+# and reuse heap pages: 512 KiB stacks took 7,925 page faults per 101-field
+# sweep at n_fock 60 (about 6% slower than one field at a time) and 2,944
+# per 315-field sweep at n_fock 24, this budget none (README, "rabi")
+_STACK_BYTES = 1 << 17
+
+
+@dataclass
+class Sweep:
+    """Labeled spectra of a field list, stacked along the first axis.
+
+    Row f belongs to field B[f]. energies (J, ascending) and claimed (the
+    bare state n * 2 + branch of each eigenstate, branch 0 for 'g') have
+    one column per eigenstate. transitions holds f_q_dressed, f_r_g and
+    f_r_e (Hz), and vectors the eigenvectors of (g,0), (e,0), (g,1) and
+    (e,1), as in LabeledSpectrum. Where labeled[f] is False the labeling
+    failed and the other rows of f mean nothing.
+    """
+
+    B: np.ndarray
+    energies: np.ndarray
+    claimed: np.ndarray
+    transitions: np.ndarray
+    vectors: np.ndarray
+    labeled: np.ndarray
+
+    def spectra(self) -> list[LabeledSpectrum | None]:
+        """One LabeledSpectrum per row, None where the labeling failed."""
+        bare = [_bare_label(i) for i in range(self.energies.shape[1])]
+        return [LabeledSpectrum(B=B, energies=E, labels=[bare[i] for i in c],
+                                f_q_dressed=t[0], f_r_g=t[1], f_r_e=t[2],
+                                vectors=v) if ok else None
+                for B, E, c, t, v, ok in zip(
+                    self.B.tolist(), self.energies, self.claimed.tolist(),
+                    self.transitions.tolist(), self.vectors,
+                    self.labeled.tolist())]
+
+
+def _bare_label(i: int) -> tuple[str, int]:
+    """(branch, photon) of bare state i = n * 2 + branch."""
+    return "ge"[i % 2], i // 2
+
+
+def _solve_chunk(params: QrmParams, trunc: HilbertTruncation, out: Sweep,
+                 rows: slice) -> np.ndarray:
+    """Solve and label out.B[rows] into those rows of out; their overlaps.
+
+    Bare states are (photon n) x (spin eigenvector chi_g or chi_e),
+    ordered by photon number then branch so that argmax ties resolve toward
+    lower photon number. overlaps[f, b, j] is the weight of bare state b in
+    eigenstate j; each eigenstate claims its largest. A field is labeled
+    when no two eigenstates claim one bare state and each of the four
+    states entering the transitions holds at least a 2/3 majority of its
+    bare state, which both fail near resonance.
+    """
+    B = out.B[rows]
+    F, nosc, dim = B.size, trunc.n_fock + 1, trunc.dim
     spin = _spin_term_hz(params, B)
-    nosc = trunc.n_fock + 1
-    i = 2 * np.arange(nosc)  # index of (n, s = 0); (n, 1) is i + 1
-    H = np.zeros((trunc.dim, trunc.dim))
-    resonator = params.f_r * (np.arange(nosc) + 0.5)
-    H[i, i] = resonator + spin[0, 0]
-    H[i + 1, i + 1] = resonator + spin[1, 1]
-    H[i, i + 1] = H[i + 1, i] = 0.0 + spin[0, 1]
-    # g sqrt(n) between (n - 1, s) and (n, 1 - s)
-    coupling = 0.0 + params.g * np.sqrt(np.arange(1, nosc, dtype=float))
-    for s in (0, 1):
-        lower, upper = i[:-1] + s, i[1:] + 1 - s
-        H[lower, upper] = H[upper, lower] = coupling
-    return CONSTANTS.h * H
+    energies, vecs = np.linalg.eigh(_hamiltonians(params, spin, trunc))
+    _, chi = np.linalg.eigh(spin)
+    # project each 2-row block of vecs onto chi_g and chi_e
+    overlaps = chi.transpose(0, 2, 1)[:, None] @ vecs.reshape(F, nosc, 2, dim)
+    overlaps = np.square(overlaps, out=overlaps).reshape(F, dim, dim)
+    claimed = overlaps.argmax(axis=1)
+    # for a permutation, the eigenstates of bare states 0, 1, 2, ...
+    order = claimed.argsort(axis=1)
+    f = np.arange(F)[:, None]
+    unique = (claimed[f, order] == np.arange(dim)).all(axis=1)
+    states = order[:, :4]  # (g,0), (e,0), (g,1), (e,1)
+    # an eigenstate's largest overlap is the one with the state it claims
+    majority = overlaps[f, np.arange(4), states]
+    g0, e0, g1, e1 = energies[f, states].T
+    out.energies[rows] = energies
+    out.claimed[rows] = claimed
+    out.transitions[rows] = np.stack([e0 - g0, g1 - g0, e1 - e0],
+                                     axis=1) / CONSTANTS.h
+    out.vectors[rows] = vecs[f, :, states].transpose(0, 2, 1)
+    out.labeled[rows] = unique & (majority >= 2.0 / 3.0).all(axis=1)
+    return overlaps
+
+
+def _labeling_error(B: float, claimed: np.ndarray, overlaps: np.ndarray) -> str:
+    """Why one field's labeling failed, from its claimed and overlaps."""
+    first: dict[int, int] = {}  # bare state -> its first claimant
+    for j, i in enumerate(claimed.tolist()):
+        if i in first:
+            return (f"eigenstates {first[i]} and {j} both claim bare state "
+                    f"{_bare_label(i)} at B={B}")
+        first[i] = j
+    majority = overlaps[np.arange(4), [first[k] for k in range(4)]]
+    k = int(np.flatnonzero(majority < 2.0 / 3.0)[0])
+    return (f"state assigned to {_bare_label(k)} at B={B} is strongly mixed "
+            f"(overlap {majority[k]:.3f})")
+
+
+def _fields_per_stack(trunc: HilbertTruncation) -> int:
+    """Fields per eigh call: as many Hamiltonians as fit in _STACK_BYTES."""
+    return max(1, _STACK_BYTES // (8 * trunc.dim**2))
+
+
+def _empty_sweep(B: np.ndarray, trunc: HilbertTruncation) -> Sweep:
+    F, dim = B.size, trunc.dim
+    # vectors column-major per field, the layout of a column selection of
+    # eigh's vectors, which sets the summation order (so the bits) of
+    # transition_gradients
+    return Sweep(B=B, energies=np.empty((F, dim)),
+                 claimed=np.empty((F, dim), dtype=np.intp),
+                 transitions=np.empty((F, 3)),
+                 vectors=np.empty((F, 4, dim)).transpose(0, 2, 1),
+                 labeled=np.empty(F, dtype=bool))
+
+
+def solve_fields(params: QrmParams, B_list,
+                 trunc: HilbertTruncation) -> Sweep:
+    """Diagonalize and label the spectrum at each field, as one stack.
+
+    The fields are solved in chunks of as many Hamiltonians as fit in
+    _STACK_BYTES (at least one field), each chunk with one eigh call over its
+    Hamiltonians, one over its 2 x 2 spin terms and array-wide labeling,
+    so memory does not grow with the number of fields beyond the result.
+    Each field gets the bits it gets alone (solve_qrm).
+    """
+    B = np.atleast_1d(np.asarray(B_list, dtype=float))
+    if B.size == 0:
+        raise InvalidParameterError("B_list must be non-empty")
+    if not np.all(np.isfinite(B)):
+        raise InvalidParameterError("B_list must be finite")
+    out = _empty_sweep(B, trunc)
+    per = _fields_per_stack(trunc)
+    for start in range(0, B.size, per):
+        _solve_chunk(params, trunc, out, slice(start, start + per))
+    return out
 
 
 def solve_qrm(params: QrmParams, B: float,
               trunc: HilbertTruncation) -> LabeledSpectrum:
     """Diagonalize and label the spectrum by overlap with bare states.
 
-    Raises AmbiguousLabelingError (carrying the overlap matrix) when two
-    eigenstates claim the same bare state or when one of the four states
-    entering the reported transitions holds less than a 2/3 majority of a
-    single bare state, both of which happen near resonance.
+    The one-field case of solve_fields. Raises AmbiguousLabelingError
+    (carrying the overlap matrix) when two eigenstates claim the same bare
+    state or when one of the four states entering the reported transitions
+    holds less than a 2/3 majority of a single bare state, both of which
+    happen near resonance.
     """
-    H = build_hamiltonian(params, B, trunc)
-    energies, vecs = np.linalg.eigh(H)
-    # bare states are (photon n) x (spin eigenvector chi_g or chi_e), ordered
-    # by photon number then branch so that argmax ties resolve toward lower
-    # photon number; project each 2-row block of vecs onto chi_g and chi_e
-    _, chi = np.linalg.eigh(_spin_term_hz(params, B))
-    nosc, dim = trunc.n_fock + 1, trunc.dim
-    overlaps = ((chi.T @ vecs.reshape(nosc, 2, dim)) ** 2).reshape(dim, dim)
-    bare_labels = [(branch, n) for n in range(nosc) for branch in "ge"]
-    claimed = overlaps.argmax(axis=0)  # the bare state of each eigenstate
-    _, first = np.unique(claimed, return_index=True)  # first claimants
-    if first.size < dim:
-        # the first eigenstate to claim a bare state an earlier one holds
-        j = int(np.setdiff1d(np.arange(dim), first)[0])
-        i = int(claimed[j])
+    if not math.isfinite(B):
+        raise InvalidParameterError(f"field must be finite, got {B}")
+    out = _empty_sweep(np.array([float(B)]), trunc)
+    overlaps = _solve_chunk(params, trunc, out, slice(0, 1))[0]
+    if not out.labeled[0]:
         raise AmbiguousLabelingError(
-            f"eigenstates {int((claimed == i).argmax())} and {j} both claim "
-            f"bare state {bare_labels[i]} at B={B}", overlaps=overlaps)
-    labels = [bare_labels[i] for i in claimed.tolist()]
-    # claimed is a permutation, so argsort gives the eigenstates of bare
-    # states 0-3, (g,0), (e,0), (g,1) and (e,1); each must carry a clear
-    # majority of one bare state, or its branch is meaningless (resonance)
-    transition_states = np.argsort(claimed)[:4]
-    majority = overlaps[:, transition_states].max(axis=0)
-    weak = np.flatnonzero(majority < 2.0 / 3.0)
-    if weak.size:
-        k = int(weak[0])
-        raise AmbiguousLabelingError(
-            f"state assigned to {bare_labels[k]} at B={B} is strongly mixed "
-            f"(overlap {majority[k]:.3f})", overlaps=overlaps)
-
-    E_g0, E_e0, E_g1, E_e1 = (float(E) for E in energies[transition_states])
-    h = CONSTANTS.h
-    return LabeledSpectrum(B=B, energies=energies, labels=labels,
-                           f_q_dressed=(E_e0 - E_g0) / h,
-                           f_r_g=(E_g1 - E_g0) / h, f_r_e=(E_e1 - E_e0) / h,
-                           vectors=vecs[:, transition_states])
+            _labeling_error(B, out.claimed[0], overlaps), overlaps=overlaps)
+    return out.spectra()[0]
 
 
-def transition_gradients(params: QrmParams, spectra: list[LabeledSpectrum],
+def transition_gradients(params: QrmParams, sweep: Sweep,
                          trunc: HilbertTruncation) -> np.ndarray:
     """Hellmann-Feynman gradients of f_q_dressed and f_r_g (Hz per unit).
 
@@ -239,21 +363,22 @@ def transition_gradients(params: QrmParams, spectra: list[LabeledSpectrum],
     <n + 1/2> = sum (n + 1/2) (v[n,0]^2 + v[n,1]^2), <(a + a^dag) sx> =
     2 sum sqrt(n) (v[n-1,0] v[n,1] + v[n-1,1] v[n,0]), <sx> = 2 sum v[n,0]
     v[n,1] and <sz> = sum (v[n,0]^2 - v[n,1]^2). They take the eigenvectors
-    each spectrum keeps (solve_qrm computes nothing for this). Returns shape
-    (len(spectra), 2, 5): the gradients of f_q_dressed and of f_r_g over
-    GRADIENT_PARAMS. Other orientations raise InvalidOrientationError.
+    the sweep keeps (solve_fields computes nothing for this). Returns shape
+    (len(sweep.B), 2, 5): the gradients of f_q_dressed and of f_r_g over
+    GRADIENT_PARAMS, zero at fields whose labeling failed. Other
+    orientations raise InvalidOrientationError.
     """
     if (abs(params.theta - math.pi / 2) > _ORIENTATION_TOL
             or abs(params.phi - math.pi / 2) > _ORIENTATION_TOL):
         raise InvalidOrientationError(
             "transition gradients need the asymmetric orientation "
             f"(theta = phi = pi/2), got ({params.theta}, {params.phi})")
-    nosc = trunc.n_fock + 1
-    # spin blocks v0, v1[spectrum, n, state] of (g,0), (e,0) and (g,1)
-    v = np.stack([spec.vectors[:, :3] for spec in spectra])
-    v0, v1 = v.reshape(len(spectra), nosc, 2, 3).transpose(2, 0, 1, 3)
+    nosc, ok = trunc.n_fock + 1, sweep.labeled
+    # spin blocks v0, v1[field, n, state] of (g,0), (e,0) and (g,1)
+    v = sweep.vectors[ok, :, :3]
+    v0, v1 = v.reshape(len(v), nosc, 2, 3).transpose(2, 0, 1, 3)
     n = np.arange(nosc, dtype=float)[:, None]
-    dB = np.array([spec.B for spec in spectra])[:, None] - params.B0
+    dB = sweep.B[ok, None] - params.B0
     sx = 2.0 * (v0 * v1).sum(axis=1)
     level = np.stack([
         ((n + 0.5) * (v0**2 + v1**2)).sum(axis=1),
@@ -261,9 +386,11 @@ def transition_gradients(params: QrmParams, spectra: list[LabeledSpectrum],
                                  + v1[:, :-1] * v0[:, 1:])).sum(axis=1),
         -0.5 * dB * sx, 0.5 * params.gamma * sx,
         0.5 * (v0**2 - v1**2).sum(axis=1)], axis=-1)
+    grad = np.zeros((len(ok), 2, len(GRADIENT_PARAMS)))
     # f_q_dressed = E(e,0) - E(g,0), f_r_g = E(g,1) - E(g,0)
-    return np.stack([level[:, 1] - level[:, 0], level[:, 2] - level[:, 0]],
-                    axis=1)
+    grad[ok] = np.stack([level[:, 1] - level[:, 0], level[:, 2] - level[:, 0]],
+                        axis=1)
+    return grad
 
 
 def qubit_frequency(params: QrmParams, B: float) -> float:
@@ -306,20 +433,9 @@ def chi_perturbative(params: QrmParams, B: float) -> float:
 
 def sweep_field(params: QrmParams, B_list, trunc: HilbertTruncation
                 ) -> list[LabeledSpectrum | None]:
-    """Independent solve_qrm at each field, order preserved.
+    """solve_fields as one LabeledSpectrum per field, order preserved.
 
     Points where labeling fails come back as None so that a sweep across a
     resonance yields gaps instead of aborting.
     """
-    B_arr = np.atleast_1d(np.asarray(B_list, dtype=float))
-    if B_arr.size == 0:
-        raise InvalidParameterError("B_list must be non-empty")
-    if not np.all(np.isfinite(B_arr)):
-        raise InvalidParameterError("B_list must be finite")
-    out: list[LabeledSpectrum | None] = []
-    for B in B_arr:
-        try:
-            out.append(solve_qrm(params, float(B), trunc))
-        except AmbiguousLabelingError:
-            out.append(None)
-    return out
+    return solve_fields(params, B_list, trunc).spectra()

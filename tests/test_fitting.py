@@ -233,12 +233,12 @@ class TestJointAqrm:
             [ds2.qubit_points[:, 0], ds2.resonator_points[:, 0]])).size
         assert n_distinct < len(ds2.qubit_points) + len(ds2.resonator_points)
 
-        solves = [0]
-        solve_qrm = rabi.solve_qrm
+        solves = [0]  # fields solved
+        solve_fields = rabi.solve_fields
 
-        def counting_solve(*args):
-            solves[0] += 1
-            return solve_qrm(*args)
+        def counting_solve(params, B_list, trunc):
+            solves[0] += np.size(B_list)
+            return solve_fields(params, B_list, trunc)
 
         per_eval = []
         least_squares = fitting.least_squares
@@ -251,7 +251,7 @@ class TestJointAqrm:
                 return r
             return least_squares(counted, init, *args, **kwargs)
 
-        monkeypatch.setattr(rabi, "solve_qrm", counting_solve)
+        monkeypatch.setattr(rabi, "solve_fields", counting_solve)
         monkeypatch.setattr(fitting, "least_squares", counting_least_squares)
         init = {"f_r": F_R, "g": 1.01 * G, "gamma": GAMMA, "B0": B0,
                 "f_q0": F_Q0}
@@ -356,7 +356,7 @@ class TestJointJacobian:
         # J scaled by 1 + 1e-14 N(0, 1): a path that walks the rounding
         # floor took 21 to 44 sweeps over these draws
         ds = criterion_05_dataset()
-        gradients, sweep_field = rabi.transition_gradients, rabi.sweep_field
+        gradients, solve_fields = rabi.transition_gradients, rabi.solve_fields
         counts = []
         for seed in range(8):
             rng = np.random.default_rng(seed)
@@ -368,29 +368,29 @@ class TestJointJacobian:
 
             def counting_sweep(*args):
                 sweeps[0] += 1
-                return sweep_field(*args)
+                return solve_fields(*args)
 
             monkeypatch.setattr(rabi, "transition_gradients", noisy_gradients)
-            monkeypatch.setattr(rabi, "sweep_field", counting_sweep)
+            monkeypatch.setattr(rabi, "solve_fields", counting_sweep)
             assert fitting.fit_joint_aqrm(ds, None, self.trunc).converged
             counts.append(sweeps[0])
-        assert max(counts) - min(counts) <= 1
+        assert min(counts) > 0 and max(counts) - min(counts) <= 1
 
     def test_solves_per_fit_under_half_the_finite_difference_count(
             self, monkeypatch, criterion_05_dataset):
         # the forward-difference Jacobian took 2,016 solves on this dataset
-        solves = [0]
-        solve_qrm = rabi.solve_qrm
+        solves = [0]  # fields solved
+        solve_fields = rabi.solve_fields
 
-        def counting_solve(*args):
-            solves[0] += 1
-            return solve_qrm(*args)
+        def counting_solve(params, B_list, trunc):
+            solves[0] += np.size(B_list)
+            return solve_fields(params, B_list, trunc)
 
         ds = criterion_05_dataset()
-        monkeypatch.setattr(rabi, "solve_qrm", counting_solve)
+        monkeypatch.setattr(rabi, "solve_fields", counting_solve)
         res = fitting.fit_joint_aqrm(ds, None, self.trunc)
         assert res.converged
-        assert solves[0] < 2016 // 2
+        assert 0 < solves[0] < 2016 // 2
 
     def test_penalized_points_counted(self):
         true = rabi.QrmParams.asymmetric(F_R, G, GAMMA, B0, F_Q0)

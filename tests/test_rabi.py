@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,6 +282,57 @@ class TestSweepField:
         with pytest.raises(InvalidParameterError):
             rabi.sweep_field(aqrm, [], trunc)
 
+    @pytest.mark.parametrize("n_fock", [24, 60])
+    def test_stacked_sweep_matches_per_field_loop(self, aqrm, n_fock):
+        # over two chunks and a part, across f_q = f_r, in both directions
+        tr = rabi.HilbertTruncation(n_fock)
+        n = 2 * rabi._fields_per_stack(tr) + 3
+        fields = np.linspace(_B_CROSS - 40e-6, _B_CROSS + 40e-6, n)
+        outcomes = set()
+        for order in (fields, fields[::-1]):
+            for B, spec in zip(order, rabi.sweep_field(aqrm, order, tr)):
+                try:
+                    labels, transitions, vectors = _loop_solve(aqrm, B, tr)
+                except AmbiguousLabelingError as exc:
+                    assert spec is None
+                    with pytest.raises(AmbiguousLabelingError) as info:
+                        rabi.solve_qrm(aqrm, B, tr)
+                    assert str(info.value) == str(exc)
+                    assert info.value.overlaps.shape == (tr.dim, tr.dim)
+                    outcomes.add("gap")
+                    continue
+                energies = np.linalg.eigh(rabi.build_hamiltonian(aqrm, B, tr))[0]
+                assert spec.B == B and spec.labels == labels
+                assert (spec.f_q_dressed, spec.f_r_g, spec.f_r_e) == transitions
+                assert np.array_equal(spec.energies, energies)
+                assert np.array_equal(spec.vectors, vectors)
+                outcomes.add("labeled")
+        assert outcomes == {"gap", "labeled"}
+
+    def test_memory_beyond_the_result_independent_of_field_count(self, aqrm):
+        tr = rabi.HilbertTruncation(60)
+
+        def transient(n):
+            fields = B0 + np.linspace(-200e-6, 200e-6, n)
+            tracemalloc.start()
+            try:
+                sweep = rabi.solve_fields(aqrm, fields, tr)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert sweep.labeled.size == n
+            return peak - current
+
+        # one chunk's stacked Hamiltonians, eigenvectors and overlaps (the
+        # stacked solve of sweep_field, whose per-field objects then drop
+        # the label table this result holds); ten times as much unchunked
+        assert transient(400) < 1.5 * transient(40)
+
+    def test_largest_truncation_solves_one_field_at_a_time(self):
+        # README's cap: n_fock 2047, 4096 rows, 128 MiB a Hamiltonian
+        assert rabi._fields_per_stack(rabi.HilbertTruncation(2047)) == 1
+        assert rabi._fields_per_stack(rabi.HilbertTruncation(24)) > 1
+
 
 def _reference_hamiltonian(params, B, trunc):
     """Complex sigma_y form of H with the unrotated field, plus its spin term."""
@@ -508,13 +560,18 @@ class TestTransitionGradients:
     @pytest.mark.parametrize("n_fock", [2, 24, 60])
     def test_block_sums_match_kron_oracle(self, aqrm, n_fock):
         tr = rabi.HilbertTruncation(n_fock)
-        # fields on both sides of B0, short of the resonance at _B_CROSS
-        fields = B0 + np.linspace(-450e-6, 450e-6, 24)
+        # fields on both sides of B0, and one at the resonance, _B_CROSS
+        fields = np.append(B0 + np.linspace(-450e-6, 450e-6, 24), _B_CROSS)
+        sweep = rabi.solve_fields(aqrm, fields, tr)
+        assert not sweep.labeled[-1]
         spectra = [s for s in rabi.sweep_field(aqrm, fields, tr) if s is not None]
         assert {s.B < B0 for s in spectra} == {True, False}
-        got = rabi.transition_gradients(aqrm, spectra, tr)
+        got = rabi.transition_gradients(aqrm, sweep, tr)
+        assert got.shape == (len(fields), 2, len(rabi.GRADIENT_PARAMS))
+        # rows of fields whose labeling failed are zero
+        assert not got[~sweep.labeled].any()
+        got = got[sweep.labeled]
         want = _kron_gradients(aqrm, spectra, tr)
-        assert got.shape == (len(spectra), 2, len(rabi.GRADIENT_PARAMS))
         # relative to each parameter's largest gradient
         scale = np.abs(want).max(axis=(0, 1))
         assert np.all(np.abs(got - want).max(axis=(0, 1)) <= 1e-12 * scale)
@@ -528,6 +585,6 @@ class TestTransitionGradients:
             assert np.allclose(H @ v, E * v, atol=1e-6 * abs(E))
 
     def test_other_orientations_rejected(self, sqrm, trunc):
-        spec = rabi.solve_qrm(sqrm, B0, trunc)
+        sweep = rabi.solve_fields(sqrm, [B0], trunc)
         with pytest.raises(InvalidOrientationError):
-            rabi.transition_gradients(sqrm, [spec], trunc)
+            rabi.transition_gradients(sqrm, sweep, trunc)

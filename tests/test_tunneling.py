@@ -436,8 +436,8 @@ def run_without_scipy(code, *args):
 def test_cli_and_1d_solve_do_not_import_scipy(tmp_path):
     # scipy is a test dependency only, and numpy.ma costs about 10 ms per
     # process: with scipy blocked, a lone 1D solve, the tunnel sweeps of
-    # configs/example.ini and of the benchmark, and the Rabi, fit and
-    # jumps commands run and import neither
+    # configs/example.ini and of the benchmark, and the Rabi, fit
+    # (fit-spectrum, fit-rabi) and jumps commands run and import neither
     code = (
         "import numpy as np\n"
         "ma_with_numpy = 'numpy.ma' in sys.modules  # numpy < 2 imports it\n"
@@ -465,6 +465,13 @@ def test_cli_and_1d_solve_do_not_import_scipy(tmp_path):
         "    '--resonator', f'{out}/f_r_g.csv', '-o', out]) == 0\n"
         "assert cli.main(['analyze-jumps', '--data', f'{out}/trajectory.csv',\n"
         "                 '-o', out]) == 0\n"
+        "t = np.linspace(0.0, 2.0, 150)  # us; scans at 1 MHz per uV\n"
+        "rows = [(a, ti, 0.5 - 0.5 * np.cos(2 * np.pi * a * ti))\n"
+        "        for a in (4.0, 8.0, 16.0) for ti in t]\n"
+        "np.savetxt(f'{out}/rabi.csv', rows, delimiter=',',\n"
+        "           header='amplitude_uV,t_us,value', comments='')\n"
+        "assert cli.main(['fit-rabi', '--data', f'{out}/rabi.csv',\n"
+        "                 '-o', out]) == 0\n"
         "assert ma_with_numpy or 'numpy.ma' not in sys.modules, 'numpy.ma'\n")
     root = Path(__file__).resolve().parent.parent
     example = root / "configs" / "example.ini"
@@ -476,8 +483,8 @@ def test_cli_and_1d_solve_do_not_import_scipy(tmp_path):
                                                  "duration_s = 0.1"))
     out = tmp_path / "out"
     run_without_scipy(code, example, sweep, jumps, out)
-    assert {"chi.csv", "fit_spectrum.json", "jumps_analysis.json"} <= {
-        p.name for p in out.iterdir()}
+    assert {"chi.csv", "fit_spectrum.json", "jumps_analysis.json",
+            "fit_rabi.json"} <= {p.name for p in out.iterdir()}
     for name, fields in (("example", 41), ("sweep", 2)):
         manifest = json.loads((out / name / "manifest.tunnel.json").read_text())
         assert manifest["diagnostics"]["fields"] == fields
