@@ -26,6 +26,17 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+# OpenBLAS sizes its thread pool from OPENBLAS_NUM_THREADS once, when numpy
+# first loads it. On the small Rabi Hamiltonians of the sweeps (50 x 50 to
+# 122 x 122) its worker threads cost more than they save and keep a second
+# core spinning, so a CLI process runs BLAS on one thread and solves a
+# sweep's chunks on a thread per core instead (rabi.solve_fields). This
+# must run before numpy loads (the package __init__ loads none); a value
+# already set wins.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+_BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS")
+
 import numpy as np
 
 from . import __version__
@@ -132,6 +143,7 @@ def _environment() -> dict:
         "python": ".".join(map(str, sys.version_info[:3])),
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_threads": _BLAS_THREADS,
         "cpu_count": os.cpu_count(),
     }
 
@@ -315,7 +327,8 @@ def _cmd_spectrum(args, cfg: RunConfig, run: Run) -> int:
             [fields * 1e6, column("f_q_dressed", 1e9), column("f_r_g", 1e9),
              column("f_r_e", 1e9), column("chi", 1e6)])
     run.diagnostics.update(gaps=sum(s is None for s in specs),
-                           n_fock=trunc.n_fock)
+                           n_fock=trunc.n_fock,
+                           sweep_threads=rabi.sweep_threads())
     return 0
 
 
@@ -343,7 +356,8 @@ def _cmd_fit_spectrum(args, cfg: RunConfig, run: Run) -> int:
     result = fitting.fit_joint_aqrm(dataset, init, trunc)
     run.table("fit_spectrum", args.format, _fit_payload(result, _QRM_UNITS))
     run.diagnostics.update(_fit_diagnostics(result),
-                           n_penalized=result.n_penalized)
+                           n_penalized=result.n_penalized,
+                           sweep_threads=rabi.sweep_threads())
     return 0 if result.converged else 2
 
 

@@ -24,6 +24,11 @@ from .errors import (AmbiguousBandsError, ClusteringError,
 _MIN_DWELLS = 50  # complete intervals dwell_statistics needs per state
 _EM_MAX_ITER = 100
 _EM_TOL = 1e-8  # on the relative change of iq_cluster's log-likelihood
+# samples (and jumps) a synthesized record may hold: 50 s at 5 us spacing,
+# 20 times the example record. synth-jumps peaks at about 37 MiB plus
+# 88 bytes a sample (79 MiB at 500k samples, 205 MiB at 2M), so about
+# 0.9 GiB here, and writes 55 bytes a sample of CSV
+_MAX_SAMPLES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -118,6 +123,17 @@ def simulate_trajectory(tg: TelegraphParams, ro: ReadoutModel,
     if not 0.0 < duration < math.inf:  # an infinite one never ends
         raise InvalidParameterError(
             f"duration_s must be positive and finite, got {duration}")
+    # a finite but huge one would run the jump loop and allocate the
+    # samples about forever
+    for over, count, what in (
+            ("spacing_us", duration / ro.spacing, "samples"),
+            ("T_up_us + T_down_us", 2.0 * duration / (tg.T_up + tg.T_down),
+             "jumps")):
+        if count > _MAX_SAMPLES:
+            raise InvalidParameterError(
+                f"duration_s = {duration} over {over} asks for about "
+                f"{count:.3g} {what}, more than the {_MAX_SAMPLES} a record "
+                "may hold")
     rng = np.random.default_rng(seed)
 
     state0 = int(rng.random() < tg.stationary_p_excited)

@@ -29,6 +29,7 @@ plain frequencies in Hz.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,6 +309,38 @@ def _empty_sweep(B: np.ndarray, trunc: HilbertTruncation) -> Sweep:
                  labeled=np.empty(F, dtype=bool))
 
 
+_pool = None  # the sweep threads beside the caller's, made on first use
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's threads: it makes its own."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def sweep_threads() -> int:
+    """Threads a sweep of more than one chunk runs on: one per usable core
+    when BLAS runs on one thread (OPENBLAS_NUM_THREADS=1, as in a CLI
+    process), else 1, since threads of ours then contend with BLAS's own."""
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _solve_chunks(params: QrmParams, trunc: HilbertTruncation, out: Sweep,
+                  starts, per: int) -> None:
+    """_solve_chunk on the chunk at each start taken from starts, until
+    none is left; threads sharing starts share out the chunks."""
+    for start in starts:
+        _solve_chunk(params, trunc, out, slice(start, start + per))
+
+
 def solve_fields(params: QrmParams, B_list,
                  trunc: HilbertTruncation) -> Sweep:
     """Diagonalize and label the spectrum at each field, as one stack.
@@ -316,8 +349,13 @@ def solve_fields(params: QrmParams, B_list,
     _STACK_BYTES (at least one field), each chunk with one eigh call over its
     Hamiltonians, one over its 2 x 2 spin terms and array-wide labeling,
     so memory does not grow with the number of fields beyond the result.
-    Each field gets the bits it gets alone (solve_qrm).
+    Chunks write disjoint rows of the result and eigh releases the GIL, so
+    a sweep of more than one chunk spreads them over sweep_threads()
+    threads, the caller's among them (one chunk in flight per thread); with
+    BLAS on more than one thread they run one after another. Each field
+    gets the bits it gets alone (solve_qrm).
     """
+    global _pool
     B = np.atleast_1d(np.asarray(B_list, dtype=float))
     if B.size == 0:
         raise InvalidParameterError("B_list must be non-empty")
@@ -325,8 +363,20 @@ def solve_fields(params: QrmParams, B_list,
         raise InvalidParameterError("B_list must be finite")
     out = _empty_sweep(B, trunc)
     per = _fields_per_stack(trunc)
-    for start in range(0, B.size, per):
-        _solve_chunk(params, trunc, out, slice(start, start + per))
+    # next() on a range iterator is one C call under the GIL, so each
+    # start goes to one thread
+    starts = iter(range(0, B.size, per))
+    threads = sweep_threads() if B.size > per else 1
+    if threads > 1 and _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(threads - 1, thread_name_prefix="sweep")
+    helpers = [_pool.submit(_solve_chunks, params, trunc, out, starts, per)
+               for _ in range(threads - 1)]
+    try:
+        _solve_chunks(params, trunc, out, starts, per)
+    finally:
+        for helper in helpers:  # no thread writes into out once it returns
+            helper.result()
     return out
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -21,16 +22,27 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "configs" / "example.ini"
 
 
+def run_python(*args: str, timeout: float | None = None,
+               openblas_threads: str | None = None
+               ) -> subprocess.CompletedProcess:
+    """`python *args` in a child that imports this checkout, killed after
+    timeout seconds if one is given; OPENBLAS_NUM_THREADS as given (unset
+    for None)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 def run_cli(*argv: str, timeout: float | None = None
             ) -> subprocess.CompletedProcess:
     """`python -m vortexlab.cli` in a child that imports this checkout,
-    killed after timeout seconds if one is given."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "vortexlab.cli", *argv],
-                          env=env, capture_output=True, text=True,
-                          timeout=timeout)
+    with the test process's OPENBLAS_NUM_THREADS."""
+    return run_python("-m", "vortexlab.cli", *argv, timeout=timeout,
+                      openblas_threads=os.environ.get("OPENBLAS_NUM_THREADS"))
 
 MINI_CONFIG = """\
 [device]
@@ -243,7 +255,10 @@ class TestScales:
             assert list(manifest["outputs"]) == [output]
             environment = manifest["environment"]
             assert sorted(environment) == [
-                "blas", "cpu_count", "numpy", "python"]
+                "blas", "blas_threads", "cpu_count", "numpy", "python"]
+            # numpy loaded before vortexlab.cli here, so nothing pinned it
+            assert environment["blas_threads"] == os.environ.get(
+                "OPENBLAS_NUM_THREADS")
             assert environment["numpy"] == np.__version__
             assert environment["cpu_count"] == os.cpu_count()
             assert environment["python"] == ".".join(
@@ -286,7 +301,34 @@ class TestChiSweep:
         assert [row[1:] == [""] * 4 for row in rows] == expected
         assert all(row[0] for row in rows)
         manifest = json.loads((out / "manifest.chi.json").read_text())
-        assert manifest["diagnostics"] == {"gaps": sum(expected), "n_fock": 20}
+        assert manifest["diagnostics"] == {
+            "gaps": sum(expected), "n_fock": 20,
+            "sweep_threads": rabi.sweep_threads()}
+
+
+class TestBlasPin:
+    """A CLI process runs BLAS on one thread, unless the user set a count,
+    and then solves a sweep's chunks on a thread per usable core."""
+
+    def test_importing_the_package_loads_no_numpy(self):
+        proc = run_python("-c", "import sys, vortexlab\n"
+                          "assert 'numpy' not in sys.modules")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_chi_pins_blas_and_threads_its_sweep(self, tmp_path):
+        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count())
+        chi = {}
+        for threads, blas, sweep in ((None, "1", cores), ("2", "2", 1)):
+            out = tmp_path / f"out{threads}"
+            proc = run_python("-m", "vortexlab.cli", "chi", "-c", str(CONFIG),
+                              "-o", str(out), openblas_threads=threads)
+            assert proc.returncode == 0, proc.stderr
+            manifest = json.loads((out / "manifest.chi.json").read_text())
+            assert manifest["environment"]["blas_threads"] == blas
+            assert manifest["diagnostics"]["sweep_threads"] == sweep
+            chi[threads] = (out / "chi.csv").read_bytes()
+        assert chi[None] == chi["2"]
 
 
 class TestDeterminism:
@@ -480,7 +522,9 @@ class TestFitCommands:
         diagnostics = json.loads(
             (out / "manifest.fit-spectrum.json").read_text())["diagnostics"]
         assert set(diagnostics) == {"iterations", "message",
-                                    "gradient_measure", "n_penalized"}
+                                    "gradient_measure", "n_penalized",
+                                    "sweep_threads"}
+        assert diagnostics["sweep_threads"] == rabi.sweep_threads()
         assert diagnostics["iterations"] == result["iterations"]
         assert diagnostics["message"] == result["message"]
         assert diagnostics["n_penalized"] == 0
@@ -1344,6 +1388,41 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert message in proc.stderr
+        report = json.loads((out / "error.json").read_text())
+        assert message in report["message"]
+        assert not (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("edits,message", [
+        ({"duration_s": "1e200"}, "duration_s = 1e+200 over spacing_us asks "
+         "for about 2e+205 samples, more than the 10000000"),
+        ({"duration_s": "50.1"}, "about 1e+07 samples"),
+        ({"T_up_us": "1e-300", "T_down_us": "1e-300"},
+         "duration_s = 0.25 over T_up_us + T_down_us asks for about 2.5e+305 "
+         "jumps")], ids=["1e200", "just-over", "dwell-1e-300"])
+    def test_record_over_the_sample_budget_is_two(self, tmp_path, edits,
+                                                  message):
+        # in-process under an alarm: such a record used to run on about
+        # forever in the jump loop
+        text = MINI_CONFIG
+        for key, value in edits.items():
+            line = next(ln for ln in text.splitlines()
+                        if ln.startswith(f"{key} = "))
+            text = text.replace(line, f"{key} = {value}")
+        conf = tmp_path / "c.ini"
+        conf.write_text(text)
+        out = tmp_path / "out"
+
+        def timeout(signum, frame):
+            raise TimeoutError("synth-jumps ran past 20 s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(20)
+        try:
+            code = cli.main(["synth-jumps", "-c", str(conf), "-o", str(out)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 2
         report = json.loads((out / "error.json").read_text())
         assert message in report["message"]
         assert not (out / "trajectory.csv").exists()

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -309,7 +312,61 @@ class TestSweepField:
                 outcomes.add("labeled")
         assert outcomes == {"gap", "labeled"}
 
-    def test_memory_beyond_the_result_independent_of_field_count(self, aqrm):
+    @pytest.mark.parametrize("n_fock", [24, 60])
+    def test_threaded_sweep_matches_serial_bit_for_bit(self, aqrm, n_fock,
+                                                       monkeypatch):
+        # at least three chunks, across f_q = f_r so that gaps occur
+        tr = rabi.HilbertTruncation(n_fock)
+        n = 3 * rabi._fields_per_stack(tr) + 2
+        fields = np.append(np.linspace(_B_CROSS - 40e-6, _B_CROSS + 40e-6, n),
+                           _B_CROSS)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert rabi.sweep_threads() == 1
+        serial = rabi.solve_fields(aqrm, fields, tr)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert rabi.sweep_threads() == (
+            len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+        threaded = rabi.solve_fields(aqrm, fields, tr)
+        assert serial.labeled.any() and not serial.labeled.all()
+        for name in ("B", "energies", "claimed", "transitions", "vectors",
+                     "labeled"):
+            assert np.array_equal(getattr(threaded, name),
+                                  getattr(serial, name)), name
+
+    def test_threaded_sweep_under_stress(self, aqrm, monkeypatch):
+        # more threads than cores, switching every microsecond: each chunk
+        # is still solved once, into its own rows
+        tr = rabi.HilbertTruncation(24)
+        fields = B0 + np.linspace(-200e-6, 200e-6, 40 * rabi._fields_per_stack(tr))
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        serial = rabi.solve_fields(aqrm, fields, tr)
+        monkeypatch.setattr(rabi, "sweep_threads", lambda: 8)
+        monkeypatch.setattr(rabi, "_pool", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = rabi.solve_fields(aqrm, fields, tr)
+        finally:
+            sys.setswitchinterval(interval)
+            rabi._pool.shutdown()
+        assert np.array_equal(threaded.energies, serial.energies)
+        assert np.array_equal(threaded.vectors, serial.vectors)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_threaded_sweep_in_a_forked_child(self, aqrm, monkeypatch):
+        # the child inherits the parent's pool but none of its threads
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        tr = rabi.HilbertTruncation(24)
+        fields = B0 + np.linspace(-200e-6, 200e-6, 4 * rabi._fields_per_stack(tr))
+        parent = rabi.solve_fields(aqrm, fields, tr)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            child = pool.apply_async(rabi.solve_fields,
+                                     (aqrm, fields, tr)).get(timeout=60)
+        assert np.array_equal(child.energies, parent.energies)
+
+    def test_memory_beyond_the_result_independent_of_field_count(
+            self, aqrm, monkeypatch):
         tr = rabi.HilbertTruncation(60)
 
         def transient(n):
@@ -325,8 +382,11 @@ class TestSweepField:
 
         # one chunk's stacked Hamiltonians, eigenvectors and overlaps (the
         # stacked solve of sweep_field, whose per-field objects then drop
-        # the label table this result holds); ten times as much unchunked
-        assert transient(400) < 1.5 * transient(40)
+        # the label table this result holds), one in flight per sweep
+        # thread; ten times as much unchunked
+        for blas in ("1", "2"):  # threaded sweep, serial sweep
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+            assert transient(400) < 1.5 * transient(40)
 
     def test_largest_truncation_solves_one_field_at_a_time(self):
         # README's cap: n_fock 2047, 4096 rows, 128 MiB a Hamiltonian
