@@ -466,7 +466,7 @@ def _cmd_tunnel(args, cfg: RunConfig, run: Run) -> int:
     t = cfg.section("tunneling")
     model = cfg.tunnel_model()
     fields = cfg.sweep_fields()
-    grid_points = int(t.get("grid_points", 1024))
+    grid_points = t["grid_points"]
     sweep = tunneling.spectrum_vs_field(
         sites, (t["x_min_nm"], t["x_max_nm"]), fields, model, scales, device,
         grid_points=grid_points)

@@ -3,7 +3,8 @@
 Flat INI-style text: [section] headers, key = value lines, # comments.
 Every dimensioned key carries its unit in the name (w_um, B0_uT, T_up_us);
 values are converted to SI on load. Unknown sections or keys are rejected,
-so a dimensioned key without its suffix is a config error.
+so a dimensioned key without its suffix is a config error. _SCHEMA
+gives each key its factor to SI, domain and default, checked on load.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -32,71 +33,112 @@ if TYPE_CHECKING:
 
 _DEG = math.pi / 180.0
 
-# key -> (converter label, factor to SI); "int" and "raw" take no factor
-_SCHEMA: dict[str, dict[str, tuple[str, float]]] = {
+
+class _Key(NamedTuple):
+    """A key's factor to SI, domain and default (in its own unit; None
+    when it is required). The domain is "finite", "positive"
+    (0 < v < inf), "non-negative" (0 <= v < inf), "length" (positive, and
+    v * v in (0, inf): the models square it) or an inclusive (low, high)
+    range, which makes the key an int. It is checked on the SI value."""
+
+    factor: float
+    domain: str | tuple[int, float]
+    default: float | None = None
+
+
+_SCHEMA: dict[str, dict[str, _Key]] = {
     "device": {
-        "w_um": ("float", 1e-6),
-        "t_nm": ("float", 1e-9),
-        "xi_nm": ("float", 1e-9),
-        "lambda_L_um": ("float", 1e-6),
+        "w_um": _Key(1e-6, "length"),
+        "t_nm": _Key(1e-9, "positive"),
+        "xi_nm": _Key(1e-9, "positive"),
+        "lambda_L_um": _Key(1e-6, "length"),
     },
     "qrm": {
-        "f_r_GHz": ("float", 1e9),
-        "g_MHz": ("float", 1e6),
-        "gamma_GHz_per_mT": ("float", 1e12),
-        "B0_uT": ("float", 1e-6),
-        "f_q0_GHz": ("float", 1e9),
-        "theta_deg": ("float", _DEG),
-        "phi_deg": ("float", _DEG),
-        "n_fock": ("int", 1.0),
+        "f_r_GHz": _Key(1e9, "positive"),
+        "g_MHz": _Key(1e6, "non-negative"),
+        "gamma_GHz_per_mT": _Key(1e12, "positive"),
+        "B0_uT": _Key(1e-6, "finite"),
+        "f_q0_GHz": _Key(1e9, "non-negative"),
+        "theta_deg": _Key(_DEG, "finite", 90.0),
+        "phi_deg": _Key(_DEG, "finite", 90.0),
+        # the Rabi solve is dense in 2 (n_fock + 1) rows, at most 4096
+        "n_fock": _Key(1, (2, 2047), 60),
     },
-    "pinning": {},  # dynamic siteN_* keys, see _SITE_KEY
+    "pinning": {  # the fields of the numbered siteN_* keys
+        "x_nm": _Key(1e-9, "finite"),
+        "y_nm": _Key(1e-9, "finite", 0.0),
+        "V_GHz": _Key(1e9 * CONSTANTS.h, "positive"),
+        "sigma_nm": _Key(1e-9, "length"),
+    },
     "tunneling": {
-        "grid_points": ("int", 1.0),
-        "x_min_nm": ("float", 1e-9),
-        "x_max_nm": ("float", 1e-9),
-        "y_zpf_nm": ("float", 1e-9),
+        # the 1D solve holds a few grid_points x 3 levels of doubles, and
+        # its time grows linearly with grid_points (about 40 ms at 4096)
+        "grid_points": _Key(1, (64, 4096), 1024),
+        "x_min_nm": _Key(1e-9, "finite"),
+        "x_max_nm": _Key(1e-9, "finite"),
+        "y_zpf_nm": _Key(1e-9, "length"),
     },
     "jumps": {
-        "T_up_us": ("float", 1e-6),
-        "T_down_us": ("float", 1e-6),
-        "sigma_cloud": ("float", 1.0),
-        "separation_sigma": ("float", 1.0),
-        "spacing_us": ("float", 1e-6),
-        "duration_s": ("float", 1.0),
-        "seed": ("int", 1.0),
+        "T_up_us": _Key(1e-6, "positive"),
+        "T_down_us": _Key(1e-6, "positive"),
+        "sigma_cloud": _Key(1.0, "positive"),
+        "separation_sigma": _Key(1.0, "finite"),
+        "spacing_us": _Key(1e-6, "positive"),
+        "duration_s": _Key(1.0, "positive"),
+        "seed": _Key(1, (0, math.inf), 0),
     },
     "sweep": {
-        "B_min_uT": ("float", 1e-6),
-        "B_max_uT": ("float", 1e-6),
-        "n_points": ("int", 1.0),
+        "B_min_uT": _Key(1e-6, "finite"),
+        "B_max_uT": _Key(1e-6, "finite"),
+        # the sweeps keep every field's result: rabi.Sweep 48 bytes a row
+        # and its spectra about 10 more, so about 235 KiB a field at
+        # n_fock 2047 (4096 rows); tunnel about 25 bytes a grid point, so
+        # 100 KiB a field at 4096. 4096 fields keep at most about 0.9 GiB
+        "n_points": _Key(1, (1, 4096)),
     },
 }
 
-# inclusive (low, high) bounds checked on load; the 1D tunneling solve
-# holds a few grid_points x 3 levels of doubles, and its time grows
-# linearly with grid_points (about 40 ms a solve at 4096); the
-# Rabi solve is dense in 2 (n_fock + 1) rows, held to the same 4096
-_LIMITS: dict[tuple[str, str], tuple[int, int]] = {
-    ("qrm", "n_fock"): (2, 2047),
-    ("tunneling", "grid_points"): (64, 4096),
-}
+_SITE_KEY = re.compile(rf"^site(\d+)_({'|'.join(_SCHEMA['pinning'])})$")
 
-_SITE_KEY = re.compile(r"^site(\d+)_(x_nm|y_nm|V_GHz|sigma_nm)$")
-_SITE_FACTORS = {"x_nm": 1e-9, "y_nm": 1e-9, "V_GHz": 1e9 * CONSTANTS.h,
-                 "sigma_nm": 1e-9}
+
+def _si(key: _Key, number):
+    """number (a string or the default) as the key's SI value."""
+    if isinstance(key.domain, tuple):
+        return int(number)
+    return float(number) * key.factor
+
+
+def _outside(domain, value) -> str | None:
+    """Why value lies outside domain; None when it lies inside."""
+    if isinstance(domain, tuple):
+        low, high = domain
+        return None if low <= value <= high else (
+            f"must lie in [{low}, {high}], got {value}")
+    if domain == "finite":
+        return None if math.isfinite(value) else "must be finite"
+    if domain == "non-negative":
+        return None if 0.0 <= value < math.inf else (
+            "must be non-negative and finite")
+    if not 0.0 < value < math.inf:  # also rejects nan
+        return "must be positive and finite"
+    if domain == "length" and not 0.0 < value * value < math.inf:
+        return "must square to a positive finite float"
+    return None
 
 
 class _Section(dict):
-    """One section's key -> SI value. Keys are optional at load time;
-    reading an absent one with [] is a ConfigError naming it."""
+    """One section's key -> SI value. Reading an absent key with [] gives
+    its default, or is a ConfigError naming it when it has none."""
 
     def __init__(self, name: str, values: dict):
         super().__init__(values)
         self.name = name
 
     def __missing__(self, key: str):
-        raise ConfigError(f"[{self.name}] is missing key '{key}'")
+        spec = _SCHEMA[self.name].get(key)
+        if spec is None or spec.default is None:
+            raise ConfigError(f"[{self.name}] is missing key '{key}'")
+        return _si(spec, spec.default)
 
 
 @dataclass
@@ -119,28 +161,20 @@ class RunConfig:
 
     def device(self) -> DeviceModel:
         d = self.section("device")
-        device = DeviceModel(w=d["w_um"], t=d["t_nm"], xi=d["xi_nm"],
-                             lambda_L=d["lambda_L_um"])
-        for key in ("w_um", "lambda_L_um"):  # derive_scales squares them
-            _check_square(key, d[key], 1e-6)
-        return device
+        return DeviceModel(w=d["w_um"], t=d["t_nm"], xi=d["xi_nm"],
+                           lambda_L=d["lambda_L_um"])
 
     def qrm(self) -> tuple[QrmParams, HilbertTruncation]:
         from .rabi import HilbertTruncation, QrmParams
         q = self.section("qrm")
         params = QrmParams(f_r=q["f_r_GHz"], g=q["g_MHz"],
                            gamma=q["gamma_GHz_per_mT"], B0=q["B0_uT"],
-                           f_q0=q["f_q0_GHz"],
-                           theta=q.get("theta_deg", math.pi / 2),
-                           phi=q.get("phi_deg", math.pi / 2))
-        trunc = HilbertTruncation(int(q.get("n_fock", 60)))
-        return params, trunc
+                           f_q0=q["f_q0_GHz"], theta=q["theta_deg"],
+                           phi=q["phi_deg"])
+        return params, HilbertTruncation(q["n_fock"])
 
     def sites(self) -> list[PinningSite]:
-        pinning = self.section("pinning")  # raises ConfigError when absent
-        for key, value in pinning.items():  # each dip squares its width
-            if key.endswith("_sigma_nm"):
-                _check_square(key, value, 1e-9)
+        self.section("pinning")  # raises ConfigError when absent
         return list(self.site_list)
 
     def tunnel_model(self) -> TunnelModel:
@@ -155,16 +189,9 @@ class RunConfig:
         sites = self.sites()
         if not sites:
             raise ConfigError("[tunneling] needs at least one pinning site")
-        y_zpf = t["y_zpf_nm"]
-        if not 0 < y_zpf < math.inf:
-            raise InvalidParameterError(
-                f"y_zpf_nm must be positive and finite, got {y_zpf / 1e-9:g}")
-        s = sites[0]
-        try:
-            y_zpf2 = y_zpf**2
-        except OverflowError:  # a float square past the range
-            y_zpf2 = math.inf
-        Omega = 4.0 * s.V_i * y_zpf2 / (CONSTANTS.hbar * s.sigma_i**2)
+        y_zpf, s = t["y_zpf_nm"], sites[0]
+        y_zpf2, sigma2 = y_zpf * y_zpf, s.sigma_i * s.sigma_i
+        Omega = 4.0 * s.V_i * y_zpf2 / (CONSTANTS.hbar * sigma2)
         kinetic = CONSTANTS.hbar * Omega * y_zpf2
         if not (0 < Omega < math.inf and 0 < kinetic < math.inf):
             raise InvalidParameterError(
@@ -182,96 +209,68 @@ class RunConfig:
         from .jumps import ReadoutModel
         j = self.section("jumps")
         sigma, separation = j["sigma_cloud"], j["separation_sigma"]
-        if not math.isfinite(separation):
-            raise InvalidParameterError(
-                f"separation_sigma must be finite, got {separation}")
         return ReadoutModel(center_g=0.0 + 0.0j,
                             center_e=complex(separation * sigma, 0.0),
                             sigma_cloud=sigma, spacing=j["spacing_us"])
 
     def seed(self, env_override: str | None = None) -> int:
-        """The run's seed: env_override (VORTEXLAB_SEED), else [jumps]
-        seed, else 0; a negative one is a ConfigError naming its source."""
-        if env_override is not None:
-            source = "VORTEXLAB_SEED"
-            try:
-                seed = int(env_override)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{source} must be an integer, got {env_override!r}"
-                ) from exc
-        else:
-            source = "[jumps] seed"
-            seed = int(self.sections.get("jumps", {}).get("seed", 0))
+        """The run's seed: env_override (VORTEXLAB_SEED), which must be a
+        non-negative integer, else [jumps] seed or its default."""
+        if env_override is None:
+            return self.sections.get("jumps", _Section("jumps", {}))["seed"]
+        try:
+            seed = int(env_override)
+        except ValueError:
+            seed = -1
         if seed < 0:
-            raise ConfigError(f"{source} must be non-negative, got {seed}")
+            raise ConfigError("VORTEXLAB_SEED must be a non-negative "
+                              f"integer, got {env_override!r}")
         return seed
 
     def sweep_fields(self) -> np.ndarray:
         s = self.section("sweep")
-        n = int(s["n_points"])
-        if n < 1:
-            raise ConfigError("[sweep] n_points must be >= 1")
-        return np.linspace(s["B_min_uT"], s["B_max_uT"], n)
-
-
-def _check_square(key: str, value: float, unit: float) -> None:
-    """The models square some lengths as floats; one whose square leaves
-    the float range (about 1e-162 to 1e154 m) would end in an overflow or
-    a division by zero, so it is an InvalidParameterError naming the key."""
-    if not 0.0 < value * value < math.inf:
-        raise InvalidParameterError(
-            f"{key} = {value / unit:g} squares outside the float range")
+        return np.linspace(s["B_min_uT"], s["B_max_uT"], s["n_points"])
 
 
 def _convert(section: str, key: str, raw: str):
+    """raw as the key's SI value; a ConfigError unless it lies in the
+    key's domain. A site's field is named as siteN: field."""
+    name = entry = key
     if section == "pinning":
         m = _SITE_KEY.match(key)
         if not m:
             raise ConfigError(
-                f"unknown key '{key}' in [pinning]; expected siteN_x_nm, "
-                "siteN_y_nm, siteN_V_GHz or siteN_sigma_nm")
-        try:
-            return float(raw) * _SITE_FACTORS[m.group(2)]
-        except ValueError as exc:
-            raise ConfigError(f"[pinning] {key}: not a number: {raw!r}") from exc
-    schema = _SCHEMA[section]
-    if key not in schema:
+                f"unknown key '{key}' in [pinning]; expected "
+                + ", ".join(f"siteN_{f}" for f in _SCHEMA["pinning"]))
+        name, entry = f"site{int(m.group(1))}: {m.group(2)}", m.group(2)
+    spec = _SCHEMA[section].get(entry)
+    if spec is None:
         raise ConfigError(f"unknown key '{key}' in [{section}] "
                           "(dimensioned keys must carry their unit suffix)")
-    kind, factor = schema[key]
     try:
-        value = int(raw) if kind == "int" else float(raw) * factor
+        value = _si(spec, raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
-    if (section, key) in _LIMITS:
-        lo, hi = _LIMITS[section, key]
-        if not lo <= value <= hi:
-            raise ConfigError(
-                f"[{section}] {key} must lie in [{lo}, {hi}], got {value}")
+    reason = _outside(spec.domain, value)
+    if reason is not None:
+        raise ConfigError(f"[{section}] {name} {reason}")
     return value
 
 
 def _collect_sites(pinning: dict[str, float]) -> list[PinningSite]:
-    groups: dict[int, dict[str, float]] = {}
+    groups: dict[int, _Section] = {}
     for key, value in pinning.items():
         m = _SITE_KEY.match(key)
-        groups.setdefault(int(m.group(1)), {})[m.group(2)] = value
+        site = groups.setdefault(int(m.group(1)), _Section("pinning", {}))
+        site[m.group(2)] = value
     sites = []
     for idx in sorted(groups):
         g = groups[idx]
         missing = {"x_nm", "V_GHz", "sigma_nm"} - set(g)
         if missing:
             raise ConfigError(f"[pinning] site{idx} is missing {sorted(missing)}")
-        for key in ("x_nm", "y_nm"):
-            if not math.isfinite(g.get(key, 0.0)):
-                raise ConfigError(f"[pinning] site{idx}: {key} must be finite")
-        for key in ("V_GHz", "sigma_nm"):
-            if not 0.0 < g[key] < math.inf:  # also rejects nan
-                raise ConfigError(
-                    f"[pinning] site{idx}: {key} must be positive and finite")
-        sites.append(PinningSite(x_i=g["x_nm"], y_i=g.get("y_nm", 0.0),
-                                 V_i=g["V_GHz"], sigma_i=g["sigma_nm"]))
+        sites.append(PinningSite(x_i=g["x_nm"], y_i=g["y_nm"], V_i=g["V_GHz"],
+                                 sigma_i=g["sigma_nm"]))
     return sites
 
 

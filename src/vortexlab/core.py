@@ -70,10 +70,11 @@ def example_device() -> DeviceModel:
 def derive_scales(device: DeviceModel) -> DerivedScales:
     """Compute the screening length, vortex energy scale and thresholds;
     one that is not positive and finite is an InvalidParameterError."""
-    Lambda = 2.0 * device.lambda_L**2 / device.t
+    # squares as products: a Python float's ** 2 raises OverflowError
+    Lambda = 2.0 * (device.lambda_L * device.lambda_L) / device.t
     eps0 = CONSTANTS.Phi0**2 / (2.0 * math.pi * CONSTANTS.mu0 * Lambda)
     phi_S = (2.0 / math.pi) * math.log(2.0 * device.w / (math.pi * device.xi))
-    B_S = phi_S * CONSTANTS.Phi0 / device.w**2
+    B_S = phi_S * CONSTANTS.Phi0 / (device.w * device.w)
     for name, value, keys in (("Lambda", Lambda, "t_nm and lambda_L_um"),
                               ("eps0", eps0, "t_nm and lambda_L_um"),
                               ("phi_S", phi_S, "w_um and xi_nm"),

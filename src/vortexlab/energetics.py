@@ -33,10 +33,17 @@ class PinningSite:
     def __post_init__(self):
         if not (self.V_i > 0 and self.sigma_i > 0):
             raise InvalidParameterError("pinning depth and width must be positive")
+        if not 0.0 < self.sigma_i * self.sigma_i < math.inf:  # dip squares it
+            raise InvalidParameterError(
+                f"pinning width {self.sigma_i:g} m squares outside the float "
+                "range")
 
     def dip(self, x, y):
-        r2 = (np.asarray(x) - self.x_i) ** 2 + (np.asarray(y) - self.y_i) ** 2
-        return self.V_i / (1.0 + r2 / self.sigma_i**2)
+        # a distance whose square overflows is inf, where the dip is 0
+        with np.errstate(over="ignore"):
+            r2 = ((np.asarray(x) - self.x_i) ** 2
+                  + (np.asarray(y) - self.y_i) ** 2)
+        return self.V_i / (1.0 + r2 / (self.sigma_i * self.sigma_i))
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,9 @@ class TelegraphParams:
     T_down: float
 
     def __post_init__(self):
-        if not (self.T_up > 0 and self.T_down > 0):
-            raise InvalidParameterError("dwell time scales must be positive")
+        if not (0.0 < self.T_up < math.inf and 0.0 < self.T_down < math.inf):
+            raise InvalidParameterError(
+                "dwell time scales must be positive and finite")
 
     @property
     def T1(self) -> float:
@@ -134,6 +135,11 @@ def simulate_trajectory(tg: TelegraphParams, ro: ReadoutModel,
                 f"duration_s = {duration} over {over} asks for about "
                 f"{count:.3g} {what}, more than the {_MAX_SAMPLES} a record "
                 "may hold")
+    n = int(math.floor(duration / ro.spacing + 1e-9))
+    if n < 1:
+        raise InvalidParameterError(
+            f"duration_s = {duration} over spacing_us = {ro.spacing * 1e6:g} "
+            "gives a record of no sample")
     rng = np.random.default_rng(seed)
 
     state0 = int(rng.random() < tg.stationary_p_excited)
@@ -146,7 +152,6 @@ def simulate_trajectory(tg: TelegraphParams, ro: ReadoutModel,
         state = 1 - state
     jump_times = np.asarray(jump_times)
 
-    n = int(math.floor(duration / ro.spacing + 1e-9))
     times = np.arange(n) * ro.spacing
     # state at time t flips once per preceding jump
     flips = np.searchsorted(jump_times, times, side="right")

@@ -90,6 +90,12 @@ def read_csv(path: Path):
     return header, rows
 
 
+def set_key(text: str, key: str, value: str) -> str:
+    """Config text with the line of key set to `key = value`."""
+    line = next(ln for ln in text.splitlines() if ln.startswith(f"{key} = "))
+    return text.replace(line, f"{key} = {value}")
+
+
 class TestConfig:
     def test_loads_example(self):
         cfg = config.load_config(CONFIG)
@@ -177,30 +183,34 @@ class TestConfig:
         assert config.load_config(ok).section("tunneling")[key] == value
 
     def test_readme_lists_the_schema(self):
-        # the key list of README's "Configuration format" block is the
-        # schema, so a key that reaches nothing cannot linger in the docs
+        # README's "Configuration format" block is the schema: each line
+        # "key = default  # domain" matches the key's table entry, so a key
+        # that reaches nothing cannot linger in the docs
         text = (ROOT / "README.md").read_text()
         block = text.split("## Configuration format", 1)[1]
         block = block.split("```ini\n", 1)[1].split("```", 1)[0]
-        listed: dict[str, set[str]] = {}
+        listed: dict[str, dict[str, tuple]] = {}
         for line in block.splitlines():
-            line = line.partition("#")[0].strip()
-            if line.startswith("["):
-                section = listed.setdefault(line.strip("[]"), set())
-            elif line:
-                section.update(k.strip() for k in line.split(",") if k.strip())
-        site_keys = listed.pop("pinning")
-        assert listed == {name: set(keys) for name, keys
-                          in config._SCHEMA.items() if name != "pinning"}
-        assert config._SCHEMA["pinning"] == {}
-        assert site_keys == {f"siteN_{suffix}"
-                             for suffix in config._SITE_FACTORS}
-        assert all(config._SITE_KEY.match(k.replace("N", "1"))
-                   for k in site_keys)
+            code, _, domain = (part.strip() for part in line.partition("#"))
+            if code.startswith("["):
+                section = listed.setdefault(code.strip("[]"), {})
+            elif code:
+                key, _, default = (part.strip() for part in code.partition("="))
+                section[key.removeprefix("siteN_")] = (
+                    float(default) if default else None, domain)
+        assert all(config._SITE_KEY.match(f"site1_{f}")
+                   for f in listed["pinning"])
+        assert listed == {
+            name: {key: (spec.default, f"int in [{spec.domain[0]}, "
+                         f"{spec.domain[1]}]" if isinstance(spec.domain, tuple)
+                         else spec.domain) for key, spec in keys.items()}
+            for name, keys in config._SCHEMA.items()}
 
     def test_example_sets_every_key(self):
         sections = config.load_config(CONFIG).sections
         for name, keys in config._SCHEMA.items():
+            if name == "pinning":  # every field of both sites
+                keys = [f"site{i}_{f}" for i in (1, 2) for f in keys]
             assert set(sections[name]) >= set(keys), name
 
     def test_tunnel_model_curvature(self):
@@ -1274,7 +1284,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, old, new, env", [
         ("synth-jumps", "seed = 7", "seed = -7", None),
         ("synth-jumps", "seed = 7", "seed = 7", "-7"),
-        ("chi", "n_fock = 20", "n_fock = 1", None)])
+        ("chi", "n_fock = 20", "n_fock = 1", None),
+        ("chi", "n_points = 9", "n_points = 4097", None)])
     def test_config_bound_is_one(self, tmp_path, capsys, monkeypatch,
                                  command, old, new, env):
         conf = tmp_path / "c.ini"
@@ -1352,18 +1363,16 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
-    def test_bad_spacing_is_two(self, tmp_path, value):
+    def test_bad_spacing_is_two(self, tmp_path, capsys, value):
+        # named for the exit 2 these values had when ReadoutModel was the
+        # first to check them; the domain table rejects them at load
         conf = tmp_path / "c.ini"
-        conf.write_text(MINI_CONFIG.replace("spacing_us = 5.0",
-                                            f"spacing_us = {value}"))
+        conf.write_text(set_key(MINI_CONFIG, "spacing_us", value))
         out = tmp_path / "out"
-        proc = run_cli("synth-jumps", "-c", str(conf), "-o", str(out))
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert "spacing must be positive" in proc.stderr
-        report = json.loads((out / "error.json").read_text())
-        assert "spacing must be positive" in report["message"]
-        assert not (out / "trajectory.csv").exists()
+        assert cli.main(["synth-jumps", "-c", str(conf), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: [jumps] spacing_us must be positive and finite\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key,value,message", [
         ("duration_s", "inf", "duration_s must be positive and finite"),
@@ -1375,22 +1384,18 @@ class TestExitCodes:
         ("separation_sigma", "nan", "separation_sigma must be finite"),
         ("separation_sigma", "inf", "separation_sigma must be finite"),
         ("separation_sigma", "-inf", "separation_sigma must be finite")])
-    def test_bad_jumps_key_is_two(self, tmp_path, key, value, message):
-        # the timeout guards the old endless loop of duration_s = inf
+    def test_bad_jumps_key_is_two(self, tmp_path, capsys, key, value,
+                                  message):
+        # named for the exit 2 these values had when the models were the
+        # first to check them; the domain table rejects them at load, so
+        # duration_s = inf no longer reaches the jump loop
         conf = tmp_path / "c.ini"
-        text = CONFIG.read_text()
-        line = next(ln for ln in text.splitlines()
-                    if ln.startswith(f"{key} = "))
-        conf.write_text(text.replace(line, f"{key} = {value}"))
+        conf.write_text(set_key(CONFIG.read_text(), key, value))
         out = tmp_path / "out"
-        proc = run_cli("synth-jumps", "-c", str(conf), "-o", str(out),
-                       timeout=30)
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert message in proc.stderr
-        report = json.loads((out / "error.json").read_text())
-        assert message in report["message"]
-        assert not (out / "trajectory.csv").exists()
+        assert cli.main(["synth-jumps", "-c", str(conf), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: [jumps] {message}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("edits,message", [
         ({"duration_s": "1e200"}, "duration_s = 1e+200 over spacing_us asks "
@@ -1398,16 +1403,20 @@ class TestExitCodes:
         ({"duration_s": "50.1"}, "about 1e+07 samples"),
         ({"T_up_us": "1e-300", "T_down_us": "1e-300"},
          "duration_s = 0.25 over T_up_us + T_down_us asks for about 2.5e+305 "
-         "jumps")], ids=["1e200", "just-over", "dwell-1e-300"])
+         "jumps"),
+        ({"duration_s": "0.05", "spacing_us": "60000"}, "duration_s = 0.05 "
+         "over spacing_us = 60000 gives a record of no sample"),
+        ({"spacing_us": "1e200"}, "duration_s = 0.25 over spacing_us = "
+         "1e+200 gives a record of no sample")],
+        ids=["1e200", "just-over", "dwell-1e-300", "no-sample",
+             "spacing-1e200"])
     def test_record_over_the_sample_budget_is_two(self, tmp_path, edits,
                                                   message):
         # in-process under an alarm: such a record used to run on about
         # forever in the jump loop
         text = MINI_CONFIG
         for key, value in edits.items():
-            line = next(ln for ln in text.splitlines()
-                        if ln.startswith(f"{key} = "))
-            text = text.replace(line, f"{key} = {value}")
+            text = set_key(text, key, value)
         conf = tmp_path / "c.ini"
         conf.write_text(text)
         out = tmp_path / "out"
@@ -1427,25 +1436,31 @@ class TestExitCodes:
         assert message in report["message"]
         assert not (out / "trajectory.csv").exists()
 
-    @pytest.mark.parametrize("value,message", [
-        ("1e200", "y_zpf_nm = 1e+200 and site 1 give Omega = inf"),
-        ("1e109", "hbar Omega y_zpf^2 = inf"),
-        ("inf", "y_zpf_nm must be positive and finite, got inf"),
-        ("nan", "y_zpf_nm must be positive and finite, got nan"),
-        ("0", "y_zpf_nm must be positive and finite, got 0")],
+    @pytest.mark.parametrize("value,code,message", [
+        ("1e200", 1, "[tunneling] y_zpf_nm must square to a positive finite "
+         "float"),
+        ("1e109", 2, "hbar Omega y_zpf^2 = inf"),
+        ("inf", 1, "[tunneling] y_zpf_nm must be positive and finite"),
+        ("nan", 1, "[tunneling] y_zpf_nm must be positive and finite"),
+        ("0", 1, "[tunneling] y_zpf_nm must be positive and finite")],
         ids=["1e200", "1e109", "inf", "nan", "0"])
-    def test_bad_y_zpf_is_two(self, tmp_path, value, message):
+    def test_bad_y_zpf_is_two(self, tmp_path, capsys, value, code, message):
+        # named for the exit 2 of tunnel_model's checks; a value outside
+        # the length domain is now a config error at load (exit 1), and
+        # only the kinetic term of 1e109 stays with the model
         conf = tmp_path / "c.ini"
-        conf.write_text(CONFIG.read_text().replace("y_zpf_nm = 4.0",
-                                                   f"y_zpf_nm = {value}"))
+        conf.write_text(set_key(CONFIG.read_text(), "y_zpf_nm", value))
         out = tmp_path / "out"
-        proc = run_cli("tunnel", "-c", str(conf), "-o", str(out))
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert message in proc.stderr
-        report = json.loads((out / "error.json").read_text())
-        assert message in report["message"]
-        assert not (out / "tunnel.csv").exists()
+        assert cli.main(["tunnel", "-c", str(conf), "-o", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == 1:
+            assert err == f"config error: {message}\n"
+            assert not out.exists()
+        else:
+            assert message in err
+            report = json.loads((out / "error.json").read_text())
+            assert message in report["message"]
+            assert not (out / "tunnel.csv").exists()
 
     @pytest.mark.parametrize("key,value,command", [
         ("w_um", "1e200", "scales"), ("w_um", "1e200", "landscape"),
@@ -1462,20 +1477,28 @@ class TestExitCodes:
     def test_square_out_of_float_range_is_two(self, tmp_path, capsys, key,
                                               value, command):
         # these squares once overflowed to a traceback or divided by zero;
-        # the tiny xi and t once gave inf (or 0) scales and exit 0
+        # the tiny xi and t once gave inf (or 0) scales and exit 0. Named
+        # for that exit 2: a length whose own square leaves the float range
+        # is now outside its domain, a config error at load (exit 1); only
+        # the derived scales of xi and t stay with the model
         conf = tmp_path / "c.ini"
-        text = CONFIG.read_text()
-        line = next(ln for ln in text.splitlines()
-                    if ln.startswith(f"{key} = "))
-        conf.write_text(text.replace(line, f"{key} = {value}"))
+        conf.write_text(set_key(CONFIG.read_text(), key, value))
         out = tmp_path / "out"
-        assert cli.main([command, "-c", str(conf), "-o", str(out)]) == 2
-        message = f"{key} = {float(value):g} squares outside the float range"
-        if key in ("xi_nm", "t_nm"):
-            scale = {"xi_nm": "w_um and xi_nm give phi_S",
-                     "t_nm": "t_nm and lambda_L_um give Lambda"}[key]
-            message = (f"{scale} = inf; derived scales must be positive and "
-                       "finite")
+        code = cli.main([command, "-c", str(conf), "-o", str(out)])
+        if key not in ("xi_nm", "t_nm"):
+            name = {"w_um": "[device] w_um",
+                    "lambda_L_um": "[device] lambda_L_um",
+                    "site1_sigma_nm": "[pinning] site1: sigma_nm"}[key]
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"config error: {name} must square to a positive finite "
+                "float\n")
+            assert not out.exists()
+            return
+        assert code == 2
+        scale = {"xi_nm": "w_um and xi_nm give phi_S",
+                 "t_nm": "t_nm and lambda_L_um give Lambda"}[key]
+        message = f"{scale} = inf; derived scales must be positive and finite"
         assert message in capsys.readouterr().err
         report = json.loads((out / "error.json").read_text())
         assert report == {"error": "InvalidParameterError", "message": message}
@@ -1511,6 +1534,94 @@ class TestExitCodes:
         assert manifest["diagnostics"] == {"stage": "solve"}
         assert sorted(manifest["outputs"]) == ["error.json", "partial.csv"]
         assert manifest["seed"] == 7
+
+
+# the fuzz grid: each key of example.ini but site2's, set to each of these
+# values, runs one command that reads its section
+FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e200", "1e-300"]
+FUZZ_COMMAND = {"device": "scales", "qrm": "chi", "pinning": "tunnel",
+                "tunneling": "tunnel", "jumps": "synth-jumps", "sweep": "chi"}
+IN_DOMAIN = {"finite": math.isfinite,
+             "positive": lambda v: 0.0 < v < math.inf,
+             "non-negative": lambda v: 0.0 <= v < math.inf,
+             "length": lambda v: 0.0 < v < math.inf and 0.0 < v * v < math.inf}
+
+
+def _fuzz_keys() -> list[tuple[str, str]]:
+    keys, section = [], None
+    for line in CONFIG.read_text().splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif " = " in line and not line.startswith("site2_"):
+            keys.append((section, line.split(" = ")[0]))
+    return keys
+
+
+def _in_domain(spec, raw: str) -> bool:
+    """Whether raw lies in the domain of its table entry, tested apart
+    from config's own check."""
+    if isinstance(spec.domain, tuple):
+        try:
+            value = int(raw)
+        except ValueError:
+            return False
+        return spec.domain[0] <= value <= spec.domain[1]
+    return IN_DOMAIN[spec.domain](float(raw) * spec.factor)
+
+
+class TestDomainRule:
+    @pytest.mark.parametrize("section,key", _fuzz_keys())
+    def test_fuzz_grid(self, tmp_path, capsys, section, key):
+        # a value outside its key's domain is a config error (exit 1,
+        # naming the key, no directory); any other exits 0 or 2 and none
+        # raises or runs past its alarm
+        text = set_key(set_key(CONFIG.read_text(), "duration_s", "0.05"),
+                       "n_points", "3")
+        field = key.split("_", 1)[1] if section == "pinning" else key
+        spec = config._SCHEMA[section][field]
+        name = (f"[pinning] site1: {field}" if section == "pinning"
+                else f"[{section}] {key}")
+
+        def timeout(signum, frame):
+            raise TimeoutError(f"{key} = {value} ran past 10 s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        try:
+            for i, value in enumerate(FUZZ_VALUES):
+                conf = tmp_path / f"{i}.ini"
+                conf.write_text(set_key(text, key, value))
+                out = tmp_path / f"out{i}"
+                signal.alarm(10)
+                code = cli.main([FUZZ_COMMAND[section], "-c", str(conf),
+                                 "-o", str(out)])
+                signal.alarm(0)
+                err = capsys.readouterr().err
+                if _in_domain(spec, value):
+                    assert code in (0, 2), (value, code, err)
+                    assert code == 0 or (out / "error.json").exists(), value
+                else:
+                    assert code == 1, (value, code, err)
+                    assert err.startswith(f"config error: {name}"), value
+                    assert not out.exists(), value
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_absent_optional_keys_take_the_table_defaults(self, tmp_path):
+        text = "".join(
+            line for line in CONFIG.read_text().splitlines(keepends=True)
+            if not line.startswith(("theta_deg", "phi_deg", "n_fock",
+                                    "grid_points", "seed", "site1_y_nm")))
+        cfg = config.parse_config(text)
+        params, trunc = cfg.qrm()
+        assert (params.theta, params.phi, trunc.n_fock) == (
+            math.pi / 2, math.pi / 2, 60)
+        assert cfg.section("tunneling")["grid_points"] == 1024
+        assert cfg.seed() == 0 and cfg.sites()[0].y_i == 0.0
+        assert config.parse_config("[device]\nw_um = 3\n").seed() == 0
+        with pytest.raises(ConfigError, match=r"\[jumps\] is missing key "
+                           "'T_up_us'"):
+            config.parse_config("[jumps]\n").telegraph()
 
 
 def test_console_entry_point(tmp_path):

@@ -73,7 +73,10 @@ class TestDerivedScales:
         ({"xi": 0.9 * 3e-6}, r"w_um and xi_nm give phi_S = -0\.22"),
         ({"xi": 1e-319}, "w_um and xi_nm give phi_S = inf"),
         ({"t": 1e-319}, "t_nm and lambda_L_um give Lambda = inf"),
-        ({"lambda_L": 1e148, "t": 1e-8}, "t_nm and lambda_L_um give eps0 = 0")])
+        ({"lambda_L": 1e148, "t": 1e-8}, "t_nm and lambda_L_um give eps0 = 0"),
+        # squares past the float range, once an OverflowError
+        ({"lambda_L": 1e200}, "t_nm and lambda_L_um give Lambda = inf"),
+        ({"w": 1e200}, "w_um and xi_nm give B_S = 0")])
     def test_rejects_scales_that_are_not_positive_and_finite(
             self, device, change, message):
         bad = core.DeviceModel(**{**vars(device), **change})

@@ -93,6 +93,21 @@ class TestTotalPotential:
         assert 0 < i_min < x.size - 1
         assert abs(x[i_min] - site.x_i) < site.sigma_i
 
+    @pytest.mark.parametrize("sigma", [1e200, 1e-300])
+    def test_width_squaring_outside_the_float_range_rejected(self, sigma):
+        # the dip divides by sigma^2: once an OverflowError, or a division
+        # by zero
+        with pytest.raises(InvalidParameterError,
+                           match="squares outside the float range"):
+            energetics.PinningSite(x_i=1e-6, y_i=0.0, V_i=H * 40e9,
+                                   sigma_i=sigma)
+
+    def test_dip_of_a_far_site_is_zero(self):
+        # a distance whose square overflows gives 0, not a warning
+        site = energetics.PinningSite(x_i=1e-6, y_i=1e191, V_i=H * 40e9,
+                                      sigma_i=8e-9)
+        assert site.dip(np.array([0.0, 1e-6]), 0.0).tolist() == [0.0, 0.0]
+
     def test_site_outside_strip_rejected(self, scales, device):
         site = energetics.PinningSite(x_i=-1e-9, y_i=0.0, V_i=1e-24,
                                       sigma_i=1e-9)

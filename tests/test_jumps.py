@@ -29,6 +29,13 @@ class TestTelegraphParams:
         with pytest.raises(InvalidParameterError):
             jumps.TelegraphParams(T_up=0.0, T_down=1e-4)
 
+    @pytest.mark.parametrize("T_up,T_down", [
+        (math.inf, 1e-4), (1e-4, math.inf), (math.nan, 1e-4)])
+    def test_rejects_dwell_times_that_are_not_finite(self, T_up, T_down):
+        # an infinite T_up once gave a record that never left the ground
+        with pytest.raises(InvalidParameterError, match="positive and finite"):
+            jumps.TelegraphParams(T_up=T_up, T_down=T_down)
+
 
 class TestSimulateTrajectory:
     def test_deterministic_per_seed(self):
