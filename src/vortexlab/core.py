@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -95,6 +96,14 @@ def median(values: np.ndarray) -> float:
         return math.nan
     m = v.size // 2
     return float(v[m] if v.size % 2 else (v[m - 1] + v[m]) / 2)
+
+
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the
+    platform reports one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def flux_bias(B: float, w: float) -> float:

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CONSTANTS
+from .core import usable_cores
 from .errors import AmbiguousLabelingError, DivergenceError, InvalidOrientationError, InvalidParameterError
 
 _ORIENTATION_TOL = 1e-9
@@ -328,9 +329,7 @@ def sweep_threads() -> int:
     process), else 1, since threads of ours then contend with BLAS's own."""
     if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
         return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return usable_cores()
 
 
 def _solve_chunks(params: QrmParams, trunc: HilbertTruncation, out: Sweep,

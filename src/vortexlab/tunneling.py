@@ -163,6 +163,14 @@ def _apply_1d(d: np.ndarray, off: float, v: np.ndarray) -> np.ndarray:
     return Tv
 
 
+def _scale_1d(d: np.ndarray, off: float) -> float:
+    """The power of two at or below T's largest entry: T / s keeps every
+    bit, and its squares and pivots stay inside the float range (LAPACK's
+    dstebz scales T for the same reason)."""
+    return math.ldexp(0.5, math.frexp(max(float(np.abs(d).max()),
+                                          abs(off)))[1])
+
+
 def _sturm_count(d: list[float], off2: float, s: float) -> int:
     """Eigenvalues below s: the negative pivots of LDL^T of T - s.
 
@@ -219,9 +227,12 @@ def _bisection_1d(d: np.ndarray, off: float, k: int):
     it was given by 1 / tol or more, which bounds the residual by tol. One
     Rayleigh-Ritz step over the k vectors gives the pairs (Barth, Martin &
     Wilkinson, Numer. Math. 9, 386 (1967); Parlett, The Symmetric
-    Eigenvalue Problem, ch. 4). A T whose Gershgorin bounds are not finite
+    Eigenvalue Problem, ch. 4). It all runs on T / s (_scale_1d), and the
+    levels are scaled back. A T whose Gershgorin bounds are not finite
     raises EigensolverError.
     """
+    scale = _scale_1d(d, off)
+    d, off = d / scale, off / scale
     # Gershgorin bounds; lo is the potential's minimum, a strict lower bound
     # since the Dirichlet Laplacian is positive definite
     lo, hi = float(d.min()) - 2 * abs(off), float(d.max()) + 2 * abs(off)
@@ -265,7 +276,7 @@ def _bisection_1d(d: np.ndarray, off: float, k: int):
             shift = min(max(rayleigh, los[j]), his[j])
         Q[:, j] = y
     vals, S = np.linalg.eigh(Q.T @ _apply_1d(d, off, Q))
-    return vals, Q @ S
+    return vals * scale, Q @ S
 
 
 def _apply_2d(V2: np.ndarray, cx: float, cy: float,
@@ -459,11 +470,14 @@ def spectrum_vs_field(sites: Sequence[PinningSite], x_window: tuple[float, float
 
 def _max_residual_1d(grid: Grid, V: np.ndarray, model: TunnelModel,
                      res: EigenResult) -> float:
-    """Largest ||H v - E v|| (J) over the levels of a 1D solve, v unit-norm."""
+    """Largest ||H v - E v|| (J) over the levels of a 1D solve, v unit-norm,
+    taken in the units of the solve so that no square overflows."""
     d, off = _tridiagonal_1d(grid, V, model.kinetic_coefficient)
+    scale = _scale_1d(d, off)
     v = res.wavefunctions.T * math.sqrt(grid.cell)
-    return float(np.linalg.norm(_apply_1d(d, off, v) - v * res.energies,
-                                axis=0).max())
+    Tv = _apply_1d(d / scale, off / scale, v)
+    return scale * float(np.linalg.norm(Tv - v * (res.energies / scale),
+                                        axis=0).max())
 
 
 @dataclass(frozen=True)

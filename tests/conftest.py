@@ -1,7 +1,22 @@
+import os
+
 import numpy as np
 import pytest
 
 from vortexlab import core, fitting, rabi
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_left():
+    """At the end of the run, fails if a test left a child process running
+    or unreaped (the CSV writer forks its encoders)."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the tests left a child process behind (waitpid gave pid "
+                f"{pid}, status {status}; pid 0 is one still running)")
 
 
 @pytest.fixture(scope="session")

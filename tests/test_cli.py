@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -1102,6 +1103,30 @@ class TestReader:
             np.testing.assert_array_equal(read, oracle)  # NaN equals NaN
         assert calls == ([False] if fast else [False, True])
 
+    @pytest.mark.parametrize("text", [
+        b"a,b\n1,2\n\n# note\n3,4\n\n", b"# c1\n\n# c2\na,b\n1,2\n",
+        b"a,b,c\n1,2,3\n,,\n4,5,6\n", b'a,b\n"1.5",2\n3,"-4e-3"\n',
+        b"a,b\n1,\n 3 ,4\r\n", b"# c\ra,b\r1,2\r3,\r", b"", b"# only\n\n",
+        b"a,b\n", b"a\n1\n2\n", b"a,b\n1,2\n3\n", b"a,b\n1,x\n",
+        b"# it's \"open\n\na,b\n1_0,2\n",
+        b"# note\n\n  \n# more\na,b\n1,2\n3,4\n5,\n"])
+    def test_large_files_read_by_path_alike(self, tmp_path, monkeypatch,
+                                            text):
+        # a file of _PATH_BYTES or more is read by path, with skiprows
+        path = tmp_path / "d.csv"
+        path.write_bytes(text)
+        outcomes = []
+        for path_bytes in (math.inf, 0):
+            monkeypatch.setattr(cli, "_PATH_BYTES", path_bytes)
+            try:
+                outcomes.append(cli._read_csv_columns(path, 1))
+            except VortexlabError as exc:
+                outcomes.append(str(exc))
+        if isinstance(outcomes[0], str):
+            assert outcomes[1] == outcomes[0]
+        else:
+            np.testing.assert_array_equal(outcomes[1], outcomes[0])
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.tuples(
         st.floats(width=64) | st.sampled_from([-0.0, math.inf, -math.inf]),
@@ -1153,6 +1178,32 @@ def _columns(draw):
     return [kinds[kind]() for kind in picked]
 
 
+def _force_forks(monkeypatch) -> list[int]:
+    """Let the writer fork as on a three-core machine with no other thread,
+    whatever ran before (the Rabi pool's threads stop it); the pid of each
+    fork is appended to the list returned."""
+    forks: list[int] = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def _assert_no_child():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestWriter:
     @settings(max_examples=200, deadline=None)
     @given(columns=_columns(), chunk=st.integers(1, 4),
@@ -1160,8 +1211,9 @@ class TestWriter:
     @example(columns=[["a\nb", 'say "hi", then', "x\ry", None, np.int64(7)],
                       np.array([-0.0, math.inf, -math.inf, math.nan, 1e22],
                                dtype=np.float32),
-                      np.array([True, False, True, False, True])],
-             chunk=2, header=["a,b", "c", 'd"'])
+                      np.array([True, False, True, False, True]),
+                      np.arange(5) - 2],
+             chunk=2, header=["a,b", "c", 'd"', ""])
     @example(columns=[[None, "x", math.nan]], chunk=4, header=["a"])
     @example(columns=[np.array([1.0, math.nan])], chunk=4, header=[""])
     def test_matches_csv_writer_over_fmt(self, tmp_path_factory, columns,
@@ -1181,7 +1233,15 @@ class TestWriter:
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
             cli._write_csv(path, header, columns)
-        assert path.read_bytes() == "".join(expected).encode()
+            serial = path.read_bytes()  # under _PARALLEL_ROWS rows
+            # and again with the chunks spread over forked encoders
+            forks = _force_forks(monkeypatch)
+            monkeypatch.setattr(cli, "_PARALLEL_ROWS", 2)
+            cli._write_csv(path, header, columns)
+            workers = cli._encoders(len(columns[0]))
+        assert serial == path.read_bytes() == "".join(expected).encode()
+        assert len(forks) == workers - 1
+        _assert_no_child()
 
     def test_carriage_return_cell_round_trips(self, tmp_path):
         path = tmp_path / "w.csv"
@@ -1225,6 +1285,124 @@ class TestWriter:
     def test_unequal_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             cli._write_csv(tmp_path / "w.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
+
+    @pytest.mark.parametrize("rows", [4095, 4096, 4097, 3 * 4096 + 5])
+    def test_forked_rows_around_chunk_boundaries(self, tmp_path, monkeypatch,
+                                                 rows):
+        rng = np.random.default_rng(rows)
+        x = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, rows)
+        x[rng.integers(0, rows, 40)] = [math.nan, math.inf, -math.inf,
+                                        -0.0] * 10
+        columns = [x, rng.integers(-2**62, 2**62, rows), x > 0,
+                   [None if i % 7 == 0 else f'"{i}",r' for i in range(rows)]]
+        header = ["x", "n", "positive", "text"]
+        path = tmp_path / "w.csv"
+        forks = _force_forks(monkeypatch)
+        monkeypatch.setattr(cli, "_PARALLEL_ROWS", math.inf)
+        cli._write_csv(path, header, columns)
+        serial = path.read_bytes()
+        line = io.StringIO(newline="")
+        csv.writer(line, lineterminator="\n").writerows(
+            [header, *zip(*[map(cli._fmt, c.tolist()) if hasattr(c, "tolist")
+                            else map(cli._fmt, c) for c in columns])])
+        assert serial == line.getvalue().encode()
+        assert forks == []
+        monkeypatch.setattr(cli, "_PARALLEL_ROWS", 1)
+        cli._write_csv(path, header, columns)
+        assert path.read_bytes() == serial
+        assert len(forks) == min(2, -(-rows // cli._CHUNK_ROWS) - 1)
+        _assert_no_child()
+
+    def test_child_failure_raises_the_serial_exception(self, tmp_path,
+                                                       monkeypatch):
+        raised = tmp_path / "raised"
+        encode = cli._encode
+
+        def failing(col):
+            # the second chunk, which a forked child encodes
+            if isinstance(col, np.ndarray) and col[0] == cli._CHUNK_ROWS:
+                with open(raised, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                raise ValueError(f"cannot encode the chunk at {col[0]}")
+            return encode(col)
+
+        monkeypatch.setattr(cli, "_encode", failing)
+        columns = [np.arange(3 * cli._CHUNK_ROWS, dtype=float)]
+        forks = _force_forks(monkeypatch)
+        outcomes = []
+        for threshold in (math.inf, cli._PARALLEL_ROWS):  # serial, forked
+            monkeypatch.setattr(cli, "_PARALLEL_ROWS", threshold)
+            path = tmp_path / f"w{threshold}.csv"
+            with pytest.raises(ValueError) as info:
+                cli._write_csv(path, ["x"], columns)
+            outcomes.append((info.type, str(info.value), path.read_bytes()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] == "cannot encode the chunk at 4096.0"
+        assert len(forks) == 2
+        pids = raised.read_text().split()
+        assert pids.count(str(os.getpid())) == 2  # serial, then re-encoded
+        assert len(pids) == 3  # and once in the child
+        _assert_no_child()
+
+    def test_early_stop_reaps_children_still_encoding(self, tmp_path,
+                                                      monkeypatch):
+        # this process fails on its first chunk while its children have
+        # the other eleven to go: they fail on their next write, and the
+        # writer returns under an alarm
+        encode = cli._encode
+
+        def failing(col):
+            if isinstance(col, np.ndarray) and col[0] == 0:
+                raise ValueError("cannot encode the first chunk")
+            return encode(col)
+
+        def timeout(signum, frame):
+            for pid in forks:  # stuck children would outlive the test run
+                os.kill(pid, signal.SIGKILL)
+            raise TimeoutError("the writer waited past 20 s for its children")
+
+        monkeypatch.setattr(cli, "_encode", failing)
+        forks = _force_forks(monkeypatch)
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(20)
+        try:
+            with pytest.raises(ValueError, match="first chunk"):
+                cli._write_csv(tmp_path / "w.csv", ["x"],
+                               [np.arange(12 * cli._CHUNK_ROWS, dtype=float)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(forks) == 2
+        _assert_no_child()
+
+    def test_fork_error_falls_back_to_serial(self, tmp_path, monkeypatch):
+        columns = [np.linspace(0.0, 1.0, 3 * cli._CHUNK_ROWS)]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_PARALLEL_ROWS", math.inf)
+            cli._write_csv(tmp_path / "serial.csv", ["x"], columns)
+        calls = _force_forks(monkeypatch)
+
+        def no_fork():
+            calls.append(None)
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        cli._write_csv(tmp_path / "w.csv", ["x"], columns)
+        assert calls == [None]  # tried once, then encoded every chunk here
+        assert (tmp_path / "w.csv").read_bytes() == \
+            (tmp_path / "serial.csv").read_bytes()
+        _assert_no_child()
+
+    def test_no_fork_below_the_threshold_or_beside_a_thread(self, tmp_path,
+                                                            monkeypatch):
+        forks = _force_forks(monkeypatch)
+        cli._write_csv(tmp_path / "w.csv", ["x"],
+                       [np.zeros(cli._PARALLEL_ROWS - 1)])
+        assert forks == []
+        monkeypatch.setattr(threading, "active_count", lambda: 2)
+        cli._write_csv(tmp_path / "w.csv", ["x"],
+                       [np.zeros(cli._PARALLEL_ROWS)])
+        assert forks == []
 
     def test_trajectory_round_trip(self, mini_config, tmp_path, monkeypatch):
         from vortexlab import jumps
@@ -1631,3 +1809,123 @@ def test_console_entry_point(tmp_path):
     proc = run_cli("scales", "-c", str(conf), "-o", str(out))
     assert proc.returncode == 0
     assert (out / "scales.csv").exists()
+
+
+def _digest_inputs(tmp_path: Path) -> dict[str, Path]:
+    """The reduced example config and small seeded inputs of the fit
+    commands, written under tmp_path."""
+    from vortexlab import rabi
+    text = set_key(set_key(CONFIG.read_text(), "n_points", "9"),
+                   "duration_s", "0.1")
+    paths = {"config": tmp_path / "example_small.ini"}
+    paths["config"].write_text(text)
+    rng = np.random.default_rng(2026)
+    for name in ("decay", "ramsey"):
+        paths[name] = tmp_path / f"{name}.csv"
+        clean = _trace_text(f"fit-{name}").splitlines()
+        paths[name].write_text(clean[0] + "\n" + "".join(
+            f"{t},{float(v) + rng.normal(0, 0.01)!r},{s}\n"
+            for t, v, s in (line.split(",") for line in clean[1:])))
+    paths["rabi"] = tmp_path / "rabi.csv"
+    paths["rabi"].write_text(_rabi_text())
+    params = rabi.QrmParams.asymmetric(7.572e9, 92.5e6, 20e12, 128e-6, 2e9)
+    for name, span, attr, sigma in (("qubit", (28e-6, 228e-6), "f_q_dressed",
+                                     1e-3),
+                                    ("resonator", (-62e-6, 328e-6), "f_r_g",
+                                     2e-4)):
+        sweep = rabi.sweep_field(params, np.linspace(*span, 9),
+                                 rabi.HilbertTruncation(20))
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text("B_uT,f_GHz,sigma_GHz\n" + "".join(
+            f"{B * 1e6!r},{getattr(s, attr) / 1e9 + rng.normal(0, sigma)!r},"
+            f"{sigma!r}\n" for B, s in zip(np.linspace(*span, 9).tolist(),
+                                           sweep)))
+    paths["sets"] = tmp_path / "sets"
+    paths["sets"].mkdir()
+    for i in range(3):
+        B = np.linspace(0.0, 200.0, 15) + 10 * i
+        f = np.sqrt(2.0**2 + (20e-3 * (B - 100.0 - 10 * i)) ** 2)
+        path = paths["sets"] / f"run{i}.csv"
+        path.write_text(f"# phi_over_phi_S = {0.5 + 0.1 * i}\nB_uT,f_GHz\n"
+                        + "".join(f"{b!r},{v + rng.normal(0, 1e-3)!r}\n"
+                                  for b, v in zip(B.tolist(), f.tolist())))
+    (paths["sets"] / "run3.csv").write_text("B_uT,f_GHz\n1.0,x\n")
+    return paths
+
+
+# sha256 of every data file each command writes, on the inputs of
+# _digest_inputs: trajectory.csv (20k rows) and gamma_map.csv (40k) are
+# long enough for the writer's forked encoders. Captured with numpy 2.4.6
+# on OpenBLAS 0.3.31 (x86-64): spectrum.csv, chi.csv, tunnel.csv and the
+# fit-spectrum results pass through LAPACK and may move in their last
+# digits on another BLAS build or CPU.
+GOLDEN_DIGESTS = {
+    "batch_fit.csv":
+        "40719b565d76defef7a8053e941dfe6b51c8593c0264ba0f117159368accee72",
+    "chi.csv":
+        "d027a330b06eb4963ca1d67102aba3c939fc9977a7bf646f7bfc163f18e70e44",
+    "fit_decay.json":
+        "1b1d617ad0d5c6b59cb7b5004a48c5b5cd6dea46329d3ea96c9af2f9ba2be634",
+    "fit_echo.csv":
+        "0418669ed627e50e178eea8e12c3cf8c1b42afc04d4a348c732bb5f36515c4da",
+    "fit_rabi.csv":
+        "d29487bd63d904475a822f73eb3fa8d3c9fa5d81e982e701d4646a92bdfea01f",
+    "fit_rabi.json":
+        "fb3743ba991eb24bf303ab885474711e652d4be7efa9e03b8ba32be5b5215985",
+    "fit_ramsey.csv":
+        "d87f9c2112eb2350fcad31740efc43e16f6a9b138d4f39230e88f959657cdcda",
+    "fit_spectrum.json":
+        "de753a5fc18c310a6baede14bf00ddc9dfe113d5cfb5e4023a761c20b777f46d",
+    "gamma_map.csv":
+        "01137a8df9f64e72ff9c0ff4920b8d3d9535e3f503639951a7778451d7f22e33",
+    "jumps_analysis.json":
+        "595836f173586ad220574dd03560df7d6401ded0607f6701eacb3022ab8e2cee",
+    "landscape.csv":
+        "439024eacf188fb2f6830cd978a80fba8cecb8a5928757b226c63f6b265adace",
+    "pair.json":
+        "9708b7cca37410795bfad26efb5005df4f05b3b83fedd04359c9ff0611ef046c",
+    "scales.csv":
+        "0adecbbe3a8287fbf8ca688915150375d6dad8f07976dbffbeace91e8c9f8f64",
+    "spectrum.csv":  # the same sweep and columns as chi.csv
+        "d027a330b06eb4963ca1d67102aba3c939fc9977a7bf646f7bfc163f18e70e44",
+    "trajectory.csv":
+        "6775ba5f0d93acc8a2551708aaf1f323936caf4b3590df1071d205a9ddaf0aa1",
+    "tunnel.csv":
+        "95f13ebe89cc06a46b1729544a796046dab6863d03ae1b052ce0ceae6e55276e",
+    "tunnel_summary.json":
+        "7e418bc2dd9846c93ba143a41d2e3c1418ac8efd8f2d5da6a6cd90524eaf74ad",
+}
+
+
+class TestGoldenDigests:
+    def test_every_data_output(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("VORTEXLAB_SEED", raising=False)
+        monkeypatch.chdir(tmp_path)  # batch-fit's error row names its file
+        forks = _force_forks(monkeypatch)
+        paths = _digest_inputs(tmp_path)
+        out = tmp_path / "out"
+        base = ["-o", str(out)]
+        conf = ["-c", str(paths["config"])]
+        runs = [
+            ["scales", *conf], ["spectrum", *conf], ["chi", *conf],
+            ["landscape", *conf, "--field-ut", "150"], ["gamma-map", *conf],
+            ["pair", *conf, "--x1-um", "1.0", "--y1-um", "0.0",
+             "--x2-um", "2.0", "--y2-um", "0.5"],
+            ["tunnel", *conf], ["synth-jumps", *conf],
+            ["analyze-jumps", *conf, "--data", str(out / "trajectory.csv")],
+            ["fit-spectrum", "--qubit", str(paths["qubit"]),
+             "--resonator", str(paths["resonator"])],
+            ["fit-decay", "--data", str(paths["decay"])],
+            ["fit-echo", "--data", str(paths["decay"]), "--format", "csv"],
+            ["fit-ramsey", "--data", str(paths["ramsey"]), "--format", "csv"],
+            ["fit-rabi", "--data", str(paths["rabi"]), "--format", "csv"],
+            ["batch-fit", "--data-dir", paths["sets"].name],
+        ]
+        for argv in runs:
+            assert cli.main([*argv, *base]) == 0, argv
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in sorted(out.iterdir())
+                   if not path.name.startswith("manifest.")}
+        assert digests == GOLDEN_DIGESTS
+        assert len(forks) == 4  # two for each of the two long files
+        _assert_no_child()

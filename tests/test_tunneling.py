@@ -350,6 +350,20 @@ class TestSolve1D:
         assert np.abs(res.energies - ora).max() < tol
         assert tunneling._max_residual_1d(grid, V, model, res) < tol
 
+    @pytest.mark.parametrize("power", [900, -900])
+    def test_scaled_double_well_gives_scaled_levels(self, model, power):
+        # T's squares leave the float range at 2^900 (its entries are about
+        # 2^-73 J) and vanish at 2^-900; the solve on T / s sees neither
+        grid, V, ora = double_well_oracle(1024)
+        d, off = tunneling._tridiagonal_1d(grid, V, model.kinetic_coefficient)
+        factor = 2.0 ** power
+        vals, vecs = tunneling._bisection_1d(d * factor, off * factor, 4)
+        tol = 1e-14 * hamiltonian_norm(grid, V, model) * factor
+        assert np.abs(vals - ora[:4] * factor).max() < tol
+        plain_vals, plain_vecs = tunneling._bisection_1d(d, off, 4)
+        assert np.array_equal(vals, plain_vals * factor)
+        assert np.array_equal(vecs, plain_vecs)
+
     def test_harmonic_oscillator(self, model):
         k_spring = model.mass * OMEGA**2
         grid = tunneling.Grid(-50e-9, 50e-9, 1024)
