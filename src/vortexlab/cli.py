@@ -109,7 +109,8 @@ def _lines(cells: list[list[str]]) -> str:
     """The "\\n"-ended lines of equal-length columns of encoded cells."""
     if len(cells) == 1:  # csv quotes a row's only cell when empty
         cells = [[cell or '""' for cell in cells[0]]]
-    return "".join([",".join(row) + "\n" for row in zip(*cells)])
+    text = "\n".join(map(",".join, zip(*cells)))
+    return text + "\n" if text else text
 
 
 def _encoders(rows: int) -> int:
@@ -339,11 +340,6 @@ def _before_header(line: str) -> bool:
 
 
 _LOADTXT = {"delimiter": ",", "comments": "#", "ndmin": 2, "quotechar": '"'}
-# numpy reads a file given by its path in chunks, about 10% faster than
-# from an open handle from some 32 KiB up (the 60k-row record: 42 against
-# 47 ms), but opening a path costs it about 50 us more, which the 25-row
-# files of batch-fit do not earn back (56 against 20 us a file)
-_PATH_BYTES = 1 << 15
 
 
 def _read_csv_columns(path: Path, minimum: int) -> np.ndarray:
@@ -353,37 +349,27 @@ def _read_csv_columns(path: Path, minimum: int) -> np.ndarray:
     After it, blank lines and text after '#' are skipped, empty cells read
     as NaN and rows whose cells are all empty are dropped.
 
-    numpy's own parser reads the rows, skipping the lines through the
-    header, from the path of a file of _PATH_BYTES or more and else from
-    the open file; only if it fails (on an empty cell, say) are the rows
-    read again with a Python converter per cell, which also gives every
-    error message.
+    numpy's own parser reads the rows from the open file, straight after
+    the header; only if it fails (on an empty cell, say) does the file seek
+    back to the first data line and the rows are read again with a Python
+    converter per cell, which also gives every error message.
     """
     with open(path, encoding="utf-8") as fh:
-        skip = 1
         line = fh.readline()
         while line and _before_header(line):
             line = fh.readline()
-            skip += 1
         if not line:
             raise VortexlabError(f"{path}: empty file")
-        by_path = fh.seek(0, os.SEEK_END) >= _PATH_BYTES
-
-        def load(**converters) -> np.ndarray:
-            if by_path:
-                return np.loadtxt(path, skiprows=skip, encoding="utf-8",
-                                  **converters, **_LOADTXT)
-            fh.seek(0)
-            return np.loadtxt(fh, skiprows=skip, **converters, **_LOADTXT)
-
+        first_row = fh.tell()
         try:
             with warnings.catch_warnings():  # a header-only file is no data
                 warnings.filterwarnings("ignore",
                                         "loadtxt: input contained no data")
                 try:
-                    data = load()
+                    data = np.loadtxt(fh, **_LOADTXT)
                 except ValueError:
-                    data = load(converters=_empty_as_nan)
+                    fh.seek(first_row)
+                    data = np.loadtxt(fh, converters=_empty_as_nan, **_LOADTXT)
         except ValueError as exc:
             reason = str(exc).partition("; use `usecols`")[0].replace(
                 "the number of columns", "ragged rows: the number of columns")
@@ -574,9 +560,15 @@ def _cmd_tunnel(args, cfg: RunConfig, run: Run) -> int:
     model = cfg.tunnel_model()
     fields = cfg.sweep_fields()
     grid_points = t["grid_points"]
-    sweep = tunneling.spectrum_vs_field(
-        sites, (t["x_min_nm"], t["x_max_nm"]), fields, model, scales, device,
-        grid_points=grid_points)
+    try:
+        sweep = tunneling.spectrum_vs_field(
+            sites, (t["x_min_nm"], t["x_max_nm"]), fields, model, scales,
+            device, grid_points=grid_points)
+    except InvalidParameterError as exc:  # a combination of keys: exit 2
+        raise InvalidParameterError(
+            f"[pinning] siteN: sigma_nm, V_GHz, [tunneling] grid_points, "
+            f"x_min_nm, x_max_nm, y_zpf_nm and [sweep] B_min_uT, B_max_uT "
+            f"give a landscape the 1D solve refuses: {exc}") from exc
     energies = np.array([res.energies[:2] for res in sweep.results])
     run.csv("tunnel.csv", ["B_uT", "f_q_GHz", "E0_GHz", "E1_GHz"],
             [sweep.fields * 1e6, sweep.omega_q / (2 * math.pi) / 1e9,

@@ -45,6 +45,14 @@ _EPS = np.finfo(float).eps
 _RESIDUAL_TOL = 1e-10
 _MAX_BLOCKS = 60
 _PIVMIN = np.finfo(float).tiny  # a zero Sturm pivot becomes -_PIVMIN
+# what a field sweep refuses rather than reports (spectrum_vs_field): a site
+# narrower than _SITE_STEPS grid steps falls between the grid points (the
+# example's f_q moves by 2% at 2.1 steps, from 34), and a level more than
+# _LEVEL_STEPS K / dx^2 above the potential's floor has a local wavelength
+# under 2 pi grid steps (the example's third level: 0.003 at 1024 points,
+# 0.68 at 64); the grid's band ends at 4 K / dx^2
+_SITE_STEPS = 2.0
+_LEVEL_STEPS = 1.0
 
 
 @dataclass(frozen=True)
@@ -438,28 +446,54 @@ def spectrum_vs_field(sites: Sequence[PinningSite], x_window: tuple[float, float
 
     Requires exactly two pinning sites forming the double well inside
     x_window, and no other vortices; the grid must clear each site by
-    _MARGIN_SIGMAS widths. The sweet spot is the argmin of omega_q(B_list).
+    _MARGIN_SIGMAS widths and span each by _SITE_STEPS grid steps. The
+    sweet spot is the argmin of omega_q(B_list).
 
-    Each field is one solve_schrodinger call. The sweep records the largest
-    residual norm over its fields and levels.
+    Each field is one solve_schrodinger call. A field whose levels the grid
+    does not resolve (the highest more than _LEVEL_STEPS K / dx^2 above
+    the potential's floor) or whose qubit doublet the landscape does not
+    bind (E1 above the potential's whole range on the grid, so the window's
+    walls hold it) raises InvalidParameterError, as does a site too narrow.
+    The sweep records the largest residual norm over its fields and levels.
     """
     if len(sites) != 2:
         raise InvalidParameterError("spectrum_vs_field expects exactly two sites")
     grid = Grid(x_min=x_window[0], x_max=x_window[1], nx=grid_points)
-    for s in sites:
+    for n, s in enumerate(sites, 1):
         if not (grid.x_min <= s.x_i - _MARGIN_SIGMAS * s.sigma_i
                 and s.x_i + _MARGIN_SIGMAS * s.sigma_i <= grid.x_max):
             raise InvalidParameterError(
                 f"x_window must cover site at {s.x_i} with a "
                 f"{_MARGIN_SIGMAS:g} sigma margin")
+        if s.sigma_i < _SITE_STEPS * grid.dx:
+            raise InvalidParameterError(
+                f"site {n}: sigma = {s.sigma_i:g} m spans "
+                f"{s.sigma_i / grid.dx:.3g} grid steps of {grid.dx:g} m "
+                f"(grid_points over x_window); the grid resolves a site of "
+                f"{_SITE_STEPS:g} steps or more")
     x = grid.x
     fields = np.atleast_1d(np.asarray(B_list, dtype=float))
     results: list[EigenResult] = []
     omega = np.empty(fields.size)
     residual = 0.0
+    resolved = _LEVEL_STEPS * model.kinetic_coefficient / grid.dx**2
     for i, B in enumerate(fields):
         V = total_potential(x, 0.0, float(B), 0.0, sites, scales, device)
         res = solve_schrodinger(grid, V, model, k=k)
+        floor = float(V.min())
+        if res.energies[-1] - floor > resolved:
+            raise InvalidParameterError(
+                f"at B = {B:g} T, level E{res.energies.size - 1} lies "
+                f"{(res.energies[-1] - floor) / resolved * _LEVEL_STEPS:.3g}"
+                f" K / dx^2 above the potential's floor (K = hbar Omega "
+                f"y_zpf^2, dx the grid step); the grid resolves levels up to "
+                f"{_LEVEL_STEPS:g}")
+        if res.energies.size > 1 and res.energies[1] > float(V.max()):
+            raise InvalidParameterError(
+                f"at B = {B:g} T, level E1 lies above the potential's whole "
+                f"range on x_window: the kinetic term K = hbar Omega y_zpf^2 "
+                f"= {model.kinetic_coefficient:g} J m^2 leaves the pinning "
+                f"sites no bound doublet")
         results.append(res)
         omega[i] = res.splitting / CONSTANTS.hbar
         residual = max(residual, _max_residual_1d(grid, V, model, res))

@@ -847,6 +847,31 @@ y_zpf_nm = 4.0
         assert ((bare / "tunnel.csv").read_bytes()
                 == (out / "tunnel.csv").read_bytes())
 
+    @pytest.mark.parametrize("key, value, reason", [
+        ("site1_sigma_nm", "1e-100", "spans 4.26e-100 grid steps"),
+        ("site1_sigma_nm", "1e-30", "spans 4.26e-30 grid steps"),
+        ("B_min_uT", "1e200", "level E2 lies 1.52e+192 K / dx^2 above"),
+        ("y_zpf_nm", "1e30", "level E1 lies above the potential's whole"),
+    ])
+    def test_tunnel_refuses_an_unresolved_landscape(self, tmp_path, capsys,
+                                                    key, value, reason):
+        # in-domain values whose solve the grid or the landscape cannot
+        # carry: exit 2 naming the keys, never a tunnel.csv of nonsense
+        conf = tmp_path / "c.ini"
+        conf.write_text(set_key(set_key(CONFIG.read_text(), "n_points", "3"),
+                                key, value))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["tunnel", "-c", str(conf), "-o", str(out)])
+        assert code == 2, capsys.readouterr().err
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "InvalidParameterError"
+        assert error["message"].startswith(
+            "[pinning] siteN: sigma_nm, V_GHz, [tunneling] grid_points")
+        assert reason in error["message"]
+        assert not (out / "tunnel.csv").exists()
+
     def test_fit_echo(self, tmp_path):
         t = np.linspace(0, 6.0, 60)  # us
         v = 0.5 * np.exp(-t / 1.2) + 0.05
@@ -1103,30 +1128,6 @@ class TestReader:
             np.testing.assert_array_equal(read, oracle)  # NaN equals NaN
         assert calls == ([False] if fast else [False, True])
 
-    @pytest.mark.parametrize("text", [
-        b"a,b\n1,2\n\n# note\n3,4\n\n", b"# c1\n\n# c2\na,b\n1,2\n",
-        b"a,b,c\n1,2,3\n,,\n4,5,6\n", b'a,b\n"1.5",2\n3,"-4e-3"\n',
-        b"a,b\n1,\n 3 ,4\r\n", b"# c\ra,b\r1,2\r3,\r", b"", b"# only\n\n",
-        b"a,b\n", b"a\n1\n2\n", b"a,b\n1,2\n3\n", b"a,b\n1,x\n",
-        b"# it's \"open\n\na,b\n1_0,2\n",
-        b"# note\n\n  \n# more\na,b\n1,2\n3,4\n5,\n"])
-    def test_large_files_read_by_path_alike(self, tmp_path, monkeypatch,
-                                            text):
-        # a file of _PATH_BYTES or more is read by path, with skiprows
-        path = tmp_path / "d.csv"
-        path.write_bytes(text)
-        outcomes = []
-        for path_bytes in (math.inf, 0):
-            monkeypatch.setattr(cli, "_PATH_BYTES", path_bytes)
-            try:
-                outcomes.append(cli._read_csv_columns(path, 1))
-            except VortexlabError as exc:
-                outcomes.append(str(exc))
-        if isinstance(outcomes[0], str):
-            assert outcomes[1] == outcomes[0]
-        else:
-            np.testing.assert_array_equal(outcomes[1], outcomes[0])
-
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.tuples(
         st.floats(width=64) | st.sampled_from([-0.0, math.inf, -math.inf]),
@@ -1179,9 +1180,18 @@ def _columns(draw):
 
 
 def _force_forks(monkeypatch) -> list[int]:
-    """Let the writer fork as on a three-core machine with no other thread,
-    whatever ran before (the Rabi pool's threads stop it); the pid of each
-    fork is appended to the list returned."""
+    """Let the writer fork as on a three-core machine; the pid of each fork
+    is appended to the list returned.
+
+    The threads of the Rabi pool, which an earlier chi test may have
+    started, are joined first, so the writer's own thread guard holds: no
+    test forks a process that runs another thread.
+    """
+    from vortexlab import rabi
+    if rabi._pool is not None:
+        rabi._pool.shutdown()
+        rabi._pool = None  # the next sweep makes its own
+    assert threading.active_count() == 1, threading.enumerate()
     forks: list[int] = []
     fork = os.fork
 
@@ -1191,7 +1201,6 @@ def _force_forks(monkeypatch) -> list[int]:
             forks.append(pid)
         return pid
 
-    monkeypatch.setattr(threading, "active_count", lambda: 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                         raising=False)
     monkeypatch.setattr(os, "fork", counting)
@@ -1900,6 +1909,9 @@ GOLDEN_DIGESTS = {
 class TestGoldenDigests:
     def test_every_data_output(self, tmp_path, monkeypatch):
         monkeypatch.delenv("VORTEXLAB_SEED", raising=False)
+        # chi then solves its sweep on this thread (the same bits as on
+        # the Rabi pool), so no pool thread stops the writer's forks
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         monkeypatch.chdir(tmp_path)  # batch-fit's error row names its file
         forks = _force_forks(monkeypatch)
         paths = _digest_inputs(tmp_path)

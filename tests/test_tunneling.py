@@ -696,6 +696,35 @@ class TestSpectrumVsField:
             tunneling.spectrum_vs_field(sites, (0.99e-6, 1.04e-6), [1e-4],
                                         model, scales, device)
 
+    def test_refuses_a_site_narrower_than_two_grid_steps(self, scales,
+                                                          device, model):
+        sites, window = sweep_args(1.0e-6, 30e-9)
+        # 240 nm over 255 steps: 8 nm is 8.5 steps, 1.5 nm is 1.59
+        narrow = [sites[0], energetics.PinningSite(sites[1].x_i, 0.0,
+                                                   sites[1].V_i, 1.5e-9)]
+        B = [energetics.degeneracy_field(1.0e-6, 30e-9, scales, device)]
+        tunneling.spectrum_vs_field(sites, window, B, model, scales, device,
+                                    grid_points=256)
+        with pytest.raises(InvalidParameterError,
+                           match=r"site 2: sigma = 1.5e-09 m spans 1.59 grid"):
+            tunneling.spectrum_vs_field(narrow, window, B, model, scales,
+                                        device, grid_points=256)
+
+    @pytest.mark.parametrize("y_zpf, Omega, reason", [
+        # a mass so heavy that the levels vary at the grid step
+        (Y_ZPF, OMEGA * 1e-6, r"level E2 lies [\d.]+ K / dx\^2 above"),
+        # so light that the window's walls, not the sites, bind the doublet
+        (Y_ZPF * 1e3, OMEGA, "level E1 lies above the potential's whole"),
+    ])
+    def test_refuses_levels_the_landscape_cannot_carry(self, scales, device,
+                                                       y_zpf, Omega, reason):
+        sites, window = sweep_args(1.0e-6, 30e-9)
+        B = [energetics.degeneracy_field(1.0e-6, 30e-9, scales, device)]
+        with pytest.raises(InvalidParameterError, match=reason):
+            tunneling.spectrum_vs_field(
+                sites, window, B, tunneling.TunnelModel(y_zpf, Omega),
+                scales, device)
+
 
 class TestTwoLevelReduction:
     def test_degenerate_omega_is_twice_delta(self, model):
