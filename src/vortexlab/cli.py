@@ -45,7 +45,8 @@ from . import __version__
 from .config import RunConfig, load_config
 from .constants import CONSTANTS
 from .core import derive_scales, median, usable_cores
-from .errors import ConfigError, InvalidParameterError, VortexlabError
+from .errors import (ConfigError, EigensolverError, InvalidParameterError,
+                     VortexlabError)
 from . import energetics
 
 # each handler imports the modules it runs (fitting, rabi, jumps,
@@ -419,15 +420,24 @@ def _cmd_spectrum(args, cfg: RunConfig, run: Run) -> int:
     run.csv(name, ["B_uT", "f_q_GHz", "f_r_g_GHz", "f_r_e_GHz", "chi_MHz"],
             [fields * 1e6, column("f_q_dressed", 1e9), column("f_r_g", 1e9),
              column("f_r_e", 1e9), column("chi", 1e6)])
-    run.diagnostics.update(gaps=sum(s is None for s in specs),
-                           n_fock=trunc.n_fock,
-                           sweep_threads=rabi.sweep_threads())
+    run.diagnostics.update(
+        gaps=sum(s is None for s in specs), n_fock=trunc.n_fock,
+        sweep_threads=rabi.sweep_threads(),
+        truncation_error=rabi.truncation_error(
+            params, [params.B0, fields[0], fields[-1]], trunc))
     return 0
 
 
 _QRM_UNITS = {"f_r": ("f_r_GHz", 1e9), "g": ("g_MHz", 1e6),
               "gamma": ("gamma_GHz_per_mT", 1e12), "B0": ("B0_uT", 1e-6),
               "f_q0": ("f_q0_GHz", 1e9)}
+# fit-spectrum's truncation when -c gives no [qrm]: the smallest n_fock
+# whose transitions stay within 1e-12 relative of n_fock 80 wherever both
+# label the field, over g/f_r 0.005-0.09, f_q0 1-12 GHz and |B - B0| <= 1 mT
+# at f_r 7.572 GHz and gamma 20 GHz/mT (n_fock 8 reaches 1.2e-12 there, 6
+# 6.9e-8). Up to g/f_r 0.3 it stays within 2e-13 of n_fock 40 where both
+# label.
+_FIT_N_FOCK = 10
 
 
 def _cmd_fit_spectrum(args, cfg: RunConfig, run: Run) -> int:
@@ -441,16 +451,22 @@ def _cmd_fit_spectrum(args, cfg: RunConfig, run: Run) -> int:
                                           resonator[:, 1] * 1e9,
                                           resonator[:, 2] * 1e9]))
     init = {}
-    trunc = rabi.HilbertTruncation(24)
+    trunc = rabi.HilbertTruncation(_FIT_N_FOCK)
     if cfg is not None and cfg.has("qrm"):
         params, trunc = cfg.qrm()
         init = {"f_r": params.f_r, "g": params.g, "gamma": params.gamma,
                 "B0": params.B0, "f_q0": params.f_q0}
     result = fitting.fit_joint_aqrm(dataset, init, trunc)
     run.table("fit_spectrum", args.format, _fit_payload(result, _QRM_UNITS))
-    run.diagnostics.update(_fit_diagnostics(result),
-                           n_penalized=result.n_penalized,
-                           sweep_threads=rabi.sweep_threads())
+    p = result.params  # the model sees |f_r|, |g|, |gamma| and |f_q0|
+    fitted = rabi.QrmParams.asymmetric(abs(p["f_r"]), abs(p["g"]),
+                                       abs(p["gamma"]), p["B0"], abs(p["f_q0"]))
+    fields = np.concatenate([qubit[:, 0], resonator[:, 0]]) * 1e-6
+    run.diagnostics.update(
+        _fit_diagnostics(result), n_penalized=result.n_penalized,
+        sweep_threads=rabi.sweep_threads(),
+        truncation_error=rabi.truncation_error(
+            fitted, [fitted.B0, fields.min(), fields.max()], trunc))
     return 0 if result.converged else 2
 
 
@@ -564,8 +580,9 @@ def _cmd_tunnel(args, cfg: RunConfig, run: Run) -> int:
         sweep = tunneling.spectrum_vs_field(
             sites, (t["x_min_nm"], t["x_max_nm"]), fields, model, scales,
             device, grid_points=grid_points)
-    except InvalidParameterError as exc:  # a combination of keys: exit 2
-        raise InvalidParameterError(
+    except (InvalidParameterError, EigensolverError) as exc:
+        # a combination of keys the solve refuses or fails on: exit 2
+        raise type(exc)(
             f"[pinning] siteN: sigma_nm, V_GHz, [tunneling] grid_points, "
             f"x_min_nm, x_max_nm, y_zpf_nm and [sweep] B_min_uT, B_max_uT "
             f"give a landscape the 1D solve refuses: {exc}") from exc

@@ -399,6 +399,30 @@ def solve_qrm(params: QrmParams, B: float,
     return out.spectra()[0]
 
 
+def truncation_error(params: QrmParams, B_list,
+                     trunc: HilbertTruncation) -> float | None:
+    """Estimated relative error of trunc's transitions at the fields B_list.
+
+    The largest change of f_q_dressed, f_r_g and f_r_e between trunc and
+    a truncation two photons larger, relative to the larger of the two
+    values. The transitions converge faster than geometrically in n_fock,
+    so that change is most of trunc's distance to the limit: wherever it
+    was above rounding it agreed with the distance to n_fock 80 within 1%
+    (g/f_r up to 0.09). A field whose labeling fails at either truncation
+    is skipped; None when every field is.
+    """
+    small = solve_fields(params, B_list, trunc)
+    large = solve_fields(params, B_list, HilbertTruncation(trunc.n_fock + 2))
+    ok = small.labeled & large.labeled
+    if not ok.any():
+        return None
+    a, b = small.transitions[ok], large.transitions[ok]
+    change = np.abs(a - b)
+    # where a transition is 0 at both truncations it has not changed
+    return float(np.divide(change, np.maximum(np.abs(a), np.abs(b)),
+                           out=np.zeros_like(change), where=change > 0).max())
+
+
 def transition_gradients(params: QrmParams, sweep: Sweep,
                          trunc: HilbertTruncation) -> np.ndarray:
     """Hellmann-Feynman gradients of f_q_dressed and f_r_g (Hz per unit).

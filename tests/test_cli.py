@@ -312,9 +312,27 @@ class TestChiSweep:
         assert [row[1:] == [""] * 4 for row in rows] == expected
         assert all(row[0] for row in rows)
         manifest = json.loads((out / "manifest.chi.json").read_text())
+        fields = cfg.sweep_fields()
         assert manifest["diagnostics"] == {
             "gaps": sum(expected), "n_fock": 20,
-            "sweep_threads": rabi.sweep_threads()}
+            "sweep_threads": rabi.sweep_threads(),
+            "truncation_error": rabi.truncation_error(
+                params, [params.B0, fields[0], fields[-1]], trunc)}
+        assert 0.0 <= manifest["diagnostics"]["truncation_error"] < 1e-12
+
+    def test_truncation_error_null_when_no_check_field_labels(self, tmp_path):
+        # f_q = f_r at B0, and every field of the sweep is B0
+        conf = tmp_path / "c.ini"
+        text = set_key(MINI_CONFIG, "f_q0_GHz", "7.572")
+        for key in ("B_min_uT", "B_max_uT"):
+            text = set_key(text, key, "128.0")
+        conf.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["chi", "-c", str(conf), "-o", str(out)]) == 0
+        diagnostics = json.loads(
+            (out / "manifest.chi.json").read_text())["diagnostics"]
+        assert diagnostics["gaps"] == 9
+        assert diagnostics["truncation_error"] is None
 
 
 class TestBlasPin:
@@ -534,12 +552,34 @@ class TestFitCommands:
             (out / "manifest.fit-spectrum.json").read_text())["diagnostics"]
         assert set(diagnostics) == {"iterations", "message",
                                     "gradient_measure", "n_penalized",
-                                    "sweep_threads"}
+                                    "sweep_threads", "truncation_error"}
         assert diagnostics["sweep_threads"] == rabi.sweep_threads()
         assert diagnostics["iterations"] == result["iterations"]
         assert diagnostics["message"] == result["message"]
         assert diagnostics["n_penalized"] == 0
         assert diagnostics["gradient_measure"] >= 0.0
+        assert 0.0 <= diagnostics["truncation_error"] < 1e-12
+
+    def test_fit_spectrum_truncation_error(self, mini_config, tmp_path):
+        # at n_fock 2 the estimate is far above rounding, so it shows which
+        # fields it checks: the fitted B0 and the data's extremes
+        from vortexlab import rabi
+        paths = _digest_inputs(tmp_path)
+        mini_config.write_text(set_key(MINI_CONFIG, "n_fock", "2"))
+        out = tmp_path / "out"
+        assert cli.main(["fit-spectrum", "-c", str(mini_config),
+                         "--qubit", str(paths["qubit"]),
+                         "--resonator", str(paths["resonator"]),
+                         "-o", str(out)]) == 0
+        params = json.loads((out / "fit_spectrum.json").read_text())["params"]
+        fitted = rabi.QrmParams.asymmetric(*(params[name] * unit for name, unit
+                                             in cli._QRM_UNITS.values()))
+        error = json.loads((out / "manifest.fit-spectrum.json").read_text())[
+            "diagnostics"]["truncation_error"]
+        assert error > 1e-8
+        assert error == pytest.approx(rabi.truncation_error(
+            fitted, [fitted.B0, -62e-6, 328e-6], rabi.HilbertTruncation(2)),
+            rel=1e-6, abs=0)
 
     def test_fit_spectrum_g_verdict_exits_zero(self, tmp_path,
                                                criterion_05_dataset):
@@ -870,6 +910,28 @@ y_zpf_nm = 4.0
         assert error["message"].startswith(
             "[pinning] siteN: sigma_nm, V_GHz, [tunneling] grid_points")
         assert reason in error["message"]
+        assert not (out / "tunnel.csv").exists()
+
+    def test_tunnel_eigensolver_error_names_the_keys(self, tmp_path,
+                                                     monkeypatch):
+        from vortexlab import tunneling
+        from vortexlab.errors import EigensolverError
+
+        def fails(d, off, k):
+            raise EigensolverError("the 1D Hamiltonian is not finite")
+
+        monkeypatch.setattr(tunneling, "_bisection_1d", fails)
+        conf = tmp_path / "c.ini"
+        conf.write_text(set_key(CONFIG.read_text(), "n_points", "3"))
+        out = tmp_path / "out"
+        assert cli.main(["tunnel", "-c", str(conf), "-o", str(out)]) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "EigensolverError"
+        assert error["message"].startswith(
+            "[pinning] siteN: sigma_nm, V_GHz, [tunneling] grid_points")
+        assert error["message"].endswith("the 1D Hamiltonian is not finite")
+        assert "error.json" in json.loads(
+            (out / "manifest.tunnel.json").read_text())["outputs"]
         assert not (out / "tunnel.csv").exists()
 
     def test_fit_echo(self, tmp_path):
@@ -1884,7 +1946,7 @@ GOLDEN_DIGESTS = {
     "fit_ramsey.csv":
         "d87f9c2112eb2350fcad31740efc43e16f6a9b138d4f39230e88f959657cdcda",
     "fit_spectrum.json":
-        "de753a5fc18c310a6baede14bf00ddc9dfe113d5cfb5e4023a761c20b777f46d",
+        "5ecbb6b1da5734152600b2a2030e3b240ea1eda214f8199a123bf51d7acbc897",
     "gamma_map.csv":
         "01137a8df9f64e72ff9c0ff4920b8d3d9535e3f503639951a7778451d7f22e33",
     "jumps_analysis.json":

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vortexlab import fitting, rabi
+from vortexlab import cli, fitting, rabi
 from vortexlab.errors import (DegenerateFitError, InvalidParameterError,
                               VortexlabError)
 
@@ -324,7 +324,7 @@ class TestJointJacobian:
         for key, value in exact.params.items():
             assert abs(value - fd.params[key]) < 0.01 * exact.std_errors[key]
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 17])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 7, 17])
     def test_noise_seeds_converge_or_get_the_g_verdict(
             self, monkeypatch, seed, criterion_05_dataset):
         iterations = {}  # of each least_squares call, by parameter count
@@ -336,8 +336,8 @@ class TestJointJacobian:
             return result
 
         monkeypatch.setattr(fitting, "least_squares", recording)
-        res = fitting.fit_joint_aqrm(criterion_05_dataset(seed), None,
-                                     self.trunc)
+        ds = criterion_05_dataset(seed)
+        res = fitting.fit_joint_aqrm(ds, None, self.trunc)
         assert res.converged
         assert iterations[5] <= 25
         verdict = "g unidentifiable" in res.message
@@ -350,6 +350,15 @@ class TestJointJacobian:
                 assert res.params["g"] == 0.0 and math.isinf(se)
             else:
                 assert math.isfinite(se)
+        # fit-spectrum's built-in truncation: the same verdict, and every
+        # parameter within 1e-3 standard errors (g = 0 on a verdict)
+        small = fitting.fit_joint_aqrm(
+            ds, None, rabi.HilbertTruncation(cli._FIT_N_FOCK))
+        assert small.converged
+        assert ("g unidentifiable" in small.message) == verdict
+        assert (small.params["g"] == 0.0) == verdict
+        for key, value in res.params.items():
+            assert abs(small.params[key] - value) <= 1e-3 * res.std_errors[key]
 
     def test_sweeps_per_fit_independent_of_rounding_in_j(
             self, monkeypatch, criterion_05_dataset):

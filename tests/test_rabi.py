@@ -648,3 +648,82 @@ class TestTransitionGradients:
         sweep = rabi.solve_fields(sqrm, [B0], trunc)
         with pytest.raises(InvalidOrientationError):
             rabi.transition_gradients(sqrm, sweep, trunc)
+
+
+def _error_against_80(params, fields, n_fock):
+    """Largest relative distance of the transitions at n_fock from those at
+    n_fock 80, over the fields both label; None where none is."""
+    small = rabi.solve_fields(params, fields, rabi.HilbertTruncation(n_fock))
+    large = rabi.solve_fields(params, fields, rabi.HilbertTruncation(80))
+    ok = small.labeled & large.labeled
+    if not ok.any():
+        return None
+    ref = large.transitions[ok]
+    return float((np.abs(small.transitions[ok] - ref) / np.abs(ref)).max())
+
+
+# the regime fit-spectrum's built-in truncation was sized on (cli._FIT_N_FOCK)
+_REGIME = [rabi.QrmParams.asymmetric(F_R, ratio * F_R, GAMMA, 0.0, f_q0)
+           for ratio in (0.005, 0.03, 0.06, 0.09)
+           for f_q0 in (1e9, 4e9, 8e9, 12e9)]
+
+
+class TestTruncationError:
+    def test_rounding_level_on_example(self, aqrm, trunc):
+        # B0 and the ends of example.ini's sweep
+        error = rabi.truncation_error(aqrm, [B0, -22e-6, 278e-6], trunc)
+        assert 0.0 <= error <= 1e-12
+
+    def test_far_above_rounding_at_n_fock_2(self, aqrm):
+        tr = rabi.HilbertTruncation(2)
+        assert rabi.truncation_error(aqrm, [B0, -22e-6, 278e-6], tr) > 1e-8
+        strong = rabi.QrmParams.asymmetric(F_R, 0.09 * F_R, GAMMA, B0, F_Q0)
+        assert rabi.truncation_error(strong, [B0, -22e-6, 278e-6], tr) > 1e-4
+
+    def test_within_a_factor_of_10_of_the_true_error(self):
+        fields = [0.0, 5e-4, 1e-3]
+        compared = 0
+        for params in _REGIME[::3]:
+            for n_fock in range(2, 7):
+                true = _error_against_80(params, fields, n_fock)
+                estimate = rabi.truncation_error(
+                    params, fields, rabi.HilbertTruncation(n_fock))
+                if true is None or true < 1e-11:  # rounding
+                    continue
+                compared += 1
+                assert true / 10 <= estimate <= 10 * true, (params, n_fock)
+        assert compared >= 10
+
+    def test_unlabeled_fields_are_skipped(self, aqrm):
+        # near f_q = f_r some fields label at n_fock 2 and not at 4, and
+        # some the other way round
+        tr = rabi.HilbertTruncation(2)
+        fields = np.linspace(485e-6, 500e-6, 151)
+        small = rabi.solve_fields(aqrm, fields, tr).labeled
+        large = rabi.solve_fields(aqrm, fields, rabi.HilbertTruncation(4)).labeled
+        alone = rabi.truncation_error(aqrm, [B0], tr)
+        for mask in (small & ~large, large & ~small):
+            assert mask.any()
+            assert rabi.truncation_error(
+                aqrm, [B0, *fields[mask]], tr) == alone
+        assert rabi.truncation_error(aqrm, fields[~small & ~large], tr) is None
+        assert rabi.truncation_error(aqrm, [_B_CROSS], tr) is None
+
+    def test_exactly_zero_transition_has_not_changed(self):
+        # g = 0 and f_q0 = 0: f_q_dressed is 0 at B0 at every truncation
+        params = rabi.QrmParams.asymmetric(F_R, 0.0, GAMMA, B0, 0.0)
+        assert rabi.truncation_error(params, [B0], rabi.HilbertTruncation(4)) \
+            == 0.0
+
+    def test_fit_default_matches_n_fock_80_over_the_regime(self):
+        from vortexlab import cli
+        fields = np.linspace(-1e-3, 1e-3, 9)
+        labeled = 0
+        for params in _REGIME:
+            error = _error_against_80(params, fields, cli._FIT_N_FOCK)
+            if error is not None:
+                labeled += 1
+                assert error <= 1e-12, params
+        # at g/f_r 0.09 with f_q0 1 or 4 GHz, n_fock 80 labels none of these
+        # fields (two of its high photon states claim one bare state)
+        assert labeled == len(_REGIME) - 2
