@@ -42,6 +42,11 @@ _XTOL = 1e-12      # on two consecutive relative steps
 # is below the rounding of the joint fit's residuals, where f/sigma ~ 2,000
 _FTOL = 1e-12
 _MAX_ITER = 200
+# the engine multiplies residuals, Jacobian entries, parameters and steps,
+# up to four at a time, and sums the products over the points: with each
+# below _BIG in magnitude none overflows. A start beyond it is refused
+# like a non-finite one, and a trial beyond it fails like one.
+_BIG = 1e60
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +155,11 @@ def _std_errors(J: np.ndarray, cost: np.ndarray) -> np.ndarray:
                     np.sqrt(var) / np.where(alive, col, 1.0))
 
 
+def _within(x: np.ndarray) -> np.ndarray:
+    """Per row (first axis): every entry finite and below _BIG in magnitude."""
+    return (np.abs(x) < _BIG).reshape(len(x), -1).all(axis=1)
+
+
 def _sumsq(x: np.ndarray) -> np.ndarray:
     """Sum of squares along the last axis."""
     return (x * x).sum(axis=-1)
@@ -187,22 +197,29 @@ def _lockstep(residual_fn: Callable, P0, names: Sequence[str]
     the same number of points. Each row keeps its own parameters, damping,
     small-step count and stop, under least_squares' rules. Every numpy step
     acts on each row apart, so a row's result does not depend on the other
-    rows. A row whose start or initial residual is not finite comes back
-    as the InvalidParameterError least_squares raises for it.
+    rows. A row whose start, initial residual or Jacobian is not finite,
+    or beyond _BIG, comes back as the InvalidParameterError least_squares
+    raises for it.
     """
     P = np.array(P0, dtype=float, ndmin=2)
     out: list = [None] * len(P)
-    finite = np.isfinite(P).all(axis=1)
-    for i in np.flatnonzero(~finite).tolist():
-        out[i] = InvalidParameterError("initial parameters must be finite")
-    rows = np.flatnonzero(finite)
+    finite, inside = np.isfinite(P).all(axis=1), _within(P)
+    for i in np.flatnonzero(~inside).tolist():
+        big = ", ".join(f"{name} = {value:g}" for name, value
+                        in zip(names, P[i].tolist()) if not abs(value) < _BIG)
+        out[i] = InvalidParameterError(
+            f"initial parameters must lie within +-{_BIG:g}, got {big}"
+            if finite[i] else "initial parameters must be finite")
+    rows = np.flatnonzero(inside)
     if not rows.size:
         return out
     R, J = residual_fn(P[rows], rows)
-    finite = np.isfinite(R).all(axis=1)
-    for i in rows[~finite].tolist():
-        out[i] = InvalidParameterError("residual is not finite at the initial point")
-    rows, P, R, J = rows[finite], P[rows][finite], R[finite], J[finite]
+    inside = _within(R) & _within(J)
+    for i in rows[~inside].tolist():
+        out[i] = InvalidParameterError(
+            "residual or Jacobian not finite or beyond "
+            f"+-{_BIG:g} at the initial point")
+    rows, P, R, J = rows[inside], P[rows][inside], R[inside], J[inside]
     if not rows.size:
         return out
 
@@ -236,7 +253,8 @@ def _lockstep(residual_fn: Callable, P0, names: Sequence[str]
         # the damping ladder; a trial ends a row's ladder when it lowers
         # the cost (the row takes it at once), reaches the rounding floor
         # or is the second sub-tolerance step in a row; otherwise, or when
-        # its step or residual is not finite, lam *= 4, up to 1e14
+        # its point, residual or Jacobian is not finite or beyond _BIG,
+        # lam *= 4, up to 1e14
         accepted = np.zeros(len(ids), dtype=bool)
         at_floor = np.zeros(len(ids), dtype=bool)
         trying = np.flatnonzero(~gradient_stop)
@@ -245,12 +263,12 @@ def _lockstep(residual_fn: Callable, P0, names: Sequence[str]
                              -g_n[trying])
             delta = delta_n / scale[trying]
             ended = np.zeros(trying.size, dtype=bool)
-            tried = np.flatnonzero(np.isfinite(delta).all(axis=1))
+            tried = np.flatnonzero(_within(P[trying] + delta))
             if tried.size:
                 t = trying[tried]
                 p_try = P[t] + delta[tried]
                 r_try, J_try = residual_fn(p_try, rows[ids[t]])
-                ok = np.isfinite(r_try).all(axis=1)
+                ok = _within(r_try) & _within(J_try)
                 tried, t, p_try, r_try, J_try = \
                     tried[ok], t[ok], p_try[ok], r_try[ok], J_try[ok]
                 d, d_n, p = delta[tried], delta_n[tried], P[t]

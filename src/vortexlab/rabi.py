@@ -399,8 +399,8 @@ def solve_qrm(params: QrmParams, B: float,
     return out.spectra()[0]
 
 
-def truncation_error(params: QrmParams, B_list,
-                     trunc: HilbertTruncation) -> float | None:
+def truncation_error(params: QrmParams, B_list, trunc: HilbertTruncation,
+                     solved: Sweep | None = None) -> float | None:
     """Estimated relative error of trunc's transitions at the fields B_list.
 
     The largest change of f_q_dressed, f_r_g and f_r_e between trunc and
@@ -409,14 +409,32 @@ def truncation_error(params: QrmParams, B_list,
     so that change is most of trunc's distance to the limit: wherever it
     was above rounding it agreed with the distance to n_fock 80 within 1%
     (g/f_r up to 0.09). A field whose labeling fails at either truncation
-    is skipped; None when every field is.
+    is skipped; None when every field is. solved, a solve_fields result of
+    the same params at trunc, gives the row of each field it holds bit for
+    bit, in place of a fresh solve at trunc: a field's row depends on
+    nothing else, so the estimate is the same.
     """
-    small = solve_fields(params, B_list, trunc)
-    large = solve_fields(params, B_list, HilbertTruncation(trunc.n_fock + 2))
-    ok = small.labeled & large.labeled
+    B = np.atleast_1d(np.asarray(B_list, dtype=float))
+    if solved is not None and solved.energies.shape[1] != trunc.dim:
+        raise InvalidParameterError("solved holds another truncation")
+    rows = {} if solved is None else dict(
+        zip(solved.B.view(np.int64).tolist(), range(solved.B.size)))
+    found = np.array([rows.get(b, -1) for b in B.view(np.int64).tolist()])
+    new = found < 0
+    transitions = np.empty((B.size, 3))
+    labeled = np.zeros(B.size, dtype=bool)
+    if new.any():
+        rest = solve_fields(params, B[new], trunc)
+        transitions[new], labeled[new] = rest.transitions, rest.labeled
+    if not new.all():
+        old = found[~new]
+        transitions[~new] = solved.transitions[old]
+        labeled[~new] = solved.labeled[old]
+    large = solve_fields(params, B, HilbertTruncation(trunc.n_fock + 2))
+    ok = labeled & large.labeled
     if not ok.any():
         return None
-    a, b = small.transitions[ok], large.transitions[ok]
+    a, b = transitions[ok], large.transitions[ok]
     change = np.abs(a - b)
     # where a transition is 0 at both truncations it has not changed
     return float(np.divide(change, np.maximum(np.abs(a), np.abs(b)),

@@ -1,3 +1,4 @@
+import gc
 import os
 
 import numpy as np
@@ -17,6 +18,16 @@ def no_child_left():
         return
     pytest.fail(f"the tests left a child process behind (waitpid gave pid "
                 f"{pid}, status {status}; pid 0 is one still running)")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def nothing_left_frozen():
+    """At the end of the run, fails if a test left objects in the
+    collector's permanent generation (cli.main freezes only when called
+    as the program's entry, with no argv)."""
+    yield
+    if gc.get_freeze_count():
+        pytest.fail(f"the tests left {gc.get_freeze_count()} objects frozen")
 
 
 @pytest.fixture(scope="session")

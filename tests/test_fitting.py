@@ -71,6 +71,29 @@ class TestEngine:
             fitting.least_squares(lambda p: np.array([p["a"]]),
                                   {"a": math.nan})
 
+    def test_start_beyond_the_bound_rejected(self):
+        # the engine keeps parameters, residuals and Jacobian entries below
+        # 1e60, so no product it forms overflows
+        with pytest.raises(InvalidParameterError,
+                           match=r"within \+-1e\+60, got b = 1e\+70$"):
+            fitting.least_squares(lambda p: (np.array([p["a"]]),
+                                             np.array([[1.0, 0.0]])),
+                                  {"a": 1.0, "b": 1e70})
+        with pytest.raises(InvalidParameterError, match="initial point"):
+            fitting.least_squares(lambda p: (np.array([1e70 * p["a"]]),
+                                             np.array([[1e70]])), {"a": 1.0})
+
+    def test_steps_beyond_the_bound_fail(self):
+        # the zero lies at a = -1e170; damping brings the step no nearer
+        # than 1e156, so every trial lies beyond the bound and fails like
+        # a non-finite one
+        result = fitting.least_squares(
+            lambda p: (np.array([1e-150 * p["a"] + 1e20]),
+                       np.array([[1e-150]])), {"a": 0.0})
+        assert not result.converged
+        assert result.message == "no damped step reduced the residual"
+        assert result.params == {"a": 0.0}
+
 
 class TestHyperbola:
     def test_noiseless_round_trip(self):

@@ -709,6 +709,32 @@ class TestTruncationError:
         assert rabi.truncation_error(aqrm, fields[~small & ~large], tr) is None
         assert rabi.truncation_error(aqrm, [_B_CROSS], tr) is None
 
+    def test_rows_of_a_solved_sweep_replace_fresh_solves(self, aqrm,
+                                                         monkeypatch):
+        # each check field the sweep holds bit for bit takes its row; the
+        # estimate is that of the full re-solve
+        tr = rabi.HilbertTruncation(2)
+        fields = np.linspace(-22e-6, 278e-6, 41)
+        sweep = rabi.solve_fields(aqrm, fields, tr)
+        solve, solved = rabi.solve_fields, []
+
+        def counting(params, B_list, trunc):
+            solved.append(len(B_list))
+            return solve(params, B_list, trunc)
+
+        for checks, counts in (([fields[0], fields[-1]], [2]),
+                               ([B0 + 1e-6, fields[0], fields[-1]], [1, 3]),
+                               ([np.nextafter(fields[3], 1.0)], [1, 1])):
+            full = rabi.truncation_error(aqrm, checks, tr)
+            assert full > 1e-8
+            solved.clear()
+            monkeypatch.setattr(rabi, "solve_fields", counting)
+            assert rabi.truncation_error(aqrm, checks, tr, sweep) == full
+            monkeypatch.setattr(rabi, "solve_fields", solve)
+            assert solved == counts
+        with pytest.raises(InvalidParameterError, match="another truncation"):
+            rabi.truncation_error(aqrm, [B0], rabi.HilbertTruncation(4), sweep)
+
     def test_exactly_zero_transition_has_not_changed(self):
         # g = 0 and f_q0 = 0: f_q_dressed is 0 at B0 at every truncation
         params = rabi.QrmParams.asymmetric(F_R, 0.0, GAMMA, B0, 0.0)
