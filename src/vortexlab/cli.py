@@ -412,18 +412,14 @@ def _cmd_spectrum(args, cfg: RunConfig, run: Run) -> int:
     params, trunc = cfg.qrm()
     fields = cfg.sweep_fields()
     sweep = rabi.solve_fields(params, fields, trunc)
-    specs = sweep.spectra()
-
-    def column(attr: str, unit: float) -> list:
-        # empty where labeling failed near resonance
-        return [None if s is None else getattr(s, attr) / unit for s in specs]
-
+    # NaN, so an empty cell, where labeling failed near resonance
+    t = np.where(sweep.labeled[:, None], sweep.transitions, math.nan)
     name = "chi.csv" if args.command == "chi" else "spectrum.csv"
     run.csv(name, ["B_uT", "f_q_GHz", "f_r_g_GHz", "f_r_e_GHz", "chi_MHz"],
-            [fields * 1e6, column("f_q_dressed", 1e9), column("f_r_g", 1e9),
-             column("f_r_e", 1e9), column("chi", 1e6)])
+            [fields * 1e6, t[:, 0] / 1e9, t[:, 1] / 1e9, t[:, 2] / 1e9,
+             (t[:, 2] - t[:, 1]) / 1e6])
     run.diagnostics.update(
-        gaps=sum(s is None for s in specs), n_fock=trunc.n_fock,
+        gaps=int((~sweep.labeled).sum()), n_fock=trunc.n_fock,
         sweep_threads=rabi.sweep_threads(),
         truncation_error=rabi.truncation_error(
             params, [params.B0, fields[0], fields[-1]], trunc, sweep))
@@ -728,12 +724,14 @@ def _phi_from_header(path: Path) -> float | None:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def _positive(kind):
-    """argparse type: a number of the given kind (int or float) above zero."""
+def _number(kind, positive: bool):
+    """argparse type: a finite number of the given kind (int or float),
+    above zero if positive."""
     def parse(text: str):
         value = kind(text)
-        if not value > 0:  # also rejects nan
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not (math.isfinite(value) and (value > 0 or not positive)):
+            raise argparse.ArgumentTypeError(
+                f"must be {'positive and ' * positive}finite, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
@@ -746,6 +744,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Vortex-qubit modeling and batch analysis")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    finite, positive = _number(float, False), _number(float, True)
+    count = _number(int, True)
 
     def add(name, handler, help_text, needs_config=True, needs_data=False,
             analysis=False):
@@ -785,25 +785,25 @@ def _build_parser() -> argparse.ArgumentParser:
         needs_config=False, needs_data=True, analysis=True)
 
     p = add("landscape", _cmd_landscape, "vortex energy along the strip width")
-    p.add_argument("--field-ut", type=float, default=0.0,
+    p.add_argument("--field-ut", type=finite, default=0.0,
                    help="applied field in microtesla")
-    p.add_argument("--points", type=_positive(int), default=512)
-    p.add_argument("--vortex-density", type=float, default=0.0,
+    p.add_argument("--points", type=count, default=512)
+    p.add_argument("--vortex-density", type=finite, default=0.0,
                    help="areal density of other vortices (1/m^2)")
 
     p = add("gamma-map", _cmd_gamma_map,
             "field dispersion over double-well geometries")
-    p.add_argument("--delta-min-nm", type=float, default=5.0)
-    p.add_argument("--delta-max-nm", type=float, default=50.0)
-    p.add_argument("--n-delta", type=_positive(int), default=200)
-    p.add_argument("--n-xbar", type=_positive(int), default=200)
+    p.add_argument("--delta-min-nm", type=finite, default=5.0)
+    p.add_argument("--delta-max-nm", type=finite, default=50.0)
+    p.add_argument("--n-delta", type=count, default=200)
+    p.add_argument("--n-xbar", type=count, default=200)
 
     p = add("pair", _cmd_pair, "two-vortex interaction at given positions")
-    p.add_argument("--x1-um", type=float, required=True)
-    p.add_argument("--y1-um", type=float, required=True)
-    p.add_argument("--x2-um", type=float, required=True)
-    p.add_argument("--y2-um", type=float, required=True)
-    p.add_argument("--delta-nm", type=_positive(float), default=10.0,
+    p.add_argument("--x1-um", type=finite, required=True)
+    p.add_argument("--y1-um", type=finite, required=True)
+    p.add_argument("--x2-um", type=finite, required=True)
+    p.add_argument("--y2-um", type=finite, required=True)
+    p.add_argument("--delta-nm", type=positive, default=10.0,
                    help="tunneling length for the coupling scale")
 
     add("tunnel", _cmd_tunnel, "double-well eigenfrequencies versus field")
@@ -813,9 +813,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("analyze-jumps", _cmd_analyze_jumps,
             "cluster, filter and time a readout record",
             needs_config=False, needs_data=True, analysis=True)
-    p.add_argument("--n-sigma", type=_positive(float), default=1.5,
+    p.add_argument("--n-sigma", type=positive, default=1.5,
                    help="latching band half-width in cloud sigmas")
-    p.add_argument("--f-q-ghz", type=float, default=None,
+    p.add_argument("--f-q-ghz", type=positive, default=None,
                    help="qubit frequency for the effective temperature")
 
     p = add("batch-fit", _cmd_batch_fit,

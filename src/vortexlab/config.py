@@ -90,10 +90,10 @@ _SCHEMA: dict[str, dict[str, _Key]] = {
     "sweep": {
         "B_min_uT": _Key(1e-6, "finite"),
         "B_max_uT": _Key(1e-6, "finite"),
-        # the sweeps keep every field's result: rabi.Sweep 48 bytes a row
-        # and its spectra about 10 more, so about 235 KiB a field at
-        # n_fock 2047 (4096 rows); tunnel about 25 bytes a grid point, so
-        # 100 KiB a field at 4096. 4096 fields keep at most about 0.9 GiB
+        # the sweeps keep every field's result: rabi.Sweep 40 bytes a row,
+        # so 160 KiB a field at n_fock 2047 (4096 rows); tunnel about 25
+        # bytes a grid point, so 100 KiB a field at 4096. 4096 fields keep
+        # at most about 0.63 GiB
         "n_points": _Key(1, (1, 4096)),
     },
 }

@@ -182,12 +182,16 @@ def _pair_geometry(r1: tuple[float, float], r2: tuple[float, float],
                    w: float) -> tuple[float, float, float]:
     """u = pi / w, c = cosh(u (y1 - y2)) and den = c - cos(u (x1 - x2)) of
     two vortices strictly inside the strip; den vanishes only where they
-    coincide."""
+    coincide. c is inf where cosh overflows, |y1 - y2| > 226 w: the pair
+    energy is then below eps0 2e-308."""
     (x1, y1), (x2, y2) = r1, r2
     if not (0.0 < x1 < w and 0.0 < x2 < w):
         raise DomainError(f"vortex x positions must lie strictly inside (0, {w})")
     u = math.pi / w
-    c = math.cosh(u * (y1 - y2))
+    try:
+        c = math.cosh(u * (y1 - y2))
+    except OverflowError:
+        c = math.inf
     den = c - math.cos(u * (x1 - x2))
     if den <= 0.0:
         raise DivergenceError("pair energy diverges for coincident vortices")
@@ -237,15 +241,21 @@ def pair_coupling(pair: VortexPair, scales: DerivedScales,
     A's numerator is written c cos - 1; the equal c D - S^2 cancels far
     apart. On the central axis of the strip this is
     eps0 (2 u^2 / S^2) [[1, 0], [0, -c]]: xx / yy = -sech(pi |dy| / w).
+    Past c = 1.3e154 (|dy| > 113 w), where D^2 overflows, A and B are
+    evaluated with numerator and denominator times k^2, k = 1 / c, so
+    c k = 1 and S k = tanh(u dy): both tend to 0 as exp(-pi |dy| / w).
     """
     u, c, _ = _pair_geometry(pair.R1, pair.R2, device.w)
     (x1, y1), (x2, y2) = pair.R1, pair.R2
-    S = math.sinh(u * (y1 - y2))
+    if math.isfinite(c * c):  # k = 1: the plain form, with its bits
+        ck, k, Sk = c, 1.0, math.sinh(u * (y1 - y2))
+    else:
+        ck, k, Sk = 1.0, 1.0 / c, math.tanh(u * (y1 - y2))
 
     def terms(a: float) -> tuple[float, float]:
         cos, sin = math.cos(u * a), math.sin(u * a)
-        D2 = (c - cos) ** 2
-        return u * u * (c * cos - 1.0) / D2, -u * u * sin * S / D2
+        D2 = (ck - cos * k) ** 2
+        return u * u * k * (ck * cos - k) / D2, -u * u * sin * Sk * k / D2
 
     A_s, B_s = terms(x1 + x2)
     A_d, B_d = terms(x1 - x2)

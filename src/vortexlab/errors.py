@@ -30,9 +30,10 @@ class DegenerateFitError(VortexlabError):
 
 
 class AmbiguousLabelingError(VortexlabError):
-    """Two dressed eigenstates claim the same bare product state.
+    """No dressed eigenstate holds 2/3 of one of the transition bare states.
 
-    Carries the full overlap matrix (bare x dressed) for diagnosis.
+    Carries the overlaps of the bare states (g,0), (e,0), (g,1) and (e,1)
+    with every dressed eigenstate (4 x dim) for diagnosis.
     """
 
     def __init__(self, message: str, overlaps=None):

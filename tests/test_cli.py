@@ -841,6 +841,26 @@ class TestOtherSubcommands:
         result = json.loads((out / "pair.json").read_text())
         assert result["G2_over_eps0"] == pytest.approx(0.1730, abs=1e-3)
 
+    @pytest.mark.parametrize("y2_um", ["345", "1000"])
+    def test_pair_far_apart_along_the_strip(self, mini_config, tmp_path,
+                                            y2_um):
+        # past 340 um at w = 3 um the plain Hessian overflows, past 678 um
+        # cosh: the interaction and its Hessian are then tiny or 0
+        out = tmp_path / "out"
+        assert cli.main(["pair", "-c", str(mini_config), "-o", str(out),
+                         "--x1-um", "1.0", "--y1-um", "0.0",
+                         "--x2-um", "2.0", "--y2-um", y2_um]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        result = json.loads((out / "pair.json").read_text(),
+                            parse_constant=refuse)
+        hessian = np.array(result["hessian_J_per_m2"])
+        assert 0.0 <= result["G2_J"] < 1e-170
+        assert np.all(np.abs(hessian) < 1e-160)
+        assert (hessian == 0.0).all() == (y2_um == "1000")
+
     def test_tunnel(self, tmp_path):
         conf = tmp_path / "c.ini"
         conf.write_text(MINI_CONFIG + """
@@ -1589,10 +1609,11 @@ class TestExitCodes:
         assert err.startswith("config error: [pinning] site")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("value", ["0", "-3", "inf"])
     @pytest.mark.parametrize("command, option", [
         ("landscape", "--points"), ("gamma-map", "--n-delta"),
-        ("gamma-map", "--n-xbar"), ("analyze-jumps", "--n-sigma")])
+        ("gamma-map", "--n-xbar"), ("analyze-jumps", "--n-sigma"),
+        ("analyze-jumps", "--f-q-ghz")])
     def test_non_positive_size_or_band_is_one(self, mini_config, tmp_path,
                                               capsys, command, option, value):
         argv = [command, "-c", str(mini_config), "-o", str(tmp_path / "out"),
@@ -1601,10 +1622,36 @@ class TestExitCodes:
             argv += ["--data", str(tmp_path / "trajectory.csv")]
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
-        assert option in err and "must be positive" in err
+        # "inf" is not an int at all
+        message = ("invalid int value" if value == "inf" and option
+                   in ("--points", "--n-delta", "--n-xbar") else
+                   "must be positive")
+        assert option in err and message in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("value", ["0", "-3", "nan"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, option", [
+        ("landscape", "--field-ut"), ("landscape", "--vortex-density"),
+        ("gamma-map", "--delta-min-nm"), ("gamma-map", "--delta-max-nm"),
+        ("pair", "--x1-um"), ("pair", "--y1-um"), ("pair", "--x2-um"),
+        ("pair", "--y2-um"), ("analyze-jumps", "--f-q-ghz")])
+    def test_non_finite_float_option_is_one(self, mini_config, tmp_path,
+                                            capsys, command, option, value):
+        out = tmp_path / "out"
+        argv = [command, "-c", str(mini_config), "-o", str(out),
+                f"{option}={value}"]
+        if command == "pair":
+            argv += [arg for name in ("--x1-um", "--y1-um", "--x2-um",
+                                      "--y2-um") if name != option
+                     for arg in (name, "1.0")]
+        if command == "analyze-jumps":
+            argv += ["--data", str(tmp_path / "trajectory.csv")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert option in err and "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3", "nan", "inf"])
     def test_non_positive_pair_delta_is_one(self, mini_config, tmp_path,
                                             capsys, value):
         out = tmp_path / "out"

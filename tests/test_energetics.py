@@ -334,6 +334,34 @@ class TestPairCoupling:
         assert pc.energy_scale / H * 10 < 12.5e9
         assert 1e6 < pc.energy_scale / H < 100e6
 
+    @pytest.mark.parametrize("dy", [330e-6, 345e-6, 1e-3])
+    def test_far_apart_along_the_strip(self, scales, device, dy):
+        # at w = 3 um, (c - cos)^2 overflows past |dy| = 340 um and cosh
+        # past 678 um. To leading order in k = sech(u dy) ~ 2 exp(-u dy),
+        # G2 = 4 eps0 sin(u x1) sin(u x2) exp(-u dy), A(a) = u^2 k cos(u a)
+        # and B(a) = -u^2 k sin(u a) for dy > 0, which exp underflows to 0
+        # at 1 mm
+        w = device.w
+        u = math.pi / w
+        x1, x2 = w / 3, 2 * w / 3
+        for sign in (1.0, -1.0):
+            pair = energetics.VortexPair((x1, 0.0), (x2, sign * dy), 10e-9)
+            g = energetics.gibbs_pair(pair.R1, pair.R2, scales, device)
+            coupling = energetics.pair_coupling(pair, scales, device)
+            assert math.isfinite(g) and math.isfinite(coupling.energy_scale)
+            k = 2 * math.exp(-u * dy)
+            exact = 4 * scales.eps0 * math.sin(u * x1) * math.sin(u * x2) \
+                * math.exp(-u * dy)
+            assert abs(g - exact) <= 1e-12 * exact
+            A = [u * u * k * math.cos(u * a) for a in (x1 + x2, x1 - x2)]
+            B = [sign * u * u * k * math.sin(u * a)
+                 for a in (x1 + x2, x1 - x2)]
+            exact = scales.eps0 * np.array([[A[0] + A[1], B[1] - B[0]],
+                                            [B[0] + B[1], A[0] - A[1]]])
+            assert np.all(np.abs(coupling.hessian - exact)
+                          <= 1e-12 * np.abs(exact).max())
+            assert (exact == 0.0).all() == (dy == 1e-3)
+
     def test_linearization_guard(self):
         with pytest.raises(LinearizationError):
             energetics.VortexPair((1e-6, 0.0), (1.05e-6, 0.0), 10e-9)
