@@ -584,7 +584,7 @@ def _cmd_tunnel(args, cfg: RunConfig, run: Run) -> int:
             f"[pinning] siteN: sigma_nm, V_GHz, [tunneling] grid_points, "
             f"x_min_nm, x_max_nm, y_zpf_nm and [sweep] B_min_uT, B_max_uT "
             f"give a landscape the 1D solve refuses: {exc}") from exc
-    energies = np.array([res.energies[:2] for res in sweep.results])
+    energies = sweep.energies[:, :2]
     run.csv("tunnel.csv", ["B_uT", "f_q_GHz", "E0_GHz", "E1_GHz"],
             [sweep.fields * 1e6, sweep.omega_q / (2 * math.pi) / 1e9,
              energies[:, 0] / _H / 1e9, energies[:, 1] / _H / 1e9])

@@ -91,9 +91,8 @@ _SCHEMA: dict[str, dict[str, _Key]] = {
         "B_min_uT": _Key(1e-6, "finite"),
         "B_max_uT": _Key(1e-6, "finite"),
         # the sweeps keep every field's result: rabi.Sweep 40 bytes a row,
-        # so 160 KiB a field at n_fock 2047 (4096 rows); tunnel about 25
-        # bytes a grid point, so 100 KiB a field at 4096. 4096 fields keep
-        # at most about 0.63 GiB
+        # so 160 KiB a field at n_fock 2047 (4096 rows), and 4096 fields at
+        # most about 0.63 GiB; tunnel keeps k levels a field
         "n_points": _Key(1, (1, 4096)),
     },
 }

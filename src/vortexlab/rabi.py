@@ -287,19 +287,6 @@ def _empty_sweep(B: np.ndarray, trunc: HilbertTruncation) -> Sweep:
                  labeled=np.empty(F, dtype=bool))
 
 
-_pool = None  # the sweep threads beside the caller's, made on first use
-
-
-def _forget_pool() -> None:
-    """A forked child has none of its parent's threads: it makes its own."""
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def sweep_threads() -> int:
     """Threads a sweep of more than one chunk runs on: one per usable core
     when BLAS runs on one thread (OPENBLAS_NUM_THREADS=1, as in a CLI
@@ -328,10 +315,10 @@ def solve_fields(params: QrmParams, B_list,
     Chunks write disjoint rows of the result and eigh releases the GIL, so
     a sweep of more than one chunk spreads them over sweep_threads()
     threads, the caller's among them (one chunk in flight per thread); with
-    BLAS on more than one thread they run one after another. Each field
-    gets the bits it gets alone (solve_qrm).
+    BLAS on more than one thread they run one after another. The other
+    threads are made for the sweep and joined before it returns, so none
+    outlives it. Each field gets the bits it gets alone (solve_qrm).
     """
-    global _pool
     B = np.atleast_1d(np.asarray(B_list, dtype=float))
     if B.size == 0:
         raise InvalidParameterError("B_list must be non-empty")
@@ -343,15 +330,16 @@ def solve_fields(params: QrmParams, B_list,
     # start goes to one thread
     starts = iter(range(0, B.size, per))
     threads = sweep_threads() if B.size > per else 1
-    if threads > 1 and _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-        _pool = ThreadPoolExecutor(threads - 1, thread_name_prefix="sweep")
-    helpers = [_pool.submit(_solve_chunks, params, trunc, out, starts, per)
-               for _ in range(threads - 1)]
-    try:
+    if threads == 1:
         _solve_chunks(params, trunc, out, starts, per)
-    finally:
-        for helper in helpers:  # no thread writes into out once it returns
+        return out
+    from concurrent.futures import ThreadPoolExecutor
+    # leaving the with joins its threads, so none writes into out after
+    with ThreadPoolExecutor(threads - 1, thread_name_prefix="sweep") as pool:
+        helpers = [pool.submit(_solve_chunks, params, trunc, out, starts, per)
+                   for _ in range(threads - 1)]
+        _solve_chunks(params, trunc, out, starts, per)
+        for helper in helpers:  # a helper's error is raised here
             helper.result()
     return out
 

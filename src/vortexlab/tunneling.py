@@ -147,10 +147,15 @@ class TunnelModel:
 
 @dataclass
 class EigenResult:
-    """Lowest eigenpairs on the grid; wavefunction rows are L2-normalized."""
+    """Lowest eigenpairs on the grid, energies ascending (J).
+
+    Wavefunction rows are L2-normalized. residuals[i] is the solver's own
+    ||H x - E_i x|| (J) for the unit-norm vector x of level i.
+    """
 
     energies: np.ndarray
     wavefunctions: np.ndarray
+    residuals: np.ndarray
 
     @property
     def splitting(self) -> float:
@@ -235,9 +240,11 @@ def _bisection_1d(d: np.ndarray, off: float, k: int):
     it was given by 1 / tol or more, which bounds the residual by tol. One
     Rayleigh-Ritz step over the k vectors gives the pairs (Barth, Martin &
     Wilkinson, Numer. Math. 9, 386 (1967); Parlett, The Symmetric
-    Eigenvalue Problem, ch. 4). It all runs on T / s (_scale_1d), and the
-    levels are scaled back. A T whose Gershgorin bounds are not finite
-    raises EigensolverError.
+    Eigenvalue Problem, ch. 4 and 11), and from the T Q it projects, each
+    pair's residual ||T x - lambda x||. It all runs on T / s (_scale_1d),
+    and the levels and residuals are scaled back. Returns the levels
+    (ascending), the vectors as columns and the residuals. A T whose
+    Gershgorin bounds are not finite raises EigensolverError.
     """
     scale = _scale_1d(d, off)
     d, off = d / scale, off / scale
@@ -283,8 +290,11 @@ def _bisection_1d(d: np.ndarray, off: float, k: int):
             rayleigh = float(y @ (d * y) + 2 * off * (y[1:] @ y[:-1]))
             shift = min(max(rayleigh, los[j]), his[j])
         Q[:, j] = y
-    vals, S = np.linalg.eigh(Q.T @ _apply_1d(d, off, Q))
-    return vals * scale, Q @ S
+    TQ = _apply_1d(d, off, Q)
+    vals, S = np.linalg.eigh(Q.T @ TQ)
+    X = Q @ S
+    residuals = np.linalg.norm(TQ @ S - X * vals, axis=0)
+    return vals * scale, X, residuals * scale
 
 
 def _apply_2d(V2: np.ndarray, cx: float, cy: float,
@@ -344,8 +354,10 @@ def _solve_2d(grid: Grid, V: np.ndarray, K: float, k: int):
     rows, orthogonalised against all earlier rows twice (Gram-Schmidt) and
     then by QR; after each block a Rayleigh-Ritz step projects H itself.
     It stops when every wanted pair has ||H x - theta x|| <= 1e-10 |H|_bound
-    (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15, 228 (1994)).
-    Past _MAX_BLOCKS blocks it raises EigensolverError with the residuals.
+    (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15, 228 (1994)),
+    and returns the levels (ascending), the vectors as columns and those
+    residuals. Past _MAX_BLOCKS blocks it raises EigensolverError with the
+    residuals.
     """
     cx, cy = K / grid.dx**2, K / grid.dy**2
     # flat index i * ny + j with x along i, as in potential.reshape(-1)
@@ -370,7 +382,7 @@ def _solve_2d(grid: Grid, V: np.ndarray, K: float, k: int):
         residuals = np.linalg.norm(
             _apply_2d(V2, cx, cy, X) - theta[:k, None] * X, axis=1)
         if (residuals <= tol).all():
-            return theta[:k], X.T
+            return theta[:k], X.T, residuals
         if m < Q.shape[0]:
             W = solve(block)
             for _ in range(2):
@@ -387,11 +399,13 @@ def solve_schrodinger(grid: Grid, potential: np.ndarray, model: TunnelModel,
 
     potential is the energy field (J) sampled on the grid, shape (nx,) or
     (nx, ny). A 1D solve runs the bisection and inverse iteration of
-    _bisection_1d, a 2D solve the block Lanczos of _solve_2d. _START_SEED
-    fixes the start vectors of 1D inverse iteration and of the 2D start
-    block, so repeated calls return identical bits. A non-finite potential
-    raises InvalidParameterError. Raises EigensolverError with
-    the residual norms (inf for pairs not found) if the solver fails.
+    _bisection_1d, a 2D solve the block Lanczos of _solve_2d; both return
+    the levels ascending, with the residual of each pair from their last
+    Rayleigh-Ritz step, which the result keeps. _START_SEED fixes the start
+    vectors of 1D inverse iteration and of the 2D start block, so repeated
+    calls return identical bits. A non-finite potential raises
+    InvalidParameterError. Raises EigensolverError with the residual norms
+    (inf for pairs not found) if the solver fails.
     """
     if not (1 <= k <= 10):
         raise InvalidParameterError("k must be between 1 and 10")
@@ -403,20 +417,17 @@ def solve_schrodinger(grid: Grid, potential: np.ndarray, model: TunnelModel,
         raise InvalidParameterError("potential must be finite")
     K = model.kinetic_coefficient
     if grid.dimension == 1:
-        vals, vecs = _bisection_1d(*_tridiagonal_1d(grid, V, K), k)
+        vals, vecs, residuals = _bisection_1d(*_tridiagonal_1d(grid, V, K), k)
     else:
-        vals, vecs = _solve_2d(grid, V, K, k)
-
-    order = np.argsort(vals)
-    vals = vals[order]
-    vecs = vecs[:, order]
-    # continuum normalization: sum |psi|^2 * cell = 1
-    psi = (vecs / math.sqrt(grid.cell)).T
+        vals, vecs, residuals = _solve_2d(grid, V, K, k)
+    # continuum normalization: sum |psi|^2 * cell = 1, one row per level
+    psi = np.divide(vecs.T, math.sqrt(grid.cell), order="C")
     for i in range(psi.shape[0]):  # deterministic sign convention
         jmax = int(np.argmax(np.abs(psi[i])))
         if psi[i, jmax] < 0:
             psi[i] = -psi[i]
-    return EigenResult(energies=vals.copy(), wavefunctions=psi)
+    return EigenResult(energies=vals.copy(), wavefunctions=psi,
+                       residuals=residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +436,15 @@ def solve_schrodinger(grid: Grid, potential: np.ndarray, model: TunnelModel,
 
 @dataclass
 class FieldSweep:
-    """Qubit frequency versus field from repeated landscape solves."""
+    """Qubit frequency versus field from repeated landscape solves.
+
+    energies[f] holds the k lowest levels at fields[f]; the wavefunctions
+    of each solve are not kept.
+    """
 
     fields: np.ndarray            # T
     omega_q: np.ndarray           # rad/s
-    results: list[EigenResult]
+    energies: np.ndarray          # J, shape (fields, k), rows ascending
     sweet_spot_index: int
     max_residual: float           # J, largest ||H v - E v|| for unit-norm v
 
@@ -454,7 +469,8 @@ def spectrum_vs_field(sites: Sequence[PinningSite], x_window: tuple[float, float
     the potential's floor) or whose qubit doublet the landscape does not
     bind (E1 above the potential's whole range on the grid, so the window's
     walls hold it) raises InvalidParameterError, as does a site too narrow.
-    The sweep records the largest residual norm over its fields and levels.
+    The sweep keeps each field's k levels, not its wavefunctions, and the
+    largest residual norm any solve reports over its fields and levels.
     """
     if len(sites) != 2:
         raise InvalidParameterError("spectrum_vs_field expects exactly two sites")
@@ -473,8 +489,7 @@ def spectrum_vs_field(sites: Sequence[PinningSite], x_window: tuple[float, float
                 f"{_SITE_STEPS:g} steps or more")
     x = grid.x
     fields = np.atleast_1d(np.asarray(B_list, dtype=float))
-    results: list[EigenResult] = []
-    omega = np.empty(fields.size)
+    energies = np.empty((fields.size, k))
     residual = 0.0
     resolved = _LEVEL_STEPS * model.kinetic_coefficient / grid.dx**2
     for i, B in enumerate(fields):
@@ -494,24 +509,12 @@ def spectrum_vs_field(sites: Sequence[PinningSite], x_window: tuple[float, float
                 f"range on x_window: the kinetic term K = hbar Omega y_zpf^2 "
                 f"= {model.kinetic_coefficient:g} J m^2 leaves the pinning "
                 f"sites no bound doublet")
-        results.append(res)
-        omega[i] = res.splitting / CONSTANTS.hbar
-        residual = max(residual, _max_residual_1d(grid, V, model, res))
-    return FieldSweep(fields=fields, omega_q=omega, results=results,
+        energies[i] = res.energies
+        residual = max(residual, float(res.residuals.max()))
+    omega = (energies[:, 1] - energies[:, 0]) / CONSTANTS.hbar
+    return FieldSweep(fields=fields, omega_q=omega, energies=energies,
                       sweet_spot_index=int(np.argmin(omega)),
                       max_residual=residual)
-
-
-def _max_residual_1d(grid: Grid, V: np.ndarray, model: TunnelModel,
-                     res: EigenResult) -> float:
-    """Largest ||H v - E v|| (J) over the levels of a 1D solve, v unit-norm,
-    taken in the units of the solve so that no square overflows."""
-    d, off = _tridiagonal_1d(grid, V, model.kinetic_coefficient)
-    scale = _scale_1d(d, off)
-    v = res.wavefunctions.T * math.sqrt(grid.cell)
-    Tv = _apply_1d(d / scale, off / scale, v)
-    return scale * float(np.linalg.norm(Tv - v * (res.energies / scale),
-                                        axis=0).max())
 
 
 @dataclass(frozen=True)
@@ -526,23 +529,24 @@ class TwoLevelModel:
         return math.sqrt(4.0 * self.Delta**2 + self.epsilon(B) ** 2) / CONSTANTS.hbar
 
 
-def two_level_reduction(result_pair: tuple[EigenResult, EigenResult],
+def two_level_reduction(energy_pair: tuple[np.ndarray, np.ndarray],
                         asymmetry: Callable[[float], float]) -> TwoLevelModel:
-    """Reduce solver output at two fields to the (Delta, epsilon) model.
+    """Reduce the levels at two fields to the (Delta, epsilon) model.
 
-    The member of the pair with the smaller splitting is taken as the
-    degeneracy-field solve; Delta is half its splitting. The reduction is
-    refused when the third level sits closer than three splittings above
-    the qubit doublet.
+    energy_pair holds two ascending rows of levels (J), such as two rows of
+    FieldSweep.energies or the energies of two EigenResults. The row with
+    the smaller splitting E1 - E0 is taken as the degeneracy field's;
+    Delta is half its splitting. The reduction is refused when the third
+    level sits closer than three splittings above the qubit doublet.
     """
-    if len(result_pair) != 2:
-        raise InvalidParameterError("need results at exactly two fields")
-    degenerate = min(result_pair, key=lambda r: r.splitting)
-    if degenerate.energies.size < 3:
+    if len(energy_pair) != 2:
+        raise InvalidParameterError("need levels at exactly two fields")
+    degenerate = min(energy_pair, key=lambda E: E[1] - E[0])
+    if len(degenerate) < 3:
         raise InvalidParameterError(
             "need at least three levels to validate the reduction")
-    split = degenerate.splitting
-    third_gap = float(degenerate.energies[2] - degenerate.energies[1])
+    split = float(degenerate[1] - degenerate[0])
+    third_gap = float(degenerate[2] - degenerate[1])
     if third_gap < 3.0 * split:
         raise ReductionInvalidError(
             f"third level only {third_gap / split:.2f} splittings above the "

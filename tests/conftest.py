@@ -1,5 +1,6 @@
 import gc
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +19,18 @@ def no_child_left():
         return
     pytest.fail(f"the tests left a child process behind (waitpid gave pid "
                 f"{pid}, status {status}; pid 0 is one still running)")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_thread_left():
+    """At the end of the run, fails if a test left a thread other than the
+    main one alive (a Rabi sweep's threads end with the sweep, and the CSV
+    writer forks only while no other thread runs)."""
+    yield
+    others = [t for t in threading.enumerate()
+              if t is not threading.main_thread()]
+    if others:
+        pytest.fail(f"the tests left threads alive: {others}")
 
 
 @pytest.fixture(scope="session", autouse=True)

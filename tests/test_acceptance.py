@@ -177,7 +177,7 @@ def test_criterion_06_schrodinger_oracle(device, scales):
     i0 = sweep.sweet_spot_index
     eps = tunneling.double_well_asymmetry_model(x_bar, delta, scales, device,
                                                 B_ref=sweep.sweet_spot_B)
-    tl = tunneling.two_level_reduction((sweep.results[i0], sweep.results[0]),
+    tl = tunneling.two_level_reduction((sweep.energies[i0], sweep.energies[0]),
                                        eps)
     devs = [abs(tl.omega_q(B) - om) / om
             for B, om in zip(sweep.fields, sweep.omega_q)

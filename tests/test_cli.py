@@ -1289,14 +1289,9 @@ def _force_forks(monkeypatch) -> list[int]:
     """Let the writer fork as on a three-core machine; the pid of each fork
     is appended to the list returned.
 
-    The threads of the Rabi pool, which an earlier chi test may have
-    started, are joined first, so the writer's own thread guard holds: no
-    test forks a process that runs another thread.
+    A sweep's threads end with the sweep, so the writer's own thread guard
+    holds: no test forks a process that runs another thread.
     """
-    from vortexlab import rabi
-    if rabi._pool is not None:
-        rabi._pool.shutdown()
-        rabi._pool = None  # the next sweep makes its own
     assert threading.active_count() == 1, threading.enumerate()
     forks: list[int] = []
     fork = os.fork

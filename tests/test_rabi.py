@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -335,20 +336,19 @@ class TestSweepField:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         serial = rabi.solve_fields(aqrm, fields, tr)
         monkeypatch.setattr(rabi, "sweep_threads", lambda: 8)
-        monkeypatch.setattr(rabi, "_pool", None)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             threaded = rabi.solve_fields(aqrm, fields, tr)
         finally:
             sys.setswitchinterval(interval)
-            rabi._pool.shutdown()
         assert np.array_equal(threaded.energies, serial.energies)
         assert np.array_equal(threaded.vectors, serial.vectors)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_threaded_sweep_in_a_forked_child(self, aqrm, monkeypatch):
-        # the child inherits the parent's pool but none of its threads
+        # a pool kept past the parent's sweep would reach the child
+        # without its threads
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         tr = rabi.HilbertTruncation(24)
         fields = B0 + np.linspace(-200e-6, 200e-6, 4 * rabi._fields_per_stack(tr))
@@ -357,6 +357,21 @@ class TestSweepField:
             child = pool.apply_async(rabi.solve_fields,
                                      (aqrm, fields, tr)).get(timeout=60)
         assert np.array_equal(child.energies, parent.energies)
+
+    def test_threads_end_with_the_sweep(self, aqrm, monkeypatch):
+        # the CSV writer forks only while no other Python thread is alive
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        from vortexlab import cli
+        monkeypatch.setattr(rabi, "sweep_threads", lambda: 2)
+        monkeypatch.setattr(cli, "usable_cores", lambda: 2)
+        tr = rabi.HilbertTruncation(60)
+        assert rabi._fields_per_stack(tr) == 1  # four chunks, two threads
+        before = threading.active_count()
+        sweep = rabi.solve_fields(aqrm, B0 + np.linspace(-200e-6, 200e-6, 4),
+                                  tr)
+        assert sweep.labeled.all()
+        assert threading.active_count() == before, threading.enumerate()
+        assert cli._encoders(cli._PARALLEL_ROWS) == 2
 
     def test_memory_beyond_the_result_independent_of_field_count(
             self, aqrm, monkeypatch):
