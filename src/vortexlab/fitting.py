@@ -223,16 +223,15 @@ def _lockstep(residual_fn: Callable, P0, names: Sequence[str]
     if not rows.size:
         return out
 
-    # the live problems' state, compacted as problems stop; ids are their
-    # positions in rows, where each one's final state is kept
+    # every problem keeps its row to the end; a stopped row's state stays
+    # as it stopped, and live marks the rows still iterating
     k, n = P.shape
-    ids = np.arange(k)
+    live = np.ones(k, dtype=bool)
     cost = _sumsq(R)
-    r_floor = r_floors = 1e-8 * np.sqrt(cost)
+    r_floor = 1e-8 * np.sqrt(cost)
     lam = np.full(k, 1e-3)
     small_steps = np.zeros(k, dtype=int)
     history = [[c] for c in np.sqrt(cost).tolist()]
-    final = [P.copy(), R.copy(), J.copy(), cost.copy()]
     iterations = np.full(k, _MAX_ITER)
     converged = np.zeros(k, dtype=bool)
     message = ["max iterations reached"] * k
@@ -240,8 +239,8 @@ def _lockstep(residual_fn: Callable, P0, names: Sequence[str]
 
     for it in range(1, _MAX_ITER + 1):
         g, col = _gradient(J, R)
-        gradient_stop = (_gradient_measure(g, col, cost, r_floor) <= _GTOL) \
-            & (J != 0.0).any(axis=(1, 2))
+        gradient_stop = live & (J != 0.0).any(axis=(1, 2)) \
+            & (_gradient_measure(g, col, cost, r_floor) <= _GTOL)
 
         # Fletcher-scaled damped step, solved in column-normalized
         # variables so parameters with disparate units stay conditioned
@@ -255,9 +254,9 @@ def _lockstep(residual_fn: Callable, P0, names: Sequence[str]
         # or is the second sub-tolerance step in a row; otherwise, or when
         # its point, residual or Jacobian is not finite or beyond _BIG,
         # lam *= 4, up to 1e14
-        accepted = np.zeros(len(ids), dtype=bool)
-        at_floor = np.zeros(len(ids), dtype=bool)
-        trying = np.flatnonzero(~gradient_stop)
+        accepted = np.zeros(k, dtype=bool)
+        at_floor = np.zeros(k, dtype=bool)
+        trying = np.flatnonzero(live & ~gradient_stop)
         while trying.size:
             delta_n = _solve(JtJ_n[trying] + lam[trying, None, None] * eye,
                              -g_n[trying])
@@ -267,7 +266,7 @@ def _lockstep(residual_fn: Callable, P0, names: Sequence[str]
             if tried.size:
                 t = trying[tried]
                 p_try = P[t] + delta[tried]
-                r_try, J_try = residual_fn(p_try, rows[ids[t]])
+                r_try, J_try = residual_fn(p_try, rows[t])
                 ok = _within(r_try) & _within(J_try)
                 tried, t, p_try, r_try, J_try = \
                     tried[ok], t[ok], p_try[ok], r_try[ok], J_try[ok]
@@ -297,43 +296,30 @@ def _lockstep(residual_fn: Callable, P0, names: Sequence[str]
             trying = rejected[lam[rejected] <= 1e14]
 
         lam[accepted] = np.maximum(lam[accepted] * 0.3, 1e-14)
-        for i, c in zip(ids[accepted].tolist(),
+        for i, c in zip(np.flatnonzero(accepted).tolist(),
                         np.sqrt(cost[accepted]).tolist()):
             history[i].append(c)
-        step_stop = small_steps >= 2
+        step_stop = live & (small_steps >= 2)
         settled = gradient_stop | at_floor | step_stop
-        failed = ~(settled | accepted)
-        done = settled | failed
-        if it == _MAX_ITER:
-            done[:] = True
-        if not done.any():
-            continue
-        stopped = ids[done]
-        for arr, now in zip(final, (P, R, J, cost)):
-            arr[stopped] = now[done]
-        iterations[stopped] = np.where(gradient_stop, it - 1, it)[done]
-        converged[stopped] = settled[done]
-        for i, grad, floor, step, fail in zip(
-                stopped.tolist(), gradient_stop[done].tolist(),
-                at_floor[done].tolist(), step_stop[done].tolist(),
-                failed[done].tolist()):
-            if grad:
+        failed = live & ~(settled | accepted)
+        done = live if it == _MAX_ITER else settled | failed
+        iterations[done] = np.where(gradient_stop, it - 1, it)[done]
+        converged[done] = settled[done]
+        for i in np.flatnonzero(done).tolist():
+            if gradient_stop[i]:
                 message[i] = "gradient tolerance reached"
-            elif floor:
+            elif at_floor[i]:
                 message[i] = "cost reduction at the rounding floor"
-            elif step:
+            elif step_stop[i]:
                 message[i] = "step tolerance reached"
-            elif fail:
+            elif failed[i]:
                 message[i] = "no damped step reduced the residual"
-        keep = ~done
-        if not keep.any():
+        live = live & ~done
+        if not live.any():
             break
-        ids, P, R, J, cost, r_floor, lam, small_steps = (
-            arr[keep] for arr in (ids, P, R, J, cost, r_floor, lam, small_steps))
 
-    P, R, J, cost = final
     g, col = _gradient(J, R)
-    gmeas = _gradient_measure(g, col, cost, r_floors)
+    gmeas = _gradient_measure(g, col, cost, r_floor)
     se = _std_errors(J, cost)
     for j, i in enumerate(rows.tolist()):
         out[i] = FitResult(params=dict(zip(names, P[j].tolist())),
@@ -400,6 +386,8 @@ def _hyperbola_start(points) -> tuple[np.ndarray, tuple[float, float, float]]:
     if pts.ndim != 2 or pts.shape[0] < 3:
         raise DegenerateFitError("need at least 3 (B, f) points")
     B, f = pts[:, 0], pts[:, 1]
+    if pts.shape[1] > 2 and not (pts[:, 2] > 0).all():  # NaN fails too
+        raise InvalidParameterError("sigma must be positive")
     w = 1.0 / pts[:, 2] if pts.shape[1] > 2 else np.ones_like(B)
     # np.unique(B).size < 2, NaN equal to NaN, without np.unique's import
     # of numpy.ma (about 20 ms)
@@ -442,17 +430,18 @@ def fit_hyperbolas(datasets) -> list[FitResult | VortexlabError]:
     """fit_hyperbola over many datasets at once, each fitted on its own.
 
     Returns, per dataset, its FitResult or the VortexlabError that
-    fit_hyperbola raises for it (fewer than 3 points, identical fields, a
-    non-finite start or initial residual). Datasets with the same point
-    count run through one _lockstep batch; a result is the same as the
-    dataset's fit alone, whatever else the batch holds.
+    fit_hyperbola raises for it (fewer than 3 points, a sigma that is not
+    positive, identical fields, a non-finite start or initial residual).
+    Datasets with the same point count run through one _lockstep batch; a
+    result is the same as the dataset's fit alone, whatever else the batch
+    holds.
     """
     results: list = [None] * len(datasets)
     groups: dict[int, list] = {}  # point count -> (index, data, start)
     for i, points in enumerate(datasets):
         try:
             data, start = _hyperbola_start(points)
-        except DegenerateFitError as exc:
+        except (DegenerateFitError, InvalidParameterError) as exc:
             results[i] = exc
             continue
         groups.setdefault(data.shape[1], []).append((i, data, start))

@@ -753,6 +753,8 @@ class TestBatchFit:
         tables["nan_cell.csv"] = [B, np.where(np.arange(B.size) == 7, np.nan, f)]
         tables["two_points.csv"] = [B[:2], f[:2]]
         tables["flat.csv"] = [np.full(9, 120.0), f[:9]]
+        tables["zero_sigma.csv"] = [B, f, np.where(np.arange(B.size) == 3,
+                                                   0.0, 0.01)]
         for name, cols in tables.items():
             header = ["B_uT", "f_GHz", "sigma_GHz"][:len(cols)]
             lines = [",".join(header)] + [
@@ -784,7 +786,8 @@ class TestBatchFit:
         assert errors == {
             "nan_cell.csv": "initial parameters must be finite",
             "two_points.csv": "need at least 3 (B, f) points",
-            "flat.csv": "all fields identical, hyperbola unconstrained"}
+            "flat.csv": "all fields identical, hyperbola unconstrained",
+            "zero_sigma.csv": "sigma must be positive"}
 
     def test_blank_line_before_phi_comment(self, tmp_path):
         data_dir = tmp_path / "sets"

@@ -94,6 +94,49 @@ class TestEngine:
         assert result.message == "no damped step reduced the residual"
         assert result.params == {"a": 0.0}
 
+    def test_lockstep_rows_are_bit_identical_to_batches_of_one(
+            self, monkeypatch):
+        # one batch of one-parameter problems whose rows stop by different
+        # rules, one refused at its start: each row's result is, every
+        # field bit for bit, its problem's result alone
+        monkeypatch.setattr(fitting, "_MAX_ITER", 8)
+        x = np.linspace(0, 1, 4)
+        problems = [  # (residual and Jacobian at a, start)
+            (lambda a: (a * x - 3.7 * x, x[:, None]), 1.0),
+            (lambda a: (a - np.array([1.0, 2.0, 4.0, 8.0]), np.ones((4, 1))),
+             0.0),
+            # the problem of test_steps_beyond_the_bound_fail
+            (lambda a: (np.full(4, 1e-150 * a + 1e20), np.full((4, 1), 1e-150)),
+             0.0),
+            # ten iterations to its step tolerance
+            (lambda a: (np.exp(-a * x) - np.exp(-1.37 * x),
+                        (-x * np.exp(-a * x))[:, None]), 5.0),
+            (lambda a: (a * x, x[:, None]), math.nan),
+        ]
+
+        def lockstep(chosen):
+            def resid(P, rows):
+                R, J = zip(*(chosen[i][0](p) for (p,), i
+                             in zip(P, rows.tolist())))
+                return np.stack(R), np.stack(J)
+
+            return fitting._lockstep(resid, [[start] for _, start in chosen],
+                                     ["a"])
+
+        batch = lockstep(problems)
+        assert [getattr(r, "message", str(r)) for r in batch] == [
+            "gradient tolerance reached",
+            "cost reduction at the rounding floor",
+            "no damped step reduced the residual",
+            "max iterations reached",
+            "initial parameters must be finite"]
+        for problem, result in zip(problems, batch):
+            alone, = lockstep([problem])
+            if isinstance(alone, InvalidParameterError):
+                assert type(result) is type(alone) and str(result) == str(alone)
+            else:
+                assert result == alone
+
 
 class TestHyperbola:
     def test_noiseless_round_trip(self):
@@ -160,6 +203,10 @@ class TestHyperbolaBatch:
         nan_cell[4, 1] = math.nan
         datasets += [nan_cell, hyperbola_points(n=2),
                      np.array([[1e-4, 2e9, 1e6]] * 4)]
+        # sigmas: not positive, then small enough to put the initial
+        # residual beyond 1e60
+        datasets += [hyperbola_points(sigma=s)
+                     for s in (0.0, -1e6, math.nan, 1e-55)]
         batch = fitting.fit_hyperbolas(datasets)
         assert len({r.iterations for r in batch[:7]}) > 1
         for points, result in zip(datasets, batch):
@@ -172,7 +219,11 @@ class TestHyperbolaBatch:
         assert [str(r) for r in batch[7:]] == [
             "initial parameters must be finite",
             "need at least 3 (B, f) points",
-            "all fields identical, hyperbola unconstrained"]
+            "all fields identical, hyperbola unconstrained",
+            "sigma must be positive", "sigma must be positive",
+            "sigma must be positive",
+            "residual or Jacobian not finite or beyond +-1e+60 at the "
+            "initial point"]
 
 
 class TestJointAqrm:
