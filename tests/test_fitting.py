@@ -108,7 +108,8 @@ class TestEngine:
             # the problem of test_steps_beyond_the_bound_fail
             (lambda a: (np.full(4, 1e-150 * a + 1e20), np.full((4, 1), 1e-150)),
              0.0),
-            # ten iterations to its step tolerance
+            # needs ten iterations to its step tolerance, more than the 8
+            # allowed here
             (lambda a: (np.exp(-a * x) - np.exp(-1.37 * x),
                         (-x * np.exp(-a * x))[:, None]), 5.0),
             (lambda a: (a * x, x[:, None]), math.nan),
