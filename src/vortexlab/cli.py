@@ -666,23 +666,27 @@ def _cmd_batch_fit(args, cfg: RunConfig, run: Run) -> int:
     # every file is read first and the datasets are fitted in one call,
     # each on its own; a file that fails to read or fit gets an error row
     read: list = []  # each file's points, or the error reading it
+    phis: list = []  # each file's phi_over_phi_S, None if absent or bad
     for path in files:
+        phi = None
         try:
+            phi = _phi_from_header(path)
             data = _read_csv_columns(path, 2)
         except VortexlabError as exc:
             read.append(exc)
-            continue
-        read.append(np.column_stack([
-            data[:, 0] * 1e-6, data[:, 1] * 1e9,
-            data[:, 2] * 1e9 if data.shape[1] > 2 else np.full(len(data), 1e6)]))
+        else:
+            read.append(np.column_stack([
+                data[:, 0] * 1e-6, data[:, 1] * 1e9,
+                data[:, 2] * 1e9 if data.shape[1] > 2
+                else np.full(len(data), 1e6)]))
+        phis.append(phi)
     fits = iter(fitting.fit_hyperbolas(
         [item for item in read if not isinstance(item, VortexlabError)]))
     rows = []
     stops: dict[str, int] = {}
     iterations = []
-    for path, item in zip(files, read):
+    for path, phi_ratio, item in zip(files, phis, read):
         result = item if isinstance(item, VortexlabError) else next(fits)
-        phi_ratio = _phi_from_header(path)
         if isinstance(result, VortexlabError):
             rows.append([path.name, phi_ratio, None, None, None, None, False,
                          str(result)])
@@ -707,16 +711,25 @@ def _cmd_batch_fit(args, cfg: RunConfig, run: Run) -> int:
 
 
 def _phi_from_header(path: Path) -> float | None:
-    """Optional '# phi_over_phi_S = x' comment in a dataset header."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if not _before_header(line):
-                    break
-                if "phi_over_phi_S" in line and "=" in line:
-                    return float(line.split("=", 1)[1])
-    except (OSError, ValueError):
-        pass
+    """Optional '# phi_over_phi_S = x' comment in a dataset header.
+
+    A header whose x is not a finite number raises VortexlabError.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if not _before_header(line):
+                break
+            if "phi_over_phi_S" in line and "=" in line:
+                text = line.split("=", 1)[1].strip()
+                try:
+                    value = float(text)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise VortexlabError(
+                        f"{path}: phi_over_phi_S must be a finite number, "
+                        f"got {text!r}")
+                return value
     return None
 
 

@@ -8,10 +8,11 @@ Python: Sturm-sequence bisection, inverse iteration by Thomas solves, then
 a Rayleigh-Ritz step. In 2D a shifted block Lanczos in numpy finds them: a
 block LDL^T factorisation of H - min V along x, one ny x ny block per
 x-row, applies the shift-invert operator, and Rayleigh-Ritz steps on the
-five-point stencil give the pairs. Neither imports scipy. The kinetic
-coefficient hbar Omega y_zpf^2 equals hbar^2 / 2 m for the effective mass
-implied by y_zpf = sqrt(hbar / 2 m Omega), so the mass never has to be
-specified directly."""
+five-point stencil give the pairs. Both draw their start vectors from a
+fixed splitmix64 stream (_start); neither imports scipy or numpy.random.
+The kinetic coefficient hbar Omega y_zpf^2 equals hbar^2 / 2 m for the
+effective mass implied by y_zpf = sqrt(hbar / 2 m Omega), so the mass
+never has to be specified directly."""
 
 from __future__ import annotations
 
@@ -27,11 +28,10 @@ from .energetics import PinningSite, total_potential, well_detuning
 from .errors import (EigensolverError, InvalidParameterError,
                      ReductionInvalidError)
 
-_START_SEED = 11  # of the random start vectors (1D inverse iteration, the
-# 2D block Lanczos start block), fixed so results are repeatable
+_START_SEED = 11  # of the splitmix64 stream of start vectors (_start)
 _MARGIN_SIGMAS = 5.0  # grid clearance around each pinning site, in sigma_i
-# 1D inverse iteration, from a seeded random start, stops once a solve's
-# growth bounds the residual by the bisection tolerance (3-4 solves per
+# 1D inverse iteration, from a _start row, stops once a solve's growth
+# bounds the residual by the bisection tolerance (3-4 solves per
 # level on tested potentials), or after _INVERSE_ITERATIONS solves
 _INVERSE_ITERATIONS = 8
 # 1D bisection stops once a level's bracket is narrower than this share of
@@ -163,6 +163,24 @@ class EigenResult:
         return float(self.energies[1] - self.energies[0])
 
 
+def _start(shape: tuple[int, ...]) -> np.ndarray:
+    """Start vectors: doubles uniform in [-1, 1), the same on every call.
+
+    Element i (in C order) is the (i + 1)-th output of splitmix64 seeded
+    with _START_SEED (Steele, Lea & Flood, OOPSLA 2014), its top 53 bits
+    scaled to [0, 2) and shifted down by one. The uint64 products wrap
+    mod 2^64, as the generator needs. LAPACK's dstein likewise draws its
+    inverse-iteration starts from a fixed-seed stream (dlarnv); drawing
+    them here, not from numpy.random, keeps that module out of a solve.
+    """
+    z = (np.arange(1, math.prod(shape) + 1, dtype=np.uint64)
+         * 0x9E3779B97F4A7C15 + _START_SEED)
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    z ^= z >> 31
+    return ((z >> 11) * 2.0**-52 - 1.0).reshape(shape)
+
+
 def _tridiagonal_1d(grid: Grid, V: np.ndarray, K: float):
     """Diagonal and (constant) off-diagonal of the 1D Hamiltonian (J)."""
     return 2.0 * K / grid.dx**2 + V, -K / grid.dx**2
@@ -233,7 +251,7 @@ def _bisection_1d(d: np.ndarray, off: float, k: int):
     neighbours' brackets (or reaches about 2 eps |T|, for levels that
     close); every count also narrows the other brackets, and one extra
     bracket above level k - 1 shows that level's gap. Inverse iteration
-    from a seeded random start, Gram-Schmidt against the vectors already
+    from its _start row, Gram-Schmidt against the vectors already
     found (as LAPACK's dstein does for clusters), with the shift moved to
     the Rayleigh quotient after each step but kept inside the bracket,
     turns each into a vector; it stops once a solve grows the unit vector
@@ -274,12 +292,11 @@ def _bisection_1d(d: np.ndarray, off: float, k: int):
                 else:
                     los[m] = max(los[m], mid)
 
-    rng = np.random.default_rng(_START_SEED)
+    starts = _start((k, d.size))
     Q = np.empty((d.size, k))
     for j in range(k):
         shift = 0.5 * (los[j] + his[j])
-        y = rng.standard_normal(d.size)
-        y /= np.linalg.norm(y)
+        y = starts[j] / np.linalg.norm(starts[j])
         for _ in range(_INVERSE_ITERATIONS):
             y = _inverse_step(dl, off, shift, tol, y.tolist())
             y -= Q[:, :j] @ (Q[:, :j].T @ y)
@@ -350,8 +367,8 @@ def _solve_2d(grid: Grid, V: np.ndarray, K: float, k: int):
     The shift sigma = min V is a strict lower bound of the spectrum, since
     the Dirichlet Laplacian is positive definite, so H - sigma is positive
     definite and _shift_invert_2d factors it without pivoting. A block
-    Krylov basis of (H - sigma)^-1 grows from a seeded random block of k
-    rows, orthogonalised against all earlier rows twice (Gram-Schmidt) and
+    Krylov basis of (H - sigma)^-1 grows from a _start block of k rows,
+    orthogonalised against all earlier rows twice (Gram-Schmidt) and
     then by QR; after each block a Rayleigh-Ritz step projects H itself.
     It stops when every wanted pair has ||H x - theta x|| <= 1e-10 |H|_bound
     (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15, 228 (1994)),
@@ -372,8 +389,7 @@ def _solve_2d(grid: Grid, V: np.ndarray, K: float, k: int):
     # sized for the cap; the pages of Q become resident as blocks are written
     Q = np.empty((_MAX_BLOCKS * k, grid.size))
     G = np.zeros((_MAX_BLOCKS * k, _MAX_BLOCKS * k))
-    start = np.random.default_rng(_START_SEED).standard_normal((grid.size, k))
-    Q[:k] = np.linalg.qr(start)[0].T
+    Q[:k] = np.linalg.qr(_start((grid.size, k)))[0].T
     for m in range(k, Q.shape[0] + 1, k):  # m rows once this block is in
         block = Q[m - k:m]
         G[m - k:m, :m] = _apply_2d(V2, cx, cy, block) @ Q[:m].T
@@ -401,11 +417,12 @@ def solve_schrodinger(grid: Grid, potential: np.ndarray, model: TunnelModel,
     (nx, ny). A 1D solve runs the bisection and inverse iteration of
     _bisection_1d, a 2D solve the block Lanczos of _solve_2d; both return
     the levels ascending, with the residual of each pair from their last
-    Rayleigh-Ritz step, which the result keeps. _START_SEED fixes the start
-    vectors of 1D inverse iteration and of the 2D start block, so repeated
-    calls return identical bits. A non-finite potential raises
-    InvalidParameterError. Raises EigensolverError with the residual norms
-    (inf for pairs not found) if the solver fails.
+    Rayleigh-Ritz step, which the result keeps. Both take their start
+    vectors (1D inverse iteration, the 2D start block) from the fixed
+    splitmix64 stream of _start, so repeated calls return identical bits.
+    A non-finite potential raises InvalidParameterError. Raises
+    EigensolverError with the residual norms (inf for pairs not found) if
+    the solver fails.
     """
     if not (1 <= k <= 10):
         raise InvalidParameterError("k must be between 1 and 10")

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vortexlab import config, energetics, tunneling
+from vortexlab import cli, config, energetics, tunneling
 from vortexlab.constants import CONSTANTS
 from vortexlab.core import derive_scales
 from vortexlab.errors import (EigensolverError, InvalidParameterError,
@@ -350,8 +350,9 @@ class TestSolve1D:
         (64, 11.7e-9, -0.00282, 58e9, 4.94e-9, 7)])
     def test_unlucky_starts_converge(self, model, n, sep, asym, depth_Hz,
                                      width, k):
-        # the seeded start of one level here lies nearly orthogonal to its
-        # eigenvector: a fixed three Rayleigh-quotient inverse steps from
+        # with the normal starts the solver drew before _start, the start
+        # of one level here lay nearly orthogonal to its eigenvector: a
+        # fixed three Rayleigh-quotient inverse steps from
         # the coarse bisection brackets left residuals of 2e-14 to 3e-11
         # ||H||, so the steps go on until a solve's growth bounds them
         grid = tunneling.Grid(-sep - 60e-9, sep + 60e-9, n)
@@ -403,6 +404,36 @@ class TestSolve1D:
                                           model, k=6)
         gram = res.wavefunctions @ res.wavefunctions.T * grid.cell
         assert np.abs(gram - np.eye(6)).max() < 1e-8
+
+
+def splitmix64(seed, n):
+    """The first n outputs of splitmix64 (Steele, Lea & Flood, OOPSLA
+    2014) in Python integers, as a reference for tunneling._start."""
+    mask, state, out = (1 << 64) - 1, seed, []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def test_start_vectors_are_a_fixed_splitmix64_stream(monkeypatch):
+    assert splitmix64(0, 1) == [0xE220A8397B1DCDAF]  # the published stream
+    starts = tunneling._start((7, 1024))
+    assert starts.shape == (7, 1024) and starts.dtype == np.float64
+    assert np.array_equal(starts, tunneling._start((7, 1024)))
+    assert ((-1.0 <= starts) & (starts < 1.0)).all()
+    expected = [(z >> 11) * 2.0**-52 - 1.0
+                for z in splitmix64(tunneling._START_SEED, 7 * 1024)]
+    assert starts.reshape(-1).tolist() == expected
+    # row j of a (k, n) draw is the 1D start of level j; the 2D block is
+    # the same stream laid out (n, k)
+    assert np.array_equal(tunneling._start((1024, 7)).reshape(-1),
+                          starts.reshape(-1))
+    monkeypatch.setattr(tunneling, "_START_SEED", 0)
+    assert tunneling._start((1,))[0] == \
+        (0xE220A8397B1DCDAF >> 11) * 2.0**-52 - 1.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -467,20 +498,28 @@ def test_cli_and_1d_solve_do_not_import_scipy(tmp_path):
     # scipy is a test dependency only, and numpy.ma costs about 10 ms per
     # process: with scipy blocked, a lone 1D solve, the tunnel sweeps of
     # configs/example.ini and of the benchmark, and the Rabi, fit
-    # (fit-spectrum, fit-rabi) and jumps commands run and import neither
+    # (fit-spectrum, fit-rabi) and jumps commands run and import neither.
+    # numpy 2 imports numpy.random lazily, about 8 ms: every command here
+    # but synth-jumps, which draws its record from it, leaves it out
     code = (
         "import numpy as np\n"
         "ma_with_numpy = 'numpy.ma' in sys.modules  # numpy < 2 imports it\n"
+        "random_with_numpy = 'numpy.random' in sys.modules  # numpy < 2, too\n"
         "import vortexlab.cli as cli\n"
         "from vortexlab import rabi, tunneling\n"
-        "example, sweep, jumps, out = sys.argv[1:]\n"
+        "example, sweep, jumps, record, out = sys.argv[1:]\n"
         "grid = tunneling.Grid(0.0, 100e-9, 128)\n"
         "model = tunneling.TunnelModel(y_zpf=4e-9, Omega=1e11)\n"
         "tunneling.solve_schrodinger(grid, np.zeros(128), model, k=2)\n"
         "for args in (['tunnel', '-c', example, '-o', f'{out}/example'],\n"
         "             ['tunnel', '-c', sweep, '-o', f'{out}/sweep'],\n"
         "             ['chi', '-c', example, '-o', out],\n"
-        "             ['synth-jumps', '-c', jumps, '-o', out]):\n"
+        "             ['spectrum', '-c', sweep, '-o', out],\n"
+        "             ['scales', '-c', example, '-o', out],\n"
+        "             ['landscape', '-c', example, '-o', out],\n"
+        "             ['pair', '-c', example, '-o', out, '--x1-um', '1',\n"
+        "              '--y1-um', '0', '--x2-um', '2', '--y2-um', '0.5'],\n"
+        "             ['analyze-jumps', '--data', record, '-o', out]):\n"
         "    assert cli.main(args) == 0, args\n"
         "p = rabi.QrmParams.asymmetric(7.572e9, 92.5e6, 20e12, 128e-6, 2e9)\n"
         "fields = np.linspace(-22e-6, 278e-6, 7)\n"
@@ -493,8 +532,6 @@ def test_cli_and_1d_solve_do_not_import_scipy(tmp_path):
         "assert cli.main([\n"
         "    'fit-spectrum', '--qubit', f'{out}/f_q_dressed.csv',\n"
         "    '--resonator', f'{out}/f_r_g.csv', '-o', out]) == 0\n"
-        "assert cli.main(['analyze-jumps', '--data', f'{out}/trajectory.csv',\n"
-        "                 '-o', out]) == 0\n"
         "t = np.linspace(0.0, 2.0, 150)  # us; scans at 1 MHz per uV\n"
         "rows = [(a, ti, 0.5 - 0.5 * np.cos(2 * np.pi * a * ti))\n"
         "        for a in (4.0, 8.0, 16.0) for ti in t]\n"
@@ -502,7 +539,26 @@ def test_cli_and_1d_solve_do_not_import_scipy(tmp_path):
         "           header='amplitude_uV,t_us,value', comments='')\n"
         "assert cli.main(['fit-rabi', '--data', f'{out}/rabi.csv',\n"
         "                 '-o', out]) == 0\n"
-        "assert ma_with_numpy or 'numpy.ma' not in sys.modules, 'numpy.ma'\n")
+        "t = np.linspace(0.0, 1000.0, 80)  # us\n"
+        "np.savetxt(f'{out}/decay.csv', np.column_stack(\n"
+        "    [t, 0.9 * np.exp(-t / 186.0) + 0.05, np.full(t.size, 0.01)]),\n"
+        "    delimiter=',', header='t_us,value,sigma', comments='')\n"
+        "t = np.linspace(0.0, 2.0, 300)  # us\n"
+        "v = np.exp(-t / 0.44) * (0.4 * np.cos(2 * np.pi * 5 * t)\n"
+        "                         + 0.4 * np.cos(2 * np.pi * 7 * t)) + 0.5\n"
+        "np.savetxt(f'{out}/ramsey.csv', np.column_stack(\n"
+        "    [t, v, np.full(t.size, 0.01)]), delimiter=',',\n"
+        "    header='t_us,value,sigma', comments='')\n"
+        "for command, data in (('fit-decay', 'decay'),\n"
+        "                      ('fit-echo', 'decay'),\n"
+        "                      ('fit-ramsey', 'ramsey')):\n"
+        "    assert cli.main([command, '--data', f'{out}/{data}.csv',\n"
+        "                     '-o', out]) == 0, command\n"
+        "assert ma_with_numpy or 'numpy.ma' not in sys.modules, 'numpy.ma'\n"
+        "assert random_with_numpy or 'numpy.random' not in sys.modules, \\\n"
+        "    'numpy.random'\n"
+        "assert cli.main(['synth-jumps', '-c', jumps, '-o', out]) == 0\n"
+        "assert 'numpy.random' in sys.modules\n")
     root = Path(__file__).resolve().parent.parent
     example = root / "configs" / "example.ini"
     sweep = tmp_path / "sweep.ini"
@@ -511,10 +567,17 @@ def test_cli_and_1d_solve_do_not_import_scipy(tmp_path):
     jumps = tmp_path / "jumps.ini"  # a 20k-shot record
     jumps.write_text(example.read_text().replace("duration_s = 2.5",
                                                  "duration_s = 0.1"))
+    # analyze-jumps reads a record drawn here, so it runs before synth-jumps
+    assert cli.main(["synth-jumps", "-c", str(jumps),
+                     "-o", str(tmp_path / "record")]) == 0
     out = tmp_path / "out"
-    run_without_scipy(code, example, sweep, jumps, out)
-    assert {"chi.csv", "fit_spectrum.json", "jumps_analysis.json",
-            "fit_rabi.json"} <= {p.name for p in out.iterdir()}
+    run_without_scipy(code, example, sweep, jumps,
+                      tmp_path / "record" / "trajectory.csv", out)
+    assert {"chi.csv", "spectrum.csv", "scales.csv", "landscape.csv",
+            "pair.json", "fit_spectrum.json", "jumps_analysis.json",
+            "fit_rabi.json", "fit_decay.json", "fit_echo.json",
+            "fit_ramsey.json", "trajectory.csv"} <= {
+                p.name for p in out.iterdir()}
     for name, fields in (("example", 41), ("sweep", 2)):
         manifest = json.loads((out / name / "manifest.tunnel.json").read_text())
         assert manifest["diagnostics"]["fields"] == fields
@@ -522,7 +585,8 @@ def test_cli_and_1d_solve_do_not_import_scipy(tmp_path):
 
 
 def test_light_sweep_does_not_import_scipy():
-    # one field at 256 points, the benchmark's light tunnel sweep
+    # one field at 256 points, the benchmark's light tunnel sweep; it
+    # imports numpy.random no more than the 2D solve below
     code = (
         "from vortexlab import config, core, tunneling\n"
         "cfg = config.load_config(sys.argv[1])\n"
@@ -531,7 +595,8 @@ def test_light_sweep_does_not_import_scipy():
         "    cfg.sites(), (880e-9, 1120e-9), [195e-6], cfg.tunnel_model(),\n"
         "    core.derive_scales(device), device, grid_points=256)\n"
         "assert sweep.omega_q.shape == (1,), sweep.omega_q.shape\n"
-        "assert sweep.energies.shape == (1, 3), sweep.energies.shape\n")
+        "assert sweep.energies.shape == (1, 3), sweep.energies.shape\n"
+        "assert 'numpy.random' not in sys.modules\n")
     root = Path(__file__).resolve().parent.parent
     run_without_scipy(code, root / "configs" / "example.ini")
 
@@ -547,13 +612,15 @@ def test_2d_solve_does_not_import_scipy():
         "model = tunneling.TunnelModel(y_zpf=4e-9, Omega=1.9e11)\n"
         "V = 0.5 * model.mass * model.Omega**2 * (X**2 + 2.25 * Y**2)\n"
         "res = tunneling.solve_schrodinger(grid, V, model, k=3)\n"
-        "assert res.energies.shape == (3,)\n")
+        "assert res.energies.shape == (3,)\n"
+        "assert 'numpy.random' not in sys.modules\n")
     run_without_scipy(code)
 
 
 def test_commands_import_only_the_modules_they_run(tmp_path):
     # a fresh process compiles every module it imports; loading a config
-    # needs none of these four, gamma-map none and batch-fit only fitting
+    # needs none of these four, gamma-map none and batch-fit only fitting,
+    # and neither imports numpy.random
     code = (
         "import sys\n"
         "import vortexlab.cli as cli\n"
@@ -567,7 +634,8 @@ def test_commands_import_only_the_modules_they_run(tmp_path):
         "                 '--n-delta', '5', '--n-xbar', '5']) == 0\n"
         "assert loaded() == [], loaded()\n"
         "assert cli.main(['batch-fit', '--data-dir', data_dir, '-o', out]) == 0\n"
-        "assert loaded() == ['fitting'], loaded()\n")
+        "assert loaded() == ['fitting'], loaded()\n"
+        "assert 'numpy.random' not in sys.modules\n")
     data_dir = tmp_path / "sets"
     data_dir.mkdir()
     B = np.linspace(28.0, 228.0, 15)
