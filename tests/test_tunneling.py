@@ -348,23 +348,35 @@ class TestSolve1D:
         (64, 49.4e-9, -0.0123, 66.2e9, 5.15e-9, 7),
         (256, 31.6e-9, 0.0147, 54.2e9, 8.86e-9, 7),
         (64, 11.7e-9, -0.00282, 58e9, 4.94e-9, 7)])
-    def test_unlucky_starts_converge(self, model, n, sep, asym, depth_Hz,
-                                     width, k):
-        # with the normal starts the solver drew before _start, the start
-        # of one level here lay nearly orthogonal to its eigenvector: a
-        # fixed three Rayleigh-quotient inverse steps from
-        # the coarse bisection brackets left residuals of 2e-14 to 3e-11
-        # ||H||, so the steps go on until a solve's growth bounds them
+    def test_unlucky_starts_converge(self, model, monkeypatch, n, sep, asym,
+                                     depth_Hz, width, k):
+        # the start of the middle level is cut to 1e-12 of its norm along
+        # that level's eigenvector: a fixed three Rayleigh-quotient inverse
+        # steps from the coarse bisection brackets leave residuals far
+        # above tol, so the steps go on until a solve's growth bounds them
         grid = tunneling.Grid(-sep - 60e-9, sep + 60e-9, n)
         V = -H * depth_Hz * (1 / (1 + (grid.x - sep / 2) ** 2 / width**2)
                              + (1 + asym) / (1 + (grid.x + sep / 2) ** 2
                                              / width**2))
-        ora, _ = dense_oracle(grid, V, model, k, vectors=False)
+        ora, vecs = dense_oracle(grid, V, model, k)
         tol = 1e-14 * hamiltonian_norm(grid, V, model)
+        stream, level = tunneling._start, k // 2
+
+        def unlucky(shape):
+            starts = stream(shape)
+            v = vecs[:, level]
+            row = starts[level] - (starts[level] @ v) * v
+            starts[level] = row + 1e-12 * np.linalg.norm(row) * v
+            return starts
+
+        monkeypatch.setattr(tunneling, "_start", unlucky)
         res = tunneling.solve_schrodinger(grid, V, model, k=k)
         assert np.abs(res.energies - ora).max() < tol
         assert residual_1d(grid, V, model, res) < tol
         assert res.residuals.max() < tol
+        monkeypatch.setattr(tunneling, "_INVERSE_ITERATIONS", 3)
+        res = tunneling.solve_schrodinger(grid, V, model, k=k)
+        assert residual_1d(grid, V, model, res) > tol
 
     @pytest.mark.parametrize("power", [900, -900])
     def test_scaled_double_well_gives_scaled_levels(self, model, power):
@@ -558,7 +570,8 @@ def test_cli_and_1d_solve_do_not_import_scipy(tmp_path):
         "assert random_with_numpy or 'numpy.random' not in sys.modules, \\\n"
         "    'numpy.random'\n"
         "assert cli.main(['synth-jumps', '-c', jumps, '-o', out]) == 0\n"
-        "assert 'numpy.random' in sys.modules\n")
+        "assert 'numpy.random' in sys.modules\n"
+        "assert ma_with_numpy or 'numpy.ma' not in sys.modules, 'numpy.ma'\n")
     root = Path(__file__).resolve().parent.parent
     example = root / "configs" / "example.ini"
     sweep = tmp_path / "sweep.ini"
